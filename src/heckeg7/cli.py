@@ -117,16 +117,14 @@ def load_params(path: str) -> Params:
     if missing:
         raise InputError(f"{path}: missing required field(s) {', '.join(missing)}")
     values = {name: parse_complex_value(name, doc[name]) for name in doc}
-    params = Params(
-        *(values[name] for name in _REQUIRED_FIELDS),
-        y3=values.get("y3"),
-        z3=values.get("z3"),
-    )
     try:
-        params.validate()
+        return Params(
+            *(values[name] for name in _REQUIRED_FIELDS),
+            y3=values.get("y3"),
+            z3=values.get("z3"),
+        )
     except InvalidParams as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return params
 
 
 # ---------------------------------------------------------------------------

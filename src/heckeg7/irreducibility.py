@@ -77,35 +77,20 @@ class Verdict:
     branch_diagnosis: BranchDiagnosis | None
 
 
-# Reducibility cases.  Each maps a case id to (condition name,
-# lhs(p), rhs(p)); the condition holds when lhs == rhs.  The *solved* forms
-# used for constructing reducible tuples are in solve_case below.
+# Reducibility cases: case id -> the condition that makes the point
+# reducible.  _evaluate_conditions computes both sides of each condition, in
+# this order; the *solved* forms used for constructing reducible tuples are in
+# solve_case below.
 _EQUAL_CASES = {
-    "equal-x-1": ("z1*y2 = y1*z2", lambda p: p.z1 * p.y2, lambda p: p.y1 * p.z2),
-    "equal-x-2": ("z1*y1 = y2*z2", lambda p: p.z1 * p.y1, lambda p: p.y2 * p.z2),
+    "equal-x-1": "z1*y2 = y1*z2",
+    "equal-x-2": "z1*y1 = y2*z2",
 }
 
 _DISTINCT_CASES = {
-    "distinct-x-1": (
-        "x1*y2*z2 = x2*y1*z1",
-        lambda p: p.x1 * p.y2 * p.z2,
-        lambda p: p.x2 * p.y1 * p.z1,
-    ),
-    "distinct-x-2": (
-        "x1*y1*z2 = x2*y2*z1",
-        lambda p: p.x1 * p.y1 * p.z2,
-        lambda p: p.x2 * p.y2 * p.z1,
-    ),
-    "distinct-x-3": (
-        "x1*y2*z1 = x2*y1*z2",
-        lambda p: p.x1 * p.y2 * p.z1,
-        lambda p: p.x2 * p.y1 * p.z2,
-    ),
-    "distinct-x-4": (
-        "x1*y1*z1 = x2*y2*z2",
-        lambda p: p.x1 * p.y1 * p.z1,
-        lambda p: p.x2 * p.y2 * p.z2,
-    ),
+    "distinct-x-1": "x1*y2*z2 = x2*y1*z1",
+    "distinct-x-2": "x1*y1*z2 = x2*y2*z1",
+    "distinct-x-3": "x1*y2*z1 = x2*y1*z2",
+    "distinct-x-4": "x1*y1*z1 = x2*y2*z2",
 }
 
 ALL_CASES = {**_EQUAL_CASES, **_DISTINCT_CASES}
@@ -137,12 +122,26 @@ def regime(p: Params, tol: float = VERDICT_TOL) -> str:
 
 
 def _evaluate_conditions(p: Params, reg: str, tol: float) -> tuple[ConditionFlag, ...]:
-    cases = _EQUAL_CASES if reg == EQUAL_X else _DISTINCT_CASES
-    flags = []
-    for name, lhs_fn, rhs_fn in cases.values():
-        lhs, rhs = lhs_fn(p), rhs_fn(p)
-        flags.append(ConditionFlag(name, lhs, rhs, approx_eq(lhs, rhs, tol)))
-    return tuple(flags)
+    """One flag per condition of the regime; each side is a product formed
+    left to right as written in its name, e.g. (x1*y2)*z2."""
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    if reg == EQUAL_X:
+        names = _EQUAL_CASES.values()
+        sides = ((p.z1 * p.y2, p.y1 * p.z2), (p.z1 * p.y1, p.y2 * p.z2))
+    else:
+        names = _DISTINCT_CASES.values()
+        x1y1, x1y2, x2y1, x2y2 = p.x1 * p.y1, p.x1 * p.y2, p.x2 * p.y1, p.x2 * p.y2
+        sides = (
+            (x1y2 * p.z2, x2y1 * p.z1),
+            (x1y1 * p.z2, x2y2 * p.z1),
+            (x1y2 * p.z1, x2y1 * p.z2),
+            (x1y1 * p.z1, x2y2 * p.z2),
+        )
+    return tuple([
+        ConditionFlag(name, lhs, rhs, abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)))
+        for name, (lhs, rhs) in zip(names, sides)
+    ])
 
 
 def _checked_regime(force_regime: str | None, p: Params, tol: float) -> str:
@@ -158,15 +157,10 @@ def theorem_verdict(
 ) -> tuple[str, str, tuple[ConditionFlag, ...]]:
     """(regime, decision, condition flags).  Irreducible iff no reducibility
     condition holds.  Branch-independent: only cross-products of parameters."""
-    p.validate()
     reg = _checked_regime(force_regime, p, tol)
     flags = _evaluate_conditions(p, reg, tol)
     decision = REDUCIBLE if any(f.equal for f in flags) else IRREDUCIBLE
     return reg, decision, flags
-
-
-def _build_for(reg: str, p: Params, r_sign: int) -> GeneratorTriple:
-    return build_equal_x(p, r_sign) if reg == EQUAL_X else build_general(p, r_sign)
 
 
 def oracle_verdict(g: GeneratorTriple, tol: float = VERDICT_TOL) -> tuple[str, Vec2 | None]:
@@ -183,32 +177,15 @@ def branch_diagnosis(
     tol: float = VERDICT_TOL,
     force_regime: str | None = None,
 ) -> BranchDiagnosis:
-    """Re-run the oracle on the flipped branch when the criteria and the
-    oracle disagree at r_sign; reports whether the flip resolves it."""
-    reg, theorem, flags = theorem_verdict(p, tol, force_regime)
-    oracle, _ = oracle_verdict(_build_for(reg, p, r_sign), tol)
-    if oracle == theorem:
-        return BranchDiagnosis(
-            applicable=False,
-            note="criteria and oracle agree; branch diagnosis not applicable",
-            conditions=flags,
-        )
-    flipped = -r_sign
-    oracle2, witness2 = oracle_verdict(_build_for(reg, p, flipped), tol)
-    resolved = oracle2 == theorem
-    note = (
-        "disagreement disappears on the flipped branch"
-        if resolved
-        else "disagreement persists on both branches"
-    )
+    """The flipped-branch diagnosis of decide, or a not-applicable one
+    carrying the condition flags when the criteria and the oracle agree."""
+    v = decide(p, r_sign, tol, force_regime)
+    if v.branch_diagnosis is not None:
+        return v.branch_diagnosis
     return BranchDiagnosis(
-        applicable=True,
-        note=note,
-        flipped_r_sign=flipped,
-        flipped_oracle_decision=oracle2,
-        resolved=resolved,
-        flipped_invariant_vector=witness2,
-        conditions=flags,
+        applicable=False,
+        note="criteria and oracle agree; branch diagnosis not applicable",
+        conditions=v.conditions,
     )
 
 
@@ -217,16 +194,23 @@ def decide(
     r_sign: int = 1,
     tol: float = VERDICT_TOL,
     force_regime: str | None = None,
+    triples: dict[int, GeneratorTriple] | None = None,
 ) -> Verdict:
     """Full pipeline: criteria, oracle at r_sign, agreement, and (only on
-    disagreement) the flipped-branch diagnosis."""
+    disagreement) the oracle on the flipped branch.  Each branch's triple is
+    built once; a dict passed as triples receives them keyed by r sign."""
     reg, theorem, flags = theorem_verdict(p, tol, force_regime)
-    oracle, witness = oracle_verdict(_build_for(reg, p, r_sign), tol)
+    build = build_equal_x if reg == EQUAL_X else build_general
+    if triples is None:
+        triples = {}
+    triples[r_sign] = build(p, r_sign)
+    oracle, witness = oracle_verdict(triples[r_sign], tol)
     agreement = oracle == theorem
     diagnosis = None
     if not agreement:
         flipped = -r_sign
-        oracle2, witness2 = oracle_verdict(_build_for(reg, p, flipped), tol)
+        triples[flipped] = build(p, flipped)
+        oracle2, witness2 = oracle_verdict(triples[flipped], tol)
         resolved = oracle2 == theorem
         diagnosis = BranchDiagnosis(
             applicable=True,
@@ -266,13 +250,13 @@ def invariant_vector_predicted(
     here (the family is irreducible on this branch) and ContradictoryCase is
     raised; the flipped branch carries the honest witness.
     """
-    p.validate()
     if case_id not in ALL_CASES:
         raise KeyError(f"unknown case id {case_id!r}")
-    name, lhs_fn, rhs_fn = ALL_CASES[case_id]
-    lhs, rhs = lhs_fn(p), rhs_fn(p)
-    if not approx_eq(lhs, rhs, tol):
-        raise ConditionNotSatisfied(f"{name} fails: {lhs!r} vs {rhs!r}")
+    name = ALL_CASES[case_id]
+    reg = EQUAL_X if case_id in _EQUAL_CASES else DISTINCT_X
+    flag = next(f for f in _evaluate_conditions(p, reg, tol) if f.name == name)
+    if not flag.equal:
+        raise ConditionNotSatisfied(f"{name} fails: {flag.lhs!r} vs {flag.rhs!r}")
     if case_id in _EQUAL_CASES:
         return normalize_direction((-1 / (p.x2 * p.y2), 1))
     if approx_eq(p.x1, p.x2, tol):

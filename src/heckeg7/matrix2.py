@@ -161,6 +161,15 @@ def common_eigenvector(
     if candidates is None:
         return (1.0 + 0.0j, 0.0 + 0.0j)
     for v in candidates:
-        if all(parallel(m.apply(v), v, tol) for m in matrices):
+        # parallel(m.apply(v), v, tol) for every m, written out
+        v0, v1 = v
+        v_max = max(abs(v0), abs(v1))
+        for m in matrices:
+            w0 = m.a * v0 + m.b * v1
+            w1 = m.c * v0 + m.d * v1
+            bound = tol * max(1.0, max(abs(w0), abs(w1)) * v_max)
+            if not abs(w0 * v1 - w1 * v0) <= bound:
+                break
+        else:
             return normalize_direction(v)
     return None

@@ -72,5 +72,5 @@ def approx_eq(a: complex, b: complex, tol: float = VERDICT_TOL) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def is_finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+# True iff both parts are finite; accepts int, float and complex.
+is_finite = cmath.isfinite

@@ -36,10 +36,14 @@ class DegenerateRegime(ValueError):
 
 
 _REQUIRED = ("x1", "x2", "y1", "y2", "z1", "z2")
+_OPTIONAL = ("y3", "z3")
 
 
 @dataclass(frozen=True)
 class Params:
+    """A parameter point; valid by construction (every field finite and
+    nonzero), so nothing downstream validates it again."""
+
     x1: complex
     x2: complex
     y1: complex
@@ -50,30 +54,25 @@ class Params:
     z3: complex | None = None
 
     def __post_init__(self):
-        for name in _REQUIRED:
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        for name in ("y3", "z3"):
+        for name in _REQUIRED + _OPTIONAL:
             v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, complex(v))
+            if type(v) is complex or (v is None and name in _OPTIONAL):
+                continue
+            object.__setattr__(self, name, complex(v))
+        self.validate()
 
     def as_dict(self) -> dict[str, complex]:
         return {name: getattr(self, name) for name in _REQUIRED}
 
     def validate(self) -> None:
-        for name in _REQUIRED:
+        for name in _REQUIRED + _OPTIONAL:
             v = getattr(self, name)
+            if v is None:
+                continue
             if not is_finite(v):
                 raise InvalidParams(f"{name} is not finite")
             if v == 0:
                 raise InvalidParams(f"{name} must be nonzero")
-        for name in ("y3", "z3"):
-            v = getattr(self, name)
-            if v is not None:
-                if not is_finite(v):
-                    raise InvalidParams(f"{name} is not finite")
-                if v == 0:
-                    raise InvalidParams(f"{name} must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -102,19 +101,20 @@ def _assemble(p: Params, x1: complex, x2: complex, r: complex, r_sign: int) -> G
     y_prod = p.y1 * p.y2
     y_sum = p.y1 + p.y2
     z_sum = p.z1 + p.z2
-    s1 = Mat2(x1, y_sum / y_prod - z_sum * x2 / r, 0, x2)
-    s2 = Mat2(y_sum, 1 / x1, -y_prod * x1, 0)
-    s3 = Mat2(0, -r / (y_prod * x1 * x2), r, z_sum)
-    for m in (s1, s2, s3):
-        for entry in (m.a, m.b, m.c, m.d):
-            if not is_finite(entry):
-                raise InvalidParams("parameter magnitudes overflow the matrix entries")
-    return GeneratorTriple(s1, s2, s3, r, r_sign)
+    entries = (
+        x1, y_sum / y_prod - z_sum * x2 / r, 0, x2,  # s1
+        y_sum, 1 / x1, -y_prod * x1, 0,  # s2
+        0, -r / (y_prod * x1 * x2), r, z_sum,  # s3
+    )
+    if not all(map(is_finite, entries)):
+        raise InvalidParams("parameter magnitudes overflow the matrix entries")
+    return GeneratorTriple(
+        Mat2(*entries[:4]), Mat2(*entries[4:8]), Mat2(*entries[8:]), r, r_sign
+    )
 
 
 def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
     """Generator triple at p with r = r_sign * principal_sqrt(x1*x2*y1*y2*z1*z2)."""
-    p.validate()
     _check_sign(r_sign)
     r = r_sign * principal_sqrt(delta(p))
     if r == 0:
@@ -125,7 +125,6 @@ def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
 def build_equal_x(p: Params, r_sign: int = 1) -> GeneratorTriple:
     """The x1 = x2 family, written with x2 only; r squares to
     x2^2*y1*y2*z1*z2.  The caller decides that the equal-x regime applies."""
-    p.validate()
     _check_sign(r_sign)
     r = r_sign * principal_sqrt(p.x2 * p.x2 * p.y1 * p.y2 * p.z1 * p.z2)
     if r == 0:

@@ -39,7 +39,9 @@ from .irreducibility import (
 )
 from .matrix2 import Vec2, normalize_direction, parallel
 from .numerics import VERDICT_TOL, approx_eq, from_polar
-from .representation import Params, build_equal_x, build_general
+from .representation import GeneratorTriple, InvalidParams, Params
+# Not called here: perfbench/tracing.py wraps these names on this module.
+from .representation import build_equal_x, build_general  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -240,16 +242,19 @@ def _draw_injected_sample(
     equal_case = case_id in _EQUAL_CASE_IDS
     for _ in range(_MAX_REDRAWS):
         base = _draw_base(rng, cfg)
-        if equal_case:
-            if not (_separated(base.y1, base.y2) and _separated(base.y1, -base.y2)):
-                continue
+        if equal_case and not (
+            _separated(base.y1, base.y2) and _separated(base.y1, -base.y2)
+        ):
+            continue
+        try:
             q = solve_case(case_id, base)
+        except InvalidParams:
+            continue  # the solved value is zero or not finite: not sane either
+        if equal_case:
             if not _solved_sane(q.z1):
                 continue
-        else:
-            q = solve_case(case_id, base)
-            if not (_solved_sane(q.x1) and _separated(q.x1, q.x2)):
-                continue
+        elif not (_solved_sane(q.x1) and _separated(q.x1, q.x2)):
+            continue
         return q
     raise RuntimeError(f"could not construct a sane tuple for case {case_id}")
 
@@ -273,11 +278,7 @@ def _classify(v: Verdict) -> str:
     return DISAGREE_UNRESOLVED
 
 
-def _build_for(regime_name: str, p: Params, r_sign: int):
-    return build_equal_x(p, r_sign) if regime_name == EQUAL_X else build_general(p, r_sign)
-
-
-def _producing_witness(p: Params, v: Verdict) -> tuple[Vec2, int] | None:
+def _producing_witness(v: Verdict) -> tuple[Vec2, int] | None:
     """The invariant vector the run produced, with the branch it came from."""
     if v.agreement:
         if v.invariant_vector is None:
@@ -289,13 +290,8 @@ def _producing_witness(p: Params, v: Verdict) -> tuple[Vec2, int] | None:
     return None
 
 
-def _witness_ok(p: Params, v: Verdict, tol: float) -> bool:
-    found = _producing_witness(p, v)
-    if found is None:
-        return False
-    witness, sign = found
-    g = _build_for(v.regime, p, sign)
-    return all(parallel(m.apply(witness), witness, tol) for m in g.as_list())
+def _invariant(g: GeneratorTriple, v: Vec2, tol: float) -> bool:
+    return all(parallel(m.apply(v), v, tol) for m in g.as_list())
 
 
 def _direction_eq(u: Vec2, v: Vec2, tol: float) -> bool:
@@ -307,21 +303,22 @@ def _direction_eq(u: Vec2, v: Vec2, tol: float) -> bool:
     return parallel(un, vn, tol)
 
 
-def _predicted_direction_ok(p: Params, v: Verdict, witness: Vec2, sign: int, tol: float) -> bool:
-    """The equal-x Case 1 prediction check.
+def _predicted_direction_ok(
+    p: Params, g: GeneratorTriple, witness: Vec2, tol: float
+) -> bool:
+    """The equal-x Case 1 prediction check on the producing branch's triple g.
 
     The predicted invariant direction is (-1/(x2*y2), 1).  The invariant
     line is not unique in this case -- the representation splits completely
     and (-1/(x2*y1), 1) is invariant too (verified exactly by the identity
     suite) -- so the oracle may legitimately return either line.  The check
     requires (a) the predicted direction really is invariant under all three
-    generators at the producing branch and (b) the produced witness is
-    parallel to one of the two invariant lines.
+    generators and (b) the produced witness is parallel to one of the two
+    invariant lines.
     """
     predicted = normalize_direction((-1.0 / (p.x2 * p.y2), 1.0))
     complementary = normalize_direction((-1.0 / (p.x2 * p.y1), 1.0))
-    g = _build_for(v.regime, p, sign)
-    if not all(parallel(m.apply(predicted), predicted, tol) for m in g.as_list()):
+    if not _invariant(g, predicted, tol):
         return False
     return _direction_eq(witness, predicted, tol) or _direction_eq(
         witness, complementary, tol
@@ -366,16 +363,19 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
             injected_per_case[case_id] = injected_per_case.get(case_id, 0) + 1
         else:
             p = _draw_random_sample(rng, cfg)
-        v = decide(p, r_sign=cfg.r_sign, tol=cfg.tolerance)
+        triples: dict[int, GeneratorTriple] = {}
+        v = decide(p, r_sign=cfg.r_sign, tol=cfg.tolerance, triples=triples)
         classification = _classify(v)
         counts[classification] += 1
         if case_id is not None:
-            if not _witness_ok(p, v, cfg.tolerance):
+            # the witness is re-checked on the triple that produced it
+            found = _producing_witness(v)
+            if found is None or not _invariant(triples[found[1]], found[0], cfg.tolerance):
                 witness_failures.append(i)
-            elif case_id == "equal-x-1":
-                witness, sign = _producing_witness(p, v)
-                if not _predicted_direction_ok(p, v, witness, sign, cfg.tolerance):
-                    predicted_mismatches.append(i)
+            elif case_id == "equal-x-1" and not _predicted_direction_ok(
+                p, triples[found[1]], found[0], cfg.tolerance
+            ):
+                predicted_mismatches.append(i)
         if classification in (DISAGREE_RESOLVED, DISAGREE_UNRESOLVED):
             disagreements.append(_disagreement_record(i, p, case_id, v, classification))
 

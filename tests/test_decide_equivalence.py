@@ -1,0 +1,200 @@
+"""decide against a reference assembled from the public pieces.
+
+decide evaluates the criteria, builds each branch's triple once and hands
+the triples to the sweep for its witness checks.  The reference below does
+every step separately and from scratch: the condition products as written in
+the condition names, the oracle as eigen_directions plus parallel, and a
+fresh build for each branch.  Both must agree field by field on seeded
+points from every sweep domain, the +-3 modulus band included, with half of
+the points made reducible by solve_case.  The sweep's witness and
+prediction verdicts must match re-checks on freshly built triples.
+"""
+
+import math
+import random
+from dataclasses import replace
+
+import pytest
+
+from heckeg7 import sweep
+
+from heckeg7.irreducibility import (
+    ALL_CASES,
+    EQUAL_X,
+    IRREDUCIBLE,
+    REDUCIBLE,
+    BranchDiagnosis,
+    ConditionFlag,
+    Verdict,
+    decide,
+    theorem_verdict,
+)
+from heckeg7.matrix2 import SCALAR, eigen_directions, normalize_direction, parallel
+from heckeg7.numerics import VERDICT_TOL, approx_eq
+from heckeg7.representation import build_equal_x, build_general
+from heckeg7.sweep import (
+    GENERAL_COMPLEX,
+    POSITIVE_REAL,
+    UNIT_MODULUS,
+    SweepConfig,
+    _draw_base,
+    _draw_injected_sample,
+)
+
+CONFIGS = (
+    SweepConfig(domain=POSITIVE_REAL),
+    SweepConfig(domain=UNIT_MODULUS),
+    SweepConfig(domain=GENERAL_COMPLEX),
+    SweepConfig(domain=GENERAL_COMPLEX, log10_modulus_min=-3, log10_modulus_max=3),
+)
+POINTS_PER_CONFIG = 500  # x 4 configs = 2,000 points, each on both branches
+
+# Each side of each condition, with the multiplications in name order.
+CONDITION_SIDES = {
+    "z1*y2 = y1*z2": (lambda p: p.z1 * p.y2, lambda p: p.y1 * p.z2),
+    "z1*y1 = y2*z2": (lambda p: p.z1 * p.y1, lambda p: p.y2 * p.z2),
+    "x1*y2*z2 = x2*y1*z1": (lambda p: p.x1 * p.y2 * p.z2, lambda p: p.x2 * p.y1 * p.z1),
+    "x1*y1*z2 = x2*y2*z1": (lambda p: p.x1 * p.y1 * p.z2, lambda p: p.x2 * p.y2 * p.z1),
+    "x1*y2*z1 = x2*y1*z2": (lambda p: p.x1 * p.y2 * p.z1, lambda p: p.x2 * p.y1 * p.z2),
+    "x1*y1*z1 = x2*y2*z2": (lambda p: p.x1 * p.y1 * p.z1, lambda p: p.x2 * p.y2 * p.z2),
+}
+
+
+def reference_oracle(g, tol):
+    matrices = g.as_list()
+    candidates = None
+    for m in matrices:
+        report = eigen_directions(m, tol)
+        if report.kind != SCALAR:
+            candidates = report.directions
+            break
+    if candidates is None:
+        return REDUCIBLE, (1.0 + 0.0j, 0.0 + 0.0j)
+    for v in candidates:
+        if all(parallel(m.apply(v), v, tol) for m in matrices):
+            return REDUCIBLE, normalize_direction(v)
+    return IRREDUCIBLE, None
+
+
+def reference_verdict(p, r_sign, tol=VERDICT_TOL):
+    reg, theorem, flags = theorem_verdict(p, tol)
+    expected_flags = []
+    for flag in flags:
+        lhs_fn, rhs_fn = CONDITION_SIDES[flag.name]
+        lhs, rhs = lhs_fn(p), rhs_fn(p)
+        expected_flags.append(ConditionFlag(flag.name, lhs, rhs, approx_eq(lhs, rhs, tol)))
+    assert flags == tuple(expected_flags)
+    build = build_equal_x if reg == EQUAL_X else build_general
+    oracle, witness = reference_oracle(build(p, r_sign), tol)
+    diagnosis = None
+    if oracle != theorem:
+        oracle2, witness2 = reference_oracle(build(p, -r_sign), tol)
+        resolved = oracle2 == theorem
+        diagnosis = BranchDiagnosis(
+            applicable=True,
+            note=(
+                "disagreement disappears on the flipped branch"
+                if resolved
+                else "disagreement persists on both branches"
+            ),
+            flipped_r_sign=-r_sign,
+            flipped_oracle_decision=oracle2,
+            resolved=resolved,
+            flipped_invariant_vector=witness2,
+            conditions=flags,
+        )
+    return Verdict(
+        regime=reg,
+        r_sign=r_sign,
+        tolerance=tol,
+        theorem_decision=theorem,
+        conditions=flags,
+        oracle_decision=oracle,
+        invariant_vector=witness,
+        agreement=oracle == theorem,
+        branch_diagnosis=diagnosis,
+    )
+
+
+def seeded_points(cfg):
+    rng = random.Random(f"decide-equivalence:{cfg.domain}:{cfg.log10_modulus_max}")
+    cases = sorted(ALL_CASES)
+    for i in range(POINTS_PER_CONFIG):
+        if i % 2:
+            case_id = cases[(i // 2) % len(cases)]
+            yield case_id, _draw_injected_sample(rng, cfg, case_id)
+        else:
+            yield None, _draw_base(rng, cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg", CONFIGS, ids=lambda c: f"{c.domain}-pm{c.log10_modulus_max:g}"
+)
+def test_decide_matches_reference_on_both_branches(cfg):
+    for case_id, p in seeded_points(cfg):
+        for r_sign in (1, -1):
+            triples = {}
+            v = decide(p, r_sign, triples=triples)
+            assert v == reference_verdict(p, r_sign), (case_id, p, r_sign)
+            build = build_equal_x if v.regime == EQUAL_X else build_general
+            expected_signs = {r_sign} if v.agreement else {r_sign, -r_sign}
+            assert triples == {s: build(p, s) for s in expected_signs}
+
+
+def invariant_on_fresh_triple(p, v, direction, sign, tol):
+    build = build_equal_x if v.regime == EQUAL_X else build_general
+    return all(
+        parallel(m.apply(direction), direction, tol) for m in build(p, sign).as_list()
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg", CONFIGS, ids=lambda c: f"{c.domain}-pm{c.log10_modulus_max:g}"
+)
+def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
+    decided = []
+
+    def recording_decide(p, *args, **kwargs):
+        v = decide(p, *args, **kwargs)
+        decided.append((p, v))
+        return v
+
+    monkeypatch.setattr(sweep, "decide", recording_decide)
+    cfg = replace(cfg, samples=2000, seed=20)
+    result = sweep.run_sweep(cfg)
+    injected = {
+        i: sweep._injection_case(cfg, k)
+        for k, i in enumerate(
+            i for i in range(cfg.samples)
+            if math.floor((i + 1) * cfg.inject_reducible_rate)
+            > math.floor(i * cfg.inject_reducible_rate)
+        )
+    }
+    failures, mismatches = [], []
+    for i, case_id in injected.items():
+        p, v = decided[i]
+        found = sweep._producing_witness(v)
+        if found is None or not invariant_on_fresh_triple(p, v, *found, cfg.tolerance):
+            failures.append(i)
+            continue
+        if case_id != "equal-x-1":
+            continue
+        witness, sign = found
+        predicted = normalize_direction((-1.0 / (p.x2 * p.y2), 1.0))
+        complementary = normalize_direction((-1.0 / (p.x2 * p.y1), 1.0))
+        if not (
+            invariant_on_fresh_triple(p, v, predicted, sign, cfg.tolerance)
+            and any(
+                sweep._direction_eq(witness, line, cfg.tolerance)
+                for line in (predicted, complementary)
+            )
+        ):
+            mismatches.append(i)
+    assert len(decided) == cfg.samples
+    assert result.injected_total == len(injected) == 200
+    assert list(result.witness_failures) == failures
+    assert list(result.predicted_mismatches) == mismatches
+    flipped = [d for _, v in decided if (d := v.branch_diagnosis) and d.resolved]
+    if cfg.domain != POSITIVE_REAL:
+        # witnesses produced on the flipped branch are among those checked
+        assert flipped

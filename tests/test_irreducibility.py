@@ -26,7 +26,7 @@ from heckeg7.irreducibility import (
 )
 from heckeg7.matrix2 import normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, approx_eq
-from heckeg7.representation import Params, build_equal_x, build_general
+from heckeg7.representation import InvalidParams, Params, build_equal_x, build_general
 
 WRONG_BRANCH_POINT = Params(
     1, 1, cmath.exp(0.9j * math.pi), 1, cmath.exp(0.9j * math.pi), 1
@@ -108,7 +108,7 @@ class TestTheoremVerdict:
 class TestSolveCase:
     @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
     def test_solved_point_is_reducible_and_oracle_agrees(self, case_id):
-        rng = random.Random(hash(case_id) % 2**32)
+        rng = random.Random(f"solve-case:{case_id}")
         for _ in range(10):
             p = solve_case(case_id, positive_params(rng))
             reg, decision, _ = theorem_verdict(p)
@@ -237,6 +237,29 @@ class TestBranchDiagnosis:
 
 
 class TestDecide:
+    def test_bad_r_sign_rejected(self):
+        with pytest.raises(InvalidParams, match=r"^r_sign must be \+1 or -1, got 0$"):
+            decide(Params(2, 3, 5, 7, 11, 13), r_sign=0)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1, 1, 0, 1, 1, 1), "y1 must be nonzero"),
+            ((1, 2, 3, 4, 5, 0j), "z2 must be nonzero"),
+            ((float("inf"), 1, 1, 1, 1, 1), "x1 is not finite"),
+            ((1, 1, 1, complex(1, float("nan")), 1, 1), "y2 is not finite"),
+        ],
+    )
+    def test_zero_or_nonfinite_parameters_rejected(self, values, message):
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            decide(Params(*values))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    @pytest.mark.parametrize("force_regime", [None, EQUAL_X, DISTINCT_X])
+    def test_nonpositive_tolerance_rejected(self, tol, force_regime):
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            decide(Params(2, 3, 5, 7, 11, 13), tol=tol, force_regime=force_regime)
+
     def test_verdict_records_inputs(self):
         verdict = decide(Params(1, 1, 1, 1, 1, 1), r_sign=1, tol=1e-8)
         assert verdict.regime == EQUAL_X

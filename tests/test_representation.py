@@ -59,6 +59,14 @@ class TestParams:
             Params(1, 1, 1, 1, 1, 1, y3=0).validate()
         Params(1, 1, 1, 1, 1, 1, y3=2, z3=3).validate()
 
+    def test_construction_validates(self):
+        with pytest.raises(InvalidParams, match="x1 must be nonzero"):
+            Params(0, 1, 1, 1, 1, 1)
+        with pytest.raises(InvalidParams, match="z2 is not finite"):
+            Params(1, 1, 1, 1, 1, complex("nan"))
+        with pytest.raises(InvalidParams, match="z3 is not finite"):
+            Params(1, 1, 1, 1, 1, 1, z3=float("-inf"))
+
     def test_as_dict_round_trip(self):
         p = Params(1, 2, 3, 4, 5, 6)
         d = p.as_dict()
@@ -131,6 +139,25 @@ class TestGeneratorEntries:
     def test_as_list_order(self):
         g = build_general(Params(1, 2, 3, 4, 5, 6))
         assert g.as_list() == [g.s1, g.s2, g.s3]
+
+
+class TestBuilderSafetyChecks:
+    def test_entry_overflow_rejected(self):
+        with pytest.raises(
+            InvalidParams, match="^parameter magnitudes overflow the matrix entries$"
+        ):
+            build_general(Params(1e200, 1e200, 1e-200, 1, 1, 1))
+
+    @pytest.mark.parametrize("build", [build_general, build_equal_x])
+    @pytest.mark.parametrize("r_sign", [1, -1])
+    def test_product_underflow_rejected(self, build, r_sign):
+        with pytest.raises(InvalidParams, match="^parameter product underflows to zero$"):
+            build(Params(*[1e-60] * 6), r_sign)
+
+    @pytest.mark.parametrize("build", [build_general, build_equal_x])
+    def test_bad_r_sign_rejected(self, build):
+        with pytest.raises(InvalidParams, match=r"^r_sign must be \+1 or -1, got 2$"):
+            build(Params(1, 2, 3, 4, 5, 6), 2)
 
 
 class TestRelations:

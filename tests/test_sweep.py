@@ -1,10 +1,13 @@
 """Randomized agreement sweep: determinism, injection accounting, domains."""
 
 import json
+import random
 
 import pytest
 
-from heckeg7.irreducibility import EQUAL_X
+from heckeg7 import sweep
+from heckeg7.irreducibility import ALL_CASES, EQUAL_X, solve_case
+from heckeg7.representation import InvalidParams
 from heckeg7.sweep import (
     AGREE_IRREDUCIBLE,
     AGREE_REDUCIBLE,
@@ -93,6 +96,29 @@ class TestInjectionAccounting:
         assert result.counts[AGREE_REDUCIBLE] == result.injected_total
         assert result.witness_failures == ()
         assert result.predicted_mismatches == ()
+
+
+class TestInjectedDraws:
+    def test_unrepresentable_solved_value_is_redrawn(self, monkeypatch):
+        # Over a +-110 band the solved parameter often overflows or
+        # underflows; such a draw is redrawn like any other insane one.
+        rejected = []
+
+        def counting_solve_case(case_id, p):
+            try:
+                return solve_case(case_id, p)
+            except InvalidParams:
+                rejected.append(case_id)
+                raise
+
+        monkeypatch.setattr(sweep, "solve_case", counting_solve_case)
+        cfg = small_config(log10_modulus_min=-110, log10_modulus_max=110)
+        rng = random.Random(3)
+        for case_id in sorted(ALL_CASES) * 20:
+            q = sweep._draw_injected_sample(rng, cfg, case_id)
+            solved = q.z1 if case_id.startswith("equal") else q.x1
+            assert 1e-6 <= abs(solved) <= 1e6
+        assert rejected
 
 
 class TestDomains:
