@@ -32,6 +32,7 @@ from .identities import REGISTRY, report_as_dict, run_all
 from .irreducibility import DISTINCT_X, EQUAL_X, Verdict, decide
 from .numerics import VERDICT_TOL, from_polar
 from .representation import (
+    GeneratorTriple,
     InvalidParams,
     Params,
     braid_residual,
@@ -180,11 +181,17 @@ def _check_text(doc: dict) -> list[str]:
     return lines
 
 
-def _relations_doc(p: Params, r_sign: int, tolerance: float) -> dict:
+def _relations_doc(
+    p: Params, r_sign: int, tolerance: float, triple: GeneratorTriple | None = None
+) -> dict:
+    """Relation residuals of the triple for p's regime at r_sign; a triple
+    passed in must be that one, already built."""
     from .irreducibility import regime as regime_of
 
     reg = regime_of(p, tolerance)
-    g = build_equal_x(p, r_sign) if reg == EQUAL_X else build_general(p, r_sign)
+    g = triple
+    if g is None:
+        g = build_equal_x(p, r_sign) if reg == EQUAL_X else build_general(p, r_sign)
     braid = braid_residual(g)
     hecke = hecke_residuals(g, p)
     worst = max([braid, *hecke.values()])
@@ -257,13 +264,23 @@ def _force_regime(value: str) -> str | None:
 
 def cmd_check(args) -> int:
     p = load_params(args.param_file)
+    force_regime = _force_regime(args.force_regime)
+    triples: dict[int, GeneratorTriple] = {}
     verdict: Verdict = decide(
         p,
         r_sign=args.r_sign,
         tol=args.tolerance,
-        force_regime=_force_regime(args.force_regime),
+        force_regime=force_regime,
+        triples=triples,
     )
-    relations = _relations_doc(p, args.r_sign, args.tolerance)
+    # Unforced, decide chose the regime exactly as the residuals do, so its
+    # r_sign triple is the one they need; a forced regime may differ.
+    relations = _relations_doc(
+        p,
+        args.r_sign,
+        args.tolerance,
+        triples[args.r_sign] if force_regime is None else None,
+    )
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check-verdict",

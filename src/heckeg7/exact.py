@@ -14,6 +14,26 @@ and fraction equality by cross-multiplication (n1*d2 == n2*d1) is sound.  No
 gcd normalization is ever performed; degrees stay small for every identity
 checked here, and equality never depends on reduced form.
 
+The operators skip work whose result is known without doing it:
+
+  - a Poly product with a zero operand returns that operand, and one with
+    the constant 1 returns the other operand; a sum with zero, or a
+    difference with a zero subtrahend, returns the other operand;
+  - an ExtElem product of two r-free elements forms only p1*p2, and the
+    DELTA term of any other product raises every exponent of q1*q2 by one
+    instead of multiplying by DELTA_POLY;
+  - RatElem +, -, * and equals skip each multiplication by a denominator
+    that is exactly 1, and equals compares the two cross products term by
+    term instead of forming their difference;
+  - dicts that already hold only nonzero coefficients are wrapped without
+    being copied or filtered again.
+
+Invariant: every shortcut yields the same terms dict -- same monomials,
+coefficients and insertion order -- as the full computation it replaces, so
+the stored num/den/terms, and the residual strings printed from them, do not
+depend on which path ran.  Results may share an operand or its terms dict,
+so nothing may mutate .terms, .p, .q, .num or .den after construction.
+
 Substitution maps variables to RatElems and must be told the image of r,
 which is required to square to the image of DELTA (checked exactly).
 Numeric evaluation takes one complex value per variable plus a value for r,
@@ -47,10 +67,6 @@ class DenominatorVanishes(ZeroDivisionError):
     pass
 
 
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
 def _mono_str(m: Mono) -> str:
     parts = []
     for name, e in zip(VARS, m):
@@ -73,6 +89,14 @@ class Poly:
             for mono, coeff in terms.items():
                 if coeff != 0:
                     self.terms[mono] = coeff
+
+    @staticmethod
+    def _trusted(terms: dict[Mono, int]) -> "Poly":
+        """Wrap a dict that already holds only nonzero coefficients and that
+        no one else will mutate; nothing is copied or filtered."""
+        p = object.__new__(Poly)
+        p.terms = terms
+        return p
 
     @staticmethod
     def zero() -> "Poly":
@@ -105,26 +129,39 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._trusted({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
             other = Poly.const(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             s = out.get(mono, 0) + coeff
             if s:
                 out[mono] = s
             else:
-                out.pop(mono, None)
-        return Poly(out)
+                del out[mono]
+        return Poly._trusted(out)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
             other = Poly.const(other)
-        return self + (-other)
+        if not other.terms:
+            return self
+        out = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            s = out.get(mono, 0) - coeff
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        return Poly._trusted(out)
 
     def __rsub__(self, other: int) -> "Poly":
         return Poly.const(other) - self
@@ -132,16 +169,24 @@ class Poly:
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
             other = Poly.const(other)
+        t1, t2 = self.terms, other.terms
+        if not t1:
+            return self
+        if not t2 or t1 == _ONE_TERMS:
+            return other
+        if t2 == _ONE_TERMS:
+            return self
         out: dict[Mono, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                s = out.get(mono, 0) + c1 * c2
+        get = out.get
+        for (a0, a1, a2, a3, a4, a5), c1 in t1.items():
+            for (b0, b1, b2, b3, b4, b5), c2 in t2.items():
+                mono = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+                s = get(mono, 0) + c1 * c2
                 if s:
                     out[mono] = s
                 else:
-                    out.pop(mono, None)
-        return Poly(out)
+                    del out[mono]
+        return Poly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -185,6 +230,17 @@ class Poly:
 
 
 DELTA_POLY = Poly({DELTA_MONO: 1})
+_ONE_TERMS: dict[Mono, int] = {ZERO_MONO: 1}
+
+
+def _times_delta(p: Poly) -> Poly:
+    """p * DELTA_POLY: DELTA is the single monomial x1*x2*y1*y2*z1*z2, so
+    the product raises every exponent by one and keeps every coefficient."""
+    return Poly._trusted(
+        {(a0 + 1, a1 + 1, a2 + 1, a3 + 1, a4 + 1, a5 + 1): c
+         for (a0, a1, a2, a3, a4, a5), c in p.terms.items()}
+    )
+
 
 PolyLike = Union[Poly, int]
 
@@ -201,6 +257,13 @@ class ExtElem:
     def __init__(self, p: PolyLike = 0, q: PolyLike = 0):
         self.p = _as_poly(p)
         self.q = _as_poly(q)
+
+    @staticmethod
+    def _trusted(p: Poly, q: Poly) -> "ExtElem":
+        e = object.__new__(ExtElem)
+        e.p = p
+        e.q = q
+        return e
 
     @staticmethod
     def r(sign: int = 1) -> "ExtElem":
@@ -226,13 +289,13 @@ class ExtElem:
         return hash((self.p, self.q))
 
     def __neg__(self) -> "ExtElem":
-        return ExtElem(-self.p, -self.q)
+        return ExtElem._trusted(-self.p, -self.q)
 
     def __add__(self, other) -> "ExtElem":
         other = _as_ext(other)
         if other is None:
             return NotImplemented
-        return ExtElem(self.p + other.p, self.q + other.q)
+        return ExtElem._trusted(self.p + other.p, self.q + other.q)
 
     __radd__ = __add__
 
@@ -240,7 +303,7 @@ class ExtElem:
         other = _as_ext(other)
         if other is None:
             return NotImplemented
-        return ExtElem(self.p - other.p, self.q - other.q)
+        return ExtElem._trusted(self.p - other.p, self.q - other.q)
 
     def __rsub__(self, other) -> "ExtElem":
         other = _as_ext(other)
@@ -252,9 +315,12 @@ class ExtElem:
         other = _as_ext(other)
         if other is None:
             return NotImplemented
-        return ExtElem(
-            self.p * other.p + self.q * other.q * DELTA_POLY,
-            self.p * other.q + self.q * other.p,
+        p1, q1, p2, q2 = self.p, self.q, other.p, other.q
+        if not q1.terms and not q2.terms:
+            return ExtElem._trusted(p1 * p2, q1)
+        return ExtElem._trusted(
+            p1 * p2 + _times_delta(q1 * q2),
+            p1 * q2 + q1 * p2,
         )
 
     __rmul__ = __mul__
@@ -272,7 +338,7 @@ class ExtElem:
         return result
 
     def conjugate(self) -> "ExtElem":
-        return ExtElem(self.p, -self.q)
+        return ExtElem._trusted(self.p, -self.q)
 
     def __str__(self) -> str:
         if self.q.is_zero():
@@ -288,10 +354,17 @@ def _as_ext(x) -> ExtElem | None:
     if isinstance(x, ExtElem):
         return x
     if isinstance(x, Poly):
-        return ExtElem(x, 0)
+        return ExtElem._trusted(x, Poly())
     if isinstance(x, int):
-        return ExtElem(Poly.const(x), 0)
+        return ExtElem._trusted(Poly.const(x), Poly())
     return None
+
+
+_ONE_EXT = ExtElem(1, 0)
+
+
+def _is_one(e: ExtElem) -> bool:
+    return not e.q.terms and e.p.terms == _ONE_TERMS
 
 
 ExtLike = Union[ExtElem, Poly, int]
@@ -313,6 +386,14 @@ class RatElem:
         self.den = d
 
     @staticmethod
+    def _trusted(num: ExtElem, den: ExtElem) -> "RatElem":
+        """Wrap extension elements as they are; den must be nonzero."""
+        f = object.__new__(RatElem)
+        f.num = num
+        f.den = den
+        return f
+
+    @staticmethod
     def var(name: str) -> "RatElem":
         return RatElem(ExtElem.var(name), 1)
 
@@ -327,7 +408,8 @@ class RatElem:
         other = _as_rat(other)
         if other is None:
             raise TypeError("cannot compare RatElem with this type")
-        return (self.num * other.den - other.num * self.den).is_zero()
+        lhs, rhs = _cross(self, other)
+        return lhs.p.terms == rhs.p.terms and lhs.q.terms == rhs.q.terms
 
     def __eq__(self, other: object) -> bool:
         other = _as_rat(other)
@@ -338,13 +420,14 @@ class RatElem:
     __hash__ = None  # semantic equality is not hash-compatible
 
     def __neg__(self) -> "RatElem":
-        return RatElem(-self.num, self.den)
+        return RatElem._trusted(-self.num, self.den)
 
     def __add__(self, other) -> "RatElem":
         other = _as_rat(other)
         if other is None:
             return NotImplemented
-        return RatElem(self.num * other.den + other.num * self.den, self.den * other.den)
+        lhs, rhs = _cross(self, other)
+        return RatElem._trusted(lhs + rhs, _den_product(self.den, other.den))
 
     __radd__ = __add__
 
@@ -352,7 +435,8 @@ class RatElem:
         other = _as_rat(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        lhs, rhs = _cross(self, other)
+        return RatElem._trusted(lhs - rhs, _den_product(self.den, other.den))
 
     def __rsub__(self, other) -> "RatElem":
         other = _as_rat(other)
@@ -364,14 +448,16 @@ class RatElem:
         other = _as_rat(other)
         if other is None:
             return NotImplemented
-        return RatElem(self.num * other.num, self.den * other.den)
+        return RatElem._trusted(
+            self.num * other.num, _den_product(self.den, other.den)
+        )
 
     __rmul__ = __mul__
 
     def inv(self) -> "RatElem":
         if self.num.is_zero():
             raise DivisionByZero("inverse of zero")
-        return RatElem(self.den, self.num)
+        return RatElem._trusted(self.den, self.num)
 
     def __truediv__(self, other) -> "RatElem":
         other = _as_rat(other)
@@ -398,7 +484,7 @@ class RatElem:
         return result
 
     def __str__(self) -> str:
-        if self.den == ExtElem(1, 0):
+        if _is_one(self.den):
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -411,7 +497,25 @@ def _as_rat(x) -> RatElem | None:
     e = _as_ext(x)
     if e is None:
         return None
-    return RatElem(e, 1)
+    return RatElem._trusted(e, _ONE_EXT)
+
+
+def _cross(a: RatElem, b: RatElem) -> tuple[ExtElem, ExtElem]:
+    """(a.num * b.den, b.num * a.den), each product skipped when its
+    denominator is the unit 1."""
+    lhs = a.num if _is_one(b.den) else a.num * b.den
+    rhs = b.num if _is_one(a.den) else b.num * a.den
+    return lhs, rhs
+
+
+def _den_product(d1: ExtElem, d2: ExtElem) -> ExtElem:
+    """d1 * d2, skipping the product when either factor is the unit 1.  Both
+    are nonzero and the ring is an integral domain, so the result is too."""
+    if _is_one(d1):
+        return d2
+    if _is_one(d2):
+        return d1
+    return d1 * d2
 
 
 RatLike = Union[RatElem, ExtElem, Poly, int]

@@ -36,6 +36,9 @@ WRONG_BRANCH = {
 }
 
 
+GOLDEN_IDENTITIES = Path(__file__).parent / "fixtures" / "identities.json"
+
+
 def write_params(tmp_path, doc, name="params.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -111,6 +114,42 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["verdict"]["regime"] == "distinct_x"
         assert len(doc["verdict"]["conditions"]) == 4
+
+    @pytest.mark.parametrize(
+        "doc, flags, builds",
+        [
+            (ALL_ONES, [], 1),
+            (IRREDUCIBLE_POINT, ["--r-sign", "-1"], 1),
+            # disagreement: decide also builds the flipped branch
+            (WRONG_BRANCH, [], 2),
+            # a forced regime may differ from the residuals' regime
+            (ALL_ONES, ["--force-regime", "distinct"], 2),
+        ],
+    )
+    def test_each_triple_is_built_once(
+        self, tmp_path, capsys, monkeypatch, doc, flags, builds
+    ):
+        from heckeg7 import cli, irreducibility
+
+        calls = []
+        for module in (cli, irreducibility):
+            for name in ("build_general", "build_equal_x"):
+                original = getattr(module, name)
+                monkeypatch.setattr(
+                    module,
+                    name,
+                    lambda p, s, _f=original: calls.append(s) or _f(p, s),
+                )
+        path = write_params(tmp_path, doc)
+        _, out, _ = run_cli(capsys, "check", path, *flags)
+        assert len(calls) == builds
+        relation_flags = [f for f in flags if f not in ("--force-regime", "distinct")]
+        _, rel_out, _ = run_cli(capsys, "relations", path, *relation_flags)
+        relations = json.loads(rel_out)
+        assert json.loads(out)["relations"] == {
+            "braid-residual": relations["braid-residual"],
+            "hecke-residuals": relations["hecke-residuals"],
+        }
 
     def test_polar_and_cartesian_forms_agree(self, tmp_path, capsys):
         polar = {
@@ -213,6 +252,23 @@ class TestIdentities:
         code, out, _ = run_cli(capsys, "identities", "--output", "text")
         assert code == OK
         assert "failed reports: 0" in out
+
+    def test_stdout_matches_the_golden_document(self, capsys):
+        # tests/fixtures/identities.json is a recorded `heckeg7 identities`
+        # stdout; regenerate it when a report or a check is added
+        code, out, _ = run_cli(capsys, "identities")
+        assert code == OK
+        assert out == GOLDEN_IDENTITIES.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "name", [rep["name"] for rep in json.loads(GOLDEN_IDENTITIES.read_text())["reports"]]
+    )
+    def test_single_report_matches_the_golden_document(self, capsys, name):
+        golden = json.loads(GOLDEN_IDENTITIES.read_text(encoding="utf-8"))
+        golden["reports"] = [rep for rep in golden["reports"] if rep["name"] == name]
+        code, out, _ = run_cli(capsys, "identities", "--only", name)
+        assert code == OK
+        assert out == json.dumps(golden, sort_keys=True, indent=2) + "\n"
 
 
 class TestRelations:

@@ -263,3 +263,188 @@ class TestEvalNumeric:
         lhs = eval_numeric(a * b, values, r_value)
         rhs = eval_numeric(a, values, r_value) * eval_numeric(b, values, r_value)
         assert approx_eq(lhs, rhs, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The operators' shortcuts against the schoolbook formulas.  The references
+# below work on plain term dicts and form every product, including those with
+# a zero or unit factor, exactly as written; the operators must reproduce
+# their terms dicts item for item, insertion order included.
+
+ONE_MONO = (0,) * 6
+DELTA_TERMS = {(1,) * 6: 1}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for mono, coeff in b.items():
+        s = out.get(mono, 0) + coeff
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def ref_neg(a: dict) -> dict:
+    return {mono: -coeff for mono, coeff in a.items()}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            s = out.get(mono, 0) + c1 * c2
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+    return out
+
+
+def ref_ext(e: ExtElem) -> tuple[dict, dict]:
+    return dict(e.p.terms), dict(e.q.terms)
+
+
+def ref_ext_add(a, b):
+    return ref_add(a[0], b[0]), ref_add(a[1], b[1])
+
+
+def ref_ext_neg(a):
+    return ref_neg(a[0]), ref_neg(a[1])
+
+
+def ref_ext_mul(a, b):
+    (p1, q1), (p2, q2) = a, b
+    return (
+        ref_add(ref_mul(p1, p2), ref_mul(ref_mul(q1, q2), DELTA_TERMS)),
+        ref_add(ref_mul(p1, q2), ref_mul(q1, p2)),
+    )
+
+
+def ref_rat(x: RatElem):
+    return ref_ext(x.num), ref_ext(x.den)
+
+
+def ref_rat_add(a, b):
+    (n1, d1), (n2, d2) = a, b
+    return ref_ext_add(ref_ext_mul(n1, d2), ref_ext_mul(n2, d1)), ref_ext_mul(d1, d2)
+
+
+def ref_rat_sub(a, b):
+    n2, d2 = b
+    return ref_rat_add(a, (ref_ext_neg(n2), d2))
+
+
+def ref_rat_mul(a, b):
+    (n1, d1), (n2, d2) = a, b
+    return ref_ext_mul(n1, n2), ref_ext_mul(d1, d2)
+
+
+def ref_rat_equals(a, b) -> bool:
+    (n1, d1), (n2, d2) = a, b
+    diff = ref_ext_add(ref_ext_mul(n1, d2), ref_ext_neg(ref_ext_mul(n2, d1)))
+    return not diff[0] and not diff[1]
+
+
+def items(value) -> list:
+    """Every terms dict of a value as ordered item lists."""
+    if isinstance(value, RatElem):
+        return items(value.num) + items(value.den)
+    if isinstance(value, ExtElem):
+        return items(value.p) + items(value.q)
+    if isinstance(value, Poly):
+        return [list(value.terms.items())]
+    if isinstance(value, tuple):
+        return [x for part in value for x in items(part)]
+    return [list(value.items())]
+
+
+shortcut_polys = st.one_of(
+    st.just(Poly()),
+    st.just(Poly.const(1)),
+    small_ints.map(Poly.const),
+    polys(),
+)
+r_free_elems = shortcut_polys.map(ExtElem)
+shortcut_elems = st.one_of(r_free_elems, st.builds(ExtElem, shortcut_polys, polys()))
+denominators = st.one_of(
+    st.just(ExtElem(1)),
+    shortcut_elems.filter(lambda e: not e.is_zero()),
+)
+rat_elems = st.builds(RatElem, shortcut_elems, denominators)
+
+
+class TestShortcuts:
+    @given(shortcut_polys, shortcut_polys)
+    @settings(max_examples=300, derandomize=True)
+    def test_poly_operators_match_schoolbook(self, a, b):
+        before = items((a, b))
+        ta, tb = dict(a.terms), dict(b.terms)
+        assert items(a * b) == items(ref_mul(ta, tb))
+        assert items(a + b) == items(ref_add(ta, tb))
+        assert items(a - b) == items(ref_add(ta, ref_neg(tb)))
+        assert items(-a) == items(ref_neg(ta))
+        for c in (0, 1, -1, 3):
+            ct = {ONE_MONO: c} if c else {}
+            assert items(a * c) == items(ref_mul(ta, ct))
+            assert items(c * a) == items(ref_mul(ct, ta))
+            assert items(a + c) == items(ref_add(ta, ct))
+            assert items(a - c) == items(ref_add(ta, ref_neg(ct)))
+        assert items((a, b)) == before
+
+    @given(r_free_elems, r_free_elems)
+    @settings(max_examples=200, derandomize=True)
+    def test_r_free_products_match_the_four_product_formula(self, a, b):
+        before = items((a, b))
+        product = a * b
+        assert product.q.is_zero()
+        assert items(product) == items(ref_ext_mul(ref_ext(a), ref_ext(b)))
+        assert items((a, b)) == before
+
+    @given(shortcut_elems, shortcut_elems)
+    @settings(max_examples=200, derandomize=True)
+    def test_ext_operators_match_schoolbook(self, a, b):
+        before = items((a, b))
+        ra, rb = ref_ext(a), ref_ext(b)
+        assert items(a * b) == items(ref_ext_mul(ra, rb))
+        assert items(a + b) == items(ref_ext_add(ra, rb))
+        assert items(a - b) == items(ref_ext_add(ra, ref_ext_neg(rb)))
+        assert items(a.conjugate()) == items((ra[0], ref_neg(ra[1])))
+        assert items((a, b)) == before
+
+    @given(shortcut_polys)
+    @settings(max_examples=200, derandomize=True)
+    def test_delta_shift_matches_the_product_with_delta(self, q):
+        before = items(q)
+        expected = ref_mul(dict(q.terms), DELTA_TERMS)
+        assert items(q * DELTA_POLY) == items(expected)
+        # (q*r) * r = q*DELTA: the DELTA term of a product with r-parts
+        shifted = ExtElem(0, q) * ExtElem.r()
+        assert items(shifted) == items((expected, {}))
+        assert items(q) == before
+
+    @given(rat_elems, rat_elems)
+    @settings(max_examples=200, derandomize=True)
+    def test_rat_operators_match_schoolbook(self, a, b):
+        before = items((a, b))
+        ra, rb = ref_rat(a), ref_rat(b)
+        assert items(a + b) == items(ref_rat_add(ra, rb))
+        assert items(a - b) == items(ref_rat_sub(ra, rb))
+        assert items(a * b) == items(ref_rat_mul(ra, rb))
+        assert items(-a) == items((ref_ext_neg(ra[0]), ra[1]))
+        assert a.equals(b) == ref_rat_equals(ra, rb)
+        assert items((a, b)) == before
+
+    @given(rat_elems, denominators)
+    @settings(max_examples=200, derandomize=True)
+    def test_equals_on_equal_fractions(self, a, k):
+        scaled = RatElem(a.num * k, a.den * k)
+        before = items((a, scaled))
+        assert ref_rat_equals(ref_rat(a), ref_rat(scaled))
+        assert a.equals(scaled) and scaled.equals(a)
+        shifted = a + RatElem(1)
+        assert a.equals(shifted) == ref_rat_equals(ref_rat(a), ref_rat(shifted))
+        assert not a.equals(shifted)
+        assert items((a, scaled)) == before

@@ -17,11 +17,13 @@ from heckeg7.exact import (
     rat_equals,
     substitute,
 )
+from heckeg7 import identities
 from heckeg7.identities import (
     FAILED,
     REGISTRY,
     SIGN_DEPENDENT,
     VERIFIED,
+    SymMat2,
     case_substitution,
     conjugated_upper_right_numerator,
     mat_equals,
@@ -239,6 +241,83 @@ class TestCaseSubstitutions:
         report = verify_invariant_line_eigenrelations()
         assert report.status == VERIFIED
         assert len(report.checks) == 22
+
+
+class TestPlantedFailures:
+    """A wrong input must fail exactly the reports that use it, with the
+    residual strings the unreduced arithmetic prints.  The pinned strings
+    were produced before the exact ring skipped zero and unit products; a
+    shortcut that loses a term or changes the stored num/den breaks them."""
+
+    @staticmethod
+    def _failures(reports) -> dict[str, dict[str, str]]:
+        return {
+            report.name: {c.name: c.residual for c in report.checks if not c.ok}
+            for report in reports
+            if report.status == FAILED
+        }
+
+    def test_perturbed_upper_right_numerator(self, monkeypatch):
+        original = identities.conjugated_upper_right_numerator
+
+        def planted() -> ExtElem:
+            nb = original()
+            return ExtElem(nb.p + X1, nb.q)
+
+        monkeypatch.setattr(identities, "conjugated_upper_right_numerator", planted)
+        failures = self._failures(run_all())
+        assert set(failures) == {"conjugation-formulas", "conjugated-upper-right-vanishing"}
+        assert all(all(failures[name].values()) for name in failures)
+        vanishing = failures["conjugated-upper-right-vanishing"]
+        assert len(vanishing) == 4
+        assert (
+            vanishing["distinct-x-1: numerator vanishes at induced root sign +1"]
+            == "x2*y1*y2^11*z1*z2^11"
+        )
+        assert failures["conjugation-formulas"][
+            "conjugated s3 (1,2) = x1*x2*z1*z2*(sum)/((x1-x2)^2*r^3) [r sign -1]"
+        ] == (
+            "(-x1^7*x2^3*y1^5*y2^5*z1^2*z2^2 + 3*x1^6*x2^4*y1^5*y2^5*z1^2*z2^2"
+            " - 3*x1^5*x2^5*y1^5*y2^5*z1^2*z2^2 + x1^4*x2^6*y1^5*y2^5*z1^2*z2^2)*r"
+        )
+
+    def test_perturbed_s2_upper_right_entry(self, monkeypatch):
+        original = identities.sym_generators
+
+        def planted(r_sign: int = 1):
+            s1, s2, s3 = original(r_sign)
+            return s1, SymMat2(s2.a, s2.b + RatElem(ExtElem(X1)), s2.c, s2.d), s3
+
+        monkeypatch.setattr(identities, "sym_generators", planted)
+        failures = self._failures(run_all())
+        assert set(failures) == {
+            "braid-hecke-relations",
+            "conjugation-formulas",
+            "invariant-line-eigenrelations",
+        }
+        assert all(all(failures[name].values()) for name in failures)
+        assert len(failures["braid-hecke-relations"]) == 6
+        assert failures["braid-hecke-relations"][
+            "(s2 - y1)(s2 - y2) = 0 [r sign +1]"
+        ] == "(1,1): -x1^3*y1*y2; (2,2): -x1^3*y1*y2"
+        assert failures["braid-hecke-relations"][
+            "s1*s2*s3 = s3*s1*s2 [r sign -1]"
+        ] == (
+            "(1,1): x1^7*x2^4*y1^7*y2^7*z1^2*z2^2; "
+            "(1,2): (-x1^8*x2^4*y1^7*y2^7*z1^2*z2 - x1^8*x2^4*y1^7*y2^7*z1*z2^2)*r; "
+            "(2,2): -x1^6*x2^2*y1^3*y2^3*z1*z2"
+        )
+        assert failures["conjugation-formulas"][
+            "det of conjugated s2 = y1*y2 [r sign +1]"
+        ] == (
+            "x1^15*x2^3*y1^10*y2^10*z1^3*z2^3 - 6*x1^14*x2^4*y1^10*y2^10*z1^3*z2^3"
+            " + 15*x1^13*x2^5*y1^10*y2^10*z1^3*z2^3 - 20*x1^12*x2^6*y1^10*y2^10*z1^3*z2^3"
+            " + 15*x1^11*x2^7*y1^10*y2^10*z1^3*z2^3 - 6*x1^10*x2^8*y1^10*y2^10*z1^3*z2^3"
+            " + x1^9*x2^9*y1^10*y2^10*z1^3*z2^3"
+        )
+        assert failures["invariant-line-eigenrelations"][
+            "equal-x-2: s2*v = y2*v with the complementary direction v = (-1/(x2*y1), 1)"
+        ] == "x2^5*y1^3"
 
 
 class TestBudget:
