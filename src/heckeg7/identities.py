@@ -41,7 +41,7 @@ The suite covers six identity groups:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import ExtElem, Poly, RatElem, substitute
 
@@ -58,16 +58,14 @@ X1, X2, Y1, Y2, Z1, Z2 = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     note: str = ""
     residual: str | None = None
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     name: str
     status: str
     checks: tuple[CheckResult, ...]
@@ -77,8 +75,7 @@ class IdentityReport:
         return self.status == FAILED
 
 
-@dataclass(frozen=True)
-class SymMat2:
+class SymMat2(NamedTuple):
     """2x2 matrix over the fraction field of the extension ring."""
 
     a: RatElem
@@ -93,6 +90,12 @@ class SymMat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
+
+    def __rmul__(self, other):
+        # the inherited tuple operators would repeat or concatenate entries
+        return NotImplemented
+
+    __add__ = __rmul__
 
     def minus_scalar(self, lam: RatElem) -> "SymMat2":
         return SymMat2(self.a - lam, self.b, self.c, self.d - lam)

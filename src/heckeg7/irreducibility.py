@@ -19,7 +19,7 @@ The oracle is authoritative for the final agreement verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrix2 import Vec2, common_eigenvector, normalize_direction
 from .numerics import VERDICT_TOL, approx_eq
@@ -45,16 +45,14 @@ class ContradictoryCase(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class ConditionFlag:
+class ConditionFlag(NamedTuple):
     name: str
     lhs: complex
     rhs: complex
     equal: bool
 
 
-@dataclass(frozen=True)
-class BranchDiagnosis:
+class BranchDiagnosis(NamedTuple):
     applicable: bool
     note: str
     flipped_r_sign: int | None = None
@@ -64,8 +62,7 @@ class BranchDiagnosis:
     conditions: tuple[ConditionFlag, ...] = ()
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     regime: str
     r_sign: int
     tolerance: float

@@ -5,7 +5,7 @@ eigendirections, and search a family of matrices for a shared eigendirection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numerics import VERDICT_TOL, principal_sqrt
 
@@ -20,8 +20,7 @@ class SingularMatrix(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(NamedTuple):
     """Row-major [[a, b], [c, d]]."""
 
     a: complex
@@ -40,6 +39,10 @@ class Mat2:
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
+
+    def __rmul__(self, other):
+        # the inherited tuple.__rmul__ would make 2 * m an 8-tuple
+        return NotImplemented
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
@@ -66,8 +69,7 @@ class Mat2:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     kind: str  # scalar | jordan | semisimple
     eigenvalues: tuple[complex, ...]
     directions: tuple[Vec2, ...]  # empty for scalar (every direction works)
@@ -92,10 +94,15 @@ def vec_maxmod(v: Vec2) -> float:
 def normalize_direction(v: Vec2) -> Vec2:
     """Divide by the largest-modulus component (ties pick the first), making
     that component exactly 1."""
-    pivot = v[0] if abs(v[0]) >= abs(v[1]) else v[1]
+    return _divide_by_pivot(v[0], v[1], abs(v[0]), abs(v[1]))
+
+
+def _divide_by_pivot(v0: complex, v1: complex, mod0: float, mod1: float) -> Vec2:
+    # normalize_direction with the moduli |v0|, |v1| already known
+    pivot = v0 if mod0 >= mod1 else v1
     if pivot == 0:
         raise ValueError("zero vector has no direction")
-    return (v[0] / pivot, v[1] / pivot)
+    return (v0 / pivot, v1 / pivot)
 
 
 def parallel(u: Vec2, v: Vec2, tol: float = VERDICT_TOL) -> bool:
@@ -103,15 +110,19 @@ def parallel(u: Vec2, v: Vec2, tol: float = VERDICT_TOL) -> bool:
 
 
 def _kernel_direction(m: Mat2, lam: complex) -> Vec2:
-    # (m - lam) annihilates both candidates when lam is an exact eigenvalue;
-    # pick the numerically larger one.
-    va: Vec2 = (m.b, lam - m.a)
-    vb: Vec2 = (lam - m.d, m.c)
-    v = va if vec_maxmod(va) >= vec_maxmod(vb) else vb
-    if vec_maxmod(v) == 0.0:
+    # (m - lam) annihilates both candidates (b, lam - a) and (lam - d, c)
+    # when lam is an exact eigenvalue; pick the numerically larger one.
+    # Each entry's modulus is taken once.
+    a0, a1, b0, b1 = m.b, lam - m.a, lam - m.d, m.c
+    mod_a0, mod_a1, mod_b0, mod_b1 = abs(a0), abs(a1), abs(b0), abs(b1)
+    if max(mod_a0, mod_a1) >= max(mod_b0, mod_b1):
+        v0, v1, mod0, mod1 = a0, a1, mod_a0, mod_a1
+    else:
+        v0, v1, mod0, mod1 = b0, b1, mod_b0, mod_b1
+    if max(mod0, mod1) == 0.0:
         # m is exactly lam*I on this eigenvalue; any direction works
         return (1.0 + 0.0j, 0.0 + 0.0j)
-    return normalize_direction(v)
+    return _divide_by_pivot(v0, v1, mod0, mod1)
 
 
 def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
@@ -124,17 +135,19 @@ def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
     directions, eigenvalue order fixed by the principal square root of the
     discriminant (+ root first).
     """
-    scale = m.maxmod()
-    if max(abs(m.b), abs(m.c), abs(m.a - m.d)) <= tol * max(1.0, scale):
-        half = m.trace() / 2
-        return EigenReport(SCALAR, (half,), ())
-    disc = (m.a - m.d) ** 2 + 4 * m.b * m.c
+    a, b, c, d = m
+    mod_b, mod_c = abs(b), abs(c)
+    scale = max(abs(a), mod_b, mod_c, abs(d))
+    gap, trace = a - d, a + d
+    if max(mod_b, mod_c, abs(gap)) <= tol * max(1.0, scale):
+        return EigenReport(SCALAR, (trace / 2,), ())
+    disc = gap ** 2 + 4 * b * c
     if abs(disc) <= tol * scale * scale:
-        lam = m.trace() / 2
+        lam = trace / 2
         return EigenReport(JORDAN, (lam,), (_kernel_direction(m, lam),))
     root = principal_sqrt(disc)
-    lam1 = (m.trace() + root) / 2
-    lam2 = (m.trace() - root) / 2
+    lam1 = (trace + root) / 2
+    lam2 = (trace - root) / 2
     return EigenReport(
         SEMISIMPLE,
         (lam1, lam2),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Default tolerance for irreducibility verdicts and agreement checks.
 VERDICT_TOL = 1e-9
@@ -25,8 +25,7 @@ VERDICT_TOL = 1e-9
 SELF_CHECK_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PolarForm:
+class PolarForm(NamedTuple):
     modulus: float
     argument: float  # in (-pi, pi]; 0.0 for the origin
 

@@ -21,7 +21,7 @@ entrywise with build_general whenever x1 equals x2 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrix2 import Mat2
 from .numerics import VERDICT_TOL, is_finite, principal_sqrt
@@ -36,14 +36,9 @@ class DegenerateRegime(ValueError):
 
 
 _REQUIRED = ("x1", "x2", "y1", "y2", "z1", "z2")
-_OPTIONAL = ("y3", "z3")
 
 
-@dataclass(frozen=True)
-class Params:
-    """A parameter point; valid by construction (every field finite and
-    nonzero), so nothing downstream validates it again."""
-
+class _ParamsFields(NamedTuple):
     x1: complex
     x2: complex
     y1: complex
@@ -53,20 +48,32 @@ class Params:
     y3: complex | None = None  # optional third eigenvalues: cubic relations
     z3: complex | None = None
 
-    def __post_init__(self):
-        for name in _REQUIRED + _OPTIONAL:
-            v = getattr(self, name)
-            if type(v) is complex or (v is None and name in _OPTIONAL):
-                continue
-            object.__setattr__(self, name, complex(v))
+
+class Params(_ParamsFields):
+    """A parameter point; valid by construction (every value is coerced to
+    complex, and every field must be finite and nonzero), so nothing
+    downstream validates it again.  _replace goes through the same checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, x1, x2, y1, y2, z1, z2, y3=None, z3=None):
+        self = tuple.__new__(cls, (
+            complex(x1), complex(x2), complex(y1), complex(y2), complex(z1), complex(z2),
+            None if y3 is None else complex(y3),
+            None if z3 is None else complex(z3),
+        ))
         self.validate()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Params":
+        return cls(*iterable)
 
     def as_dict(self) -> dict[str, complex]:
-        return {name: getattr(self, name) for name in _REQUIRED}
+        return dict(zip(_REQUIRED, self))
 
     def validate(self) -> None:
-        for name in _REQUIRED + _OPTIONAL:
-            v = getattr(self, name)
+        for name, v in zip(self._fields, self):
             if v is None:
                 continue
             if not is_finite(v):
@@ -75,8 +82,7 @@ class Params:
                 raise InvalidParams(f"{name} must be nonzero")
 
 
-@dataclass(frozen=True)
-class GeneratorTriple:
+class GeneratorTriple(NamedTuple):
     s1: Mat2
     s2: Mat2
     s3: Mat2

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .irreducibility import (
     _EQUAL_CASES,
@@ -68,8 +68,7 @@ _SOLVED_MODULUS_MAX = 1e6
 _MAX_REDRAWS = 1000
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     samples: int = 10000
     seed: int = 42
     domain: str = POSITIVE_REAL
@@ -97,8 +96,7 @@ class SweepConfig:
             raise ValueError(f"regime_filter must be {EQUAL_X!r}, {DISTINCT_X!r} or None")
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     config: SweepConfig
     counts: dict[str, int]
     injected_total: int

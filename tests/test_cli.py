@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -404,6 +405,25 @@ class TestEntryPoints:
     )
     def test_installed_wrapper_script(self):
         check_console_command(["heckeg7"])
+
+    def test_cold_import_leaves_out_dataclasses_and_inspect(self):
+        # dataclasses (and the inspect it imports) were most of the import
+        # time of heckeg7.cli; -S keeps site from importing anything first
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-S",
+                "-c",
+                "import sys; from heckeg7.cli import build_parser; build_parser(); "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_invocation(self):
         proc = subprocess.run(

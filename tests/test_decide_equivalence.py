@@ -12,7 +12,6 @@ prediction verdicts must match re-checks on freshly built triples.
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -160,7 +159,7 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
         return v
 
     monkeypatch.setattr(sweep, "decide", recording_decide)
-    cfg = replace(cfg, samples=2000, seed=20)
+    cfg = cfg._replace(samples=2000, seed=20)
     result = sweep.run_sweep(cfg)
     injected = {
         i: sweep._injection_case(cfg, k)

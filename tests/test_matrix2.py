@@ -120,6 +120,17 @@ class TestEigenDirections:
         assert cmath.isclose(rep.eigenvalues[0], 1)
         assert cmath.isclose(rep.eigenvalues[1], -1)
 
+    def test_candidate_and_pivot_ties_pick_the_first(self):
+        # In [[a, b], [b, a]] the two kernel candidates (b, lam - a) and
+        # (lam - d, c) always tie in size; they differ only by rounding, so
+        # the exact result shows which candidate and which pivot were taken.
+        a, b = -2.19 + 2.08j, 1.58 - 1.47j
+        rep = eigen_directions(Mat2(a, b, b, a), VERDICT_TOL)
+        assert rep.directions == (
+            (1 + 0j, 1 + 0j),
+            (1 + 0j, -1 - 7.532915547238733e-17j),
+        )
+
     @given(matrices)
     @settings(max_examples=300, derandomize=True)
     def test_every_reported_pair_satisfies_definition(self, m):

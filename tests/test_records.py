@@ -1,0 +1,147 @@
+"""The public records are immutable named tuples.
+
+These tests pin what a record must still do as a tuple subclass: refuse
+attribute assignment, keep its repr, refuse the tuple repetition and
+concatenation that would otherwise leak into the matrix types, and (for
+Params) coerce and validate every value, also through _replace.
+"""
+
+import pytest
+
+from heckeg7.exact import RatElem
+from heckeg7.identities import VERIFIED, CheckResult, IdentityReport, SymMat2
+from heckeg7.irreducibility import BranchDiagnosis, ConditionFlag, Verdict, decide
+from heckeg7.matrix2 import SCALAR, EigenReport, Mat2
+from heckeg7.numerics import PolarForm
+from heckeg7.representation import GeneratorTriple, InvalidParams, Params, build_general
+from heckeg7.sweep import SweepConfig, SweepResult, run_sweep
+
+ONE = RatElem(1)
+
+
+def one_of_each():
+    p = Params(2, 3, 5, 7, 11, 13)
+    return [
+        PolarForm(1.0, 0.5),
+        Mat2(1, 2, 3, 4),
+        EigenReport(SCALAR, (1,), ()),
+        p,
+        build_general(p),
+        ConditionFlag("z1*y2 = y1*z2", 1, 2, False),
+        BranchDiagnosis(applicable=False, note="agree"),
+        decide(p),
+        CheckResult("c", True),
+        IdentityReport("r", VERIFIED, ()),
+        SymMat2(ONE, ONE, ONE, ONE),
+        SweepConfig(samples=5),
+        run_sweep(SweepConfig(samples=5)),
+    ]
+
+
+def test_every_record_type_is_covered():
+    types = {type(rec) for rec in one_of_each()}
+    assert types == {
+        PolarForm, Mat2, EigenReport, Params, GeneratorTriple, ConditionFlag,
+        BranchDiagnosis, Verdict, CheckResult, IdentityReport, SymMat2,
+        SweepConfig, SweepResult,
+    }
+
+
+@pytest.mark.parametrize("record", one_of_each(), ids=lambda rec: type(rec).__name__)
+def test_records_refuse_assignment(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+# repr strings as the frozen dataclasses printed them
+@pytest.mark.parametrize(
+    "record, expected",
+    [
+        (Mat2(1, 2j, -0.5, 3 - 1j), "Mat2(a=1, b=2j, c=-0.5, d=(3-1j))"),
+        (
+            Params(1, 2.5, 3j, -4, 5 + 6j, 7),
+            "Params(x1=(1+0j), x2=(2.5+0j), y1=3j, y2=(-4+0j), z1=(5+6j), "
+            "z2=(7+0j), y3=None, z3=None)",
+        ),
+        (
+            Params(1, 2, 3, 4, 5, 6, y3=8, z3=-1j),
+            "Params(x1=(1+0j), x2=(2+0j), y1=(3+0j), y2=(4+0j), z1=(5+0j), "
+            "z2=(6+0j), y3=(8+0j), z3=(-0-1j))",
+        ),
+        (
+            ConditionFlag("z1*y2 = y1*z2", 2j, 2j, True),
+            "ConditionFlag(name='z1*y2 = y1*z2', lhs=2j, rhs=2j, equal=True)",
+        ),
+        (
+            decide(Params(1, 1, -1j, 1, -1j, 1)),
+            "Verdict(regime='equal_x', r_sign=1, tolerance=1e-09, "
+            "theorem_decision='reducible', conditions=("
+            "ConditionFlag(name='z1*y2 = y1*z2', lhs=-1j, rhs=-1j, equal=True), "
+            "ConditionFlag(name='z1*y1 = y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False)), "
+            "oracle_decision='irreducible', invariant_vector=None, agreement=False, "
+            "branch_diagnosis=BranchDiagnosis(applicable=True, "
+            "note='disagreement disappears on the flipped branch', flipped_r_sign=-1, "
+            "flipped_oracle_decision='reducible', resolved=True, "
+            "flipped_invariant_vector=((1+0j), 1j), conditions=("
+            "ConditionFlag(name='z1*y2 = y1*z2', lhs=-1j, rhs=-1j, equal=True), "
+            "ConditionFlag(name='z1*y1 = y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False))))",
+        ),
+    ],
+    ids=["Mat2", "Params", "Params-cubic", "ConditionFlag", "Verdict"],
+)
+def test_repr_is_unchanged(record, expected):
+    assert repr(record) == expected
+
+
+@pytest.mark.parametrize(
+    "matrix", [Mat2(1, 2, 3, 4), SymMat2(ONE, ONE, ONE, ONE)], ids=["Mat2", "SymMat2"]
+)
+def test_scalar_times_matrix_is_refused(matrix):
+    # tuple.__rmul__ would silently return the entries repeated
+    with pytest.raises(TypeError):
+        2 * matrix
+
+
+def test_symbolic_matrices_do_not_concatenate():
+    m = SymMat2(ONE, ONE, ONE, ONE)
+    with pytest.raises(TypeError):
+        m + m
+
+
+class TestParams:
+    def test_five_positional_values_are_refused(self):
+        with pytest.raises(TypeError):
+            Params(1, 2, 3, 4, 5)
+
+    def test_ints_and_floats_become_complex(self):
+        p = Params(1, 2.5, 3, 4, 5, 6, y3=7, z3=8.5)
+        assert all(type(v) is complex for v in p)
+        assert p == (1, 2.5, 3, 4, 5, 6, 7, 8.5)
+        assert Params(1, 2, 3, 4, 5, 6).y3 is None
+
+    def test_validation_runs_at_construction_in_field_order(self):
+        with pytest.raises(InvalidParams, match="^y1 must be nonzero$"):
+            Params(1, 2, 0, float("nan"), 5, 6)
+        with pytest.raises(InvalidParams, match="^y2 is not finite$"):
+            Params(1, 2, 3, float("nan"), 5, 0)
+        with pytest.raises(InvalidParams, match="^z3 must be nonzero$"):
+            Params(1, 2, 3, 4, 5, 6, y3=1, z3=0)
+
+    def test_replace_coerces_and_validates(self):
+        p = Params(1, 2, 3, 4, 5, 6)
+        q = p._replace(x1=9, y3=2)
+        assert type(q) is Params
+        assert type(q.x1) is complex and type(q.y3) is complex
+        with pytest.raises(InvalidParams, match="^x1 must be nonzero$"):
+            p._replace(x1=0)
+
+    def test_validate_and_as_dict_live_on_params(self):
+        # the per-layer tracer wraps Params.validate through vars(Params)
+        assert "validate" in vars(Params)
+        assert "as_dict" in vars(Params)
+        assert "as_dict" in vars(SweepResult)
