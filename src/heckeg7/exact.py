@@ -34,8 +34,18 @@ the stored num/den/terms, and the residual strings printed from them, do not
 depend on which path ran.  Results may share an operand or its terms dict,
 so nothing may mutate .terms, .p, .q, .num or .den after construction.
 
-Substitution maps variables to RatElems and must be told the image of r,
-which is required to square to the image of DELTA (checked exactly).
+A Substitution maps variables to RatElems; each call must be told the image
+of r.  One object is meant to serve many values under one assignment:
+
+  - it converts and checks the variable images once, and builds each
+    power images[name] ** e once;
+  - it remembers the image of each Poly it has substituted, keyed by the
+    object's identity (and holding the object, so its id stays unique), not
+    by equality: two equal Polys may store their terms in a different order,
+    and each must get the terms its own substitution yields;
+  - every call still checks that its r image squares to the image of DELTA,
+    exactly; only that image of DELTA is shared.
+
 Numeric evaluation takes one complex value per variable plus a value for r,
 required to square to DELTA's value within tolerance.
 """
@@ -201,9 +211,6 @@ class Poly:
             base = base * base
             n >>= 1
         return result
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -524,70 +531,86 @@ RatLike = Union[RatElem, ExtElem, Poly, int]
 # ---------------------------------------------------------------------------
 # substitution (exact) and evaluation (numeric)
 
-def _full_images(assignment: Mapping[str, RatElem]) -> dict[str, RatElem]:
-    images = {}
-    for name in VARS:
-        img = assignment.get(name)
-        images[name] = RatElem.var(name) if img is None else _as_rat(img)
-    unknown = set(assignment) - set(VARS)
-    if unknown:
-        raise KeyError(f"unknown variables in assignment: {sorted(unknown)}")
-    return images
+class Substitution:
+    """The images of the six variables (unassigned ones map to themselves),
+    prepared once; calling it substitutes one value, as substitute does."""
 
+    __slots__ = ("_images", "_powers", "_memo")
 
-def _poly_substitute(p: Poly, images: Mapping[str, RatElem]) -> RatElem:
-    out = RatElem(0, 1)
-    powers: dict[tuple[str, int], RatElem] = {}
+    def __init__(self, assignment: Mapping[str, RatLike]):
+        unknown = set(assignment) - set(VARS)
+        if unknown:
+            raise KeyError(f"unknown variables in assignment: {sorted(unknown)}")
+        self._images: dict[str, RatElem] = {}
+        for name in VARS:
+            img = _as_rat(assignment[name]) if name in assignment else RatElem.var(name)
+            if img is None:
+                raise TypeError(
+                    f"image of {name} must be a RatElem, ExtElem, Poly or int, "
+                    f"not {type(assignment[name]).__name__}"
+                )
+            self._images[name] = img
+        self._powers: dict[tuple[str, int], RatElem] = {}
+        # id(p) -> (p, image of p); holding p keeps its id from being reused
+        self._memo: dict[int, tuple[Poly, RatElem]] = {}
 
-    def power(name: str, e: int) -> RatElem:
-        key = (name, e)
-        if key not in powers:
-            powers[key] = images[name] ** e
-        return powers[key]
+    def _poly(self, p: Poly) -> RatElem:
+        hit = self._memo.get(id(p))
+        if hit is not None:
+            return hit[1]
+        powers = self._powers
+        out = RatElem(0, 1)
+        for mono, coeff in p.terms.items():
+            term = RatElem(coeff, 1)
+            for name, e in zip(VARS, mono):
+                if e:
+                    key = (name, e)
+                    if key not in powers:
+                        powers[key] = self._images[name] ** e
+                    term = term * powers[key]
+            out = out + term
+        self._memo[id(p)] = (p, out)
+        return out
 
-    for mono, coeff in p.terms.items():
-        term = RatElem(coeff, 1)
-        for name, e in zip(VARS, mono):
-            if e:
-                term = term * power(name, e)
-        out = out + term
-    return out
+    def __call__(
+        self, value: RatLike, r_image: RatLike, check_root: bool = True
+    ) -> RatElem:
+        r_img = _as_rat(r_image)
+        if r_img is None:
+            raise TypeError("r_image must be a RatElem, ExtElem, Poly or int")
+        if check_root and not (r_img * r_img).equals(self._poly(DELTA_POLY)):
+            raise InconsistentRootImage(
+                "r_image squared does not equal the image of x1*x2*y1*y2*z1*z2"
+            )
+        val = _as_rat(value)
+        if val is None:
+            raise TypeError("value must be a RatElem, ExtElem, Poly or int")
+        num = self._poly(val.num.p) + self._poly(val.num.q) * r_img
+        den = self._poly(val.den.p) + self._poly(val.den.q) * r_img
+        if den.is_zero():
+            raise DenominatorVanishes("denominator vanishes under the assignment")
+        return num / den
 
 
 def substitute(
     value: RatLike,
-    assignment: Mapping[str, RatLike],
+    assignment: Mapping[str, RatLike] | Substitution,
     r_image: RatLike,
     check_root: bool = True,
 ) -> RatElem:
     """Apply variable images and the stated image of r, exactly.
 
-    Raises InconsistentRootImage unless r_image squared equals the image of
-    DELTA (checked by cross-multiplication), and DenominatorVanishes when a
-    denominator collapses to zero under the assignment.
+    assignment is a mapping from variable names to images, or a prepared
+    Substitution to share its powers and polynomial images with other calls.
+    Raises TypeError naming a variable whose image is not a RatElem, ExtElem,
+    Poly or int; InconsistentRootImage unless r_image squared equals the
+    image of DELTA (checked by cross-multiplication, on every call); and
+    DenominatorVanishes when a denominator collapses to zero under the
+    assignment.
     """
-    images = _full_images({k: _as_rat(v) for k, v in assignment.items()})
-    r_img = _as_rat(r_image)
-    if r_img is None:
-        raise TypeError("r_image must be a RatElem, ExtElem, Poly or int")
-    if check_root:
-        delta_img = _poly_substitute(DELTA_POLY, images)
-        if not (r_img * r_img).equals(delta_img):
-            raise InconsistentRootImage(
-                "r_image squared does not equal the image of x1*x2*y1*y2*z1*z2"
-            )
-
-    def sub_ext(e: ExtElem) -> RatElem:
-        return _poly_substitute(e.p, images) + _poly_substitute(e.q, images) * r_img
-
-    val = _as_rat(value)
-    if val is None:
-        raise TypeError("value must be a RatElem, ExtElem, Poly or int")
-    num = sub_ext(val.num)
-    den = sub_ext(val.den)
-    if den.is_zero():
-        raise DenominatorVanishes("denominator vanishes under the assignment")
-    return num / den
+    if not isinstance(assignment, Substitution):
+        assignment = Substitution(assignment)
+    return assignment(value, r_image, check_root)
 
 
 def poly_eval(p: Poly, values: Mapping[str, complex]) -> complex:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact import ExtElem, Poly, RatElem, substitute
+from .exact import ExtElem, Poly, RatElem, Substitution, substitute
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -448,9 +448,10 @@ def verify_conjugated_upper_right_vanishing() -> IdentityReport:
     vanish_signs: dict[str, list[int]] = {}
     for case_id in ("distinct-x-1", "distinct-x-2", "distinct-x-3", "distinct-x-4"):
         assignment, root = case_substitution(case_id)
+        sub = Substitution(assignment)
         vanish_signs[case_id] = []
         for sign in (1, -1):
-            image = substitute(nb, assignment, root if sign == 1 else -root)
+            image = substitute(nb, sub, root if sign == 1 else -root)
             vanished = image.is_zero()
             if vanished:
                 vanish_signs[case_id].append(sign)
@@ -478,6 +479,7 @@ def verify_conjugated_upper_right_vanishing() -> IdentityReport:
 
 def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
     assignment, root = case_substitution(case_id)
+    sub = Substitution(assignment)
     s1, s2, s3 = sym_generators(1)
     one = RatElem(1)
     u = (-(one) / (X2 * Y2), one)
@@ -494,7 +496,7 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
     s2_display = SymMat2(Y1 + Y2, one / X2, -(X2 * Y1 * Y2), RatElem(0))
 
     def sub_mat(m: SymMat2, r_img: RatElem) -> SymMat2:
-        return SymMat2(*(substitute(e, assignment, r_img) for _, e in m.entries()))
+        return SymMat2(*(substitute(e, sub, r_img) for _, e in m.entries()))
 
     s1_sub = sub_mat(s1, root)
     s2_sub = sub_mat(s2, root)
@@ -572,7 +574,7 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
                 ),
             )
         )
-    s1_flip = substitute(s1.b, assignment, -root)
+    s1_flip = substitute(s1.b, sub, -root)
     checks.append(
         CheckResult(
             f"{case_id}: substituted s1(1,2) is nonzero at the flipped root image",

@@ -15,6 +15,7 @@ from heckeg7.exact import (
     InconsistentRootImage,
     Poly,
     RatElem,
+    Substitution,
     eval_numeric,
     ext_eval,
     poly_eval,
@@ -68,13 +69,9 @@ class TestPoly:
         assert str(p) == "x1^2*y2 - z1 + 2"
         assert str(Poly.zero()) == "0"
 
-    def test_total_degree(self):
-        assert (X1 * Y1 * Z1 + X2).total_degree() == 3
-        assert Poly.const(5).total_degree() == 0
-
     def test_delta_is_the_product_of_all_six_variables(self):
         assert DELTA_POLY == X1 * X2 * Y1 * Y2 * Z1 * Z2
-        assert DELTA_POLY.total_degree() == 6
+        assert [sum(m) for m in DELTA_POLY.terms] == [6]
 
     def test_power(self):
         assert (X1 + 1) ** 2 == X1 * X1 + 2 * X1 + 1
@@ -230,6 +227,17 @@ class TestSubstitute:
             check_root=False,
         )
         assert image.equals(RatElem.var("y1") * RatElem.var("z2"))
+
+    @pytest.mark.parametrize("image", [2.5, None, "x2"])
+    def test_unconvertible_image_is_named(self, image):
+        with pytest.raises(TypeError, match=r"image of x1 must be"):
+            substitute(RatElem.var("x1"), {"x1": image}, RatElem.r(), check_root=False)
+        with pytest.raises(TypeError, match=r"image of z2 must be"):
+            Substitution({"x1": RatElem.var("x2"), "z2": image})
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(KeyError, match="w1"):
+            Substitution({"w1": RatElem.var("x2")})
 
 
 class TestEvalNumeric:
@@ -448,3 +456,55 @@ class TestShortcuts:
         assert a.equals(shifted) == ref_rat_equals(ref_rat(a), ref_rat(shifted))
         assert not a.equals(shifted)
         assert items((a, scaled)) == before
+
+
+# x1 -> x2*y1*z1/(y2*z2) makes DELTA the square of x2*y1*z1.
+SHARED_ASSIGNMENT = {"x1": RatElem(ExtElem(X2 * Y1 * Z1), ExtElem(Y2 * Z2))}
+SHARED_ROOT = RatElem(ExtElem(X2 * Y1 * Z1))
+
+
+def one_shot_or_error(value, r_image):
+    try:
+        return items(substitute(value, SHARED_ASSIGNMENT, r_image))
+    except DenominatorVanishes:
+        return DenominatorVanishes
+
+
+class TestSharedSubstitution:
+    @given(st.lists(rat_elems, min_size=1, max_size=4))
+    @settings(max_examples=100, derandomize=True)
+    def test_reuse_matches_one_shot_and_leaves_operands_alone(self, values):
+        operands = (SHARED_ASSIGNMENT["x1"], SHARED_ROOT, *values)
+        before = items(operands)
+        sub = Substitution(SHARED_ASSIGNMENT)
+        for r_image in (SHARED_ROOT, -SHARED_ROOT):
+            for value in values + values:
+                expected = one_shot_or_error(value, r_image)
+                try:
+                    shared = items(substitute(value, sub, r_image))
+                except DenominatorVanishes:
+                    shared = DenominatorVanishes
+                assert shared == expected
+        assert items(operands) == before
+
+    def test_every_root_image_is_checked_after_a_consistent_one(self):
+        sub = Substitution(SHARED_ASSIGNMENT)
+        value = RatElem(ExtElem(X1, Y1), ExtElem(Z1))
+        consistent = substitute(value, sub, SHARED_ROOT)
+        for wrong in (RatElem(ExtElem(X2 * Y2 * Z1)), SHARED_ROOT * 2, RatElem(0)):
+            with pytest.raises(InconsistentRootImage):
+                substitute(value, sub, wrong)
+            with pytest.raises(InconsistentRootImage):
+                sub(value, wrong)
+        assert items(substitute(value, sub, SHARED_ROOT)) == items(consistent)
+
+    def test_equal_polys_in_different_term_orders_keep_their_own_order(self):
+        x1, x2 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)
+        a = Poly({x1: 1, x2: 2})
+        b = Poly({x2: 2, x1: 1})
+        assert a == b and hash(a) == hash(b) and items(a) != items(b)
+        expected = {id(p): one_shot_or_error(p, SHARED_ROOT) for p in (a, b)}
+        assert expected[id(a)] != expected[id(b)]
+        sub = Substitution(SHARED_ASSIGNMENT)
+        for p in (a, b, a, b):
+            assert items(substitute(p, sub, SHARED_ROOT)) == expected[id(p)]

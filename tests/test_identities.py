@@ -12,6 +12,7 @@ from heckeg7.exact import (
     ExtElem,
     Poly,
     RatElem,
+    Substitution,
     eval_numeric,
     ext_eval,
     rat_equals,
@@ -318,6 +319,63 @@ class TestPlantedFailures:
         assert failures["invariant-line-eigenrelations"][
             "equal-x-2: s2*v = y2*v with the complementary direction v = (-1/(x2*y1), 1)"
         ] == "x2^5*y1^3"
+
+
+def _items(value: RatElem) -> list:
+    """The four terms dicts of a fraction as ordered item lists."""
+    return [
+        list(poly.terms.items())
+        for poly in (value.num.p, value.num.q, value.den.p, value.den.q)
+    ]
+
+
+def _substituted_entries(case_id: str) -> list[RatElem]:
+    """What the reports substitute under each case: the generator entries
+    (equal-x) or the conjugated upper-right numerator (distinct-x)."""
+    if case_id.startswith("equal-x"):
+        return [e for m in sym_generators(1) for _, e in m.entries()]
+    return [RatElem(conjugated_upper_right_numerator())]
+
+
+class TestSharedSubstitution:
+    CASES = (
+        "equal-x-1",
+        "equal-x-2",
+        "distinct-x-1",
+        "distinct-x-2",
+        "distinct-x-3",
+        "distinct-x-4",
+    )
+
+    @pytest.mark.parametrize("case_id", CASES)
+    @pytest.mark.parametrize("signs", [(1, -1), (-1, 1)])
+    def test_reused_substitution_matches_one_shot(self, case_id, signs):
+        assignment, root = case_substitution(case_id)
+        entries = _substituted_entries(case_id)
+        sub = Substitution(assignment)
+        for sign in signs:
+            r_image = root if sign == 1 else -root
+            for entry in entries:
+                expected = _items(substitute(entry, assignment, r_image))
+                assert _items(substitute(entry, sub, r_image)) == expected
+
+    def test_reports_share_one_substitution_per_case(self, monkeypatch):
+        calls = []
+        original = identities.substitute
+
+        def recording(value, assignment, r_image, check_root=True):
+            calls.append(assignment)
+            return original(value, assignment, r_image, check_root)
+
+        monkeypatch.setattr(identities, "substitute", recording)
+        verify_conjugated_upper_right_vanishing()
+        verify_invariant_line_eigenrelations()
+        # 4 distinct-x cases x 2 signs, then 2 equal-x cases x (12 entries + flip)
+        assert len(calls) == 34
+        assert all(isinstance(a, Substitution) for a in calls)
+        assert len({id(a) for a in calls}) == 6
+        per_case = [calls[0:2], calls[2:4], calls[4:6], calls[6:8], calls[8:21], calls[21:34]]
+        assert all(len({id(a) for a in group}) == 1 for group in per_case)
 
 
 class TestBudget:
