@@ -52,7 +52,7 @@ required to square to DELTA's value within tolerance.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .numerics import approx_eq
 

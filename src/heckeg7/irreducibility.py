@@ -75,7 +75,7 @@ class Verdict(NamedTuple):
 
 
 # Reducibility cases: case id -> the condition that makes the point
-# reducible.  _evaluate_conditions computes both sides of each condition, in
+# reducible.  theorem_verdict computes both sides of each condition, in
 # this order; the *solved* forms used for constructing reducible tuples are in
 # solve_case below.
 _EQUAL_CASES = {
@@ -118,45 +118,41 @@ def regime(p: Params, tol: float = VERDICT_TOL) -> str:
     return EQUAL_X if approx_eq(p.x1, p.x2, tol) else DISTINCT_X
 
 
-def _evaluate_conditions(p: Params, reg: str, tol: float) -> tuple[ConditionFlag, ...]:
-    """One flag per condition of the regime; each side is a product formed
-    left to right as written in its name, e.g. (x1*y2)*z2."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if reg == EQUAL_X:
-        names = _EQUAL_CASES.values()
-        sides = ((p.z1 * p.y2, p.y1 * p.z2), (p.z1 * p.y1, p.y2 * p.z2))
-    else:
-        names = _DISTINCT_CASES.values()
-        x1y1, x1y2, x2y1, x2y2 = p.x1 * p.y1, p.x1 * p.y2, p.x2 * p.y1, p.x2 * p.y2
-        sides = (
-            (x1y2 * p.z2, x2y1 * p.z1),
-            (x1y1 * p.z2, x2y2 * p.z1),
-            (x1y2 * p.z1, x2y1 * p.z2),
-            (x1y1 * p.z1, x2y2 * p.z2),
-        )
-    return tuple([
-        ConditionFlag(name, lhs, rhs, abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)))
-        for name, (lhs, rhs) in zip(names, sides)
-    ])
-
-
-def _checked_regime(force_regime: str | None, p: Params, tol: float) -> str:
-    if force_regime is None:
-        return regime(p, tol)
-    if force_regime not in (EQUAL_X, DISTINCT_X):
-        raise ValueError(f"force_regime must be {EQUAL_X!r} or {DISTINCT_X!r}")
-    return force_regime
+def _flag(name: str, lhs: complex, rhs: complex, tol: float) -> ConditionFlag:
+    return ConditionFlag(name, lhs, rhs, abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)))
 
 
 def theorem_verdict(
     p: Params, tol: float = VERDICT_TOL, force_regime: str | None = None
 ) -> tuple[str, str, tuple[ConditionFlag, ...]]:
     """(regime, decision, condition flags).  Irreducible iff no reducibility
-    condition holds.  Branch-independent: only cross-products of parameters."""
-    reg = _checked_regime(force_regime, p, tol)
-    flags = _evaluate_conditions(p, reg, tol)
-    decision = REDUCIBLE if any(f.equal for f in flags) else IRREDUCIBLE
+    condition holds.  Branch-independent: only cross-products of parameters.
+
+    One flag per condition of the regime, in case order; each side is a
+    product formed left to right as written in its name, e.g. (x1*y2)*z2.
+    """
+    if force_regime is None:
+        reg = regime(p, tol)  # approx_eq rejects a nonpositive tol
+    elif force_regime == EQUAL_X or force_regime == DISTINCT_X:
+        if not tol > 0.0:
+            raise ValueError("tolerance must be positive")
+        reg = force_regime
+    else:
+        raise ValueError(f"force_regime must be {EQUAL_X!r} or {DISTINCT_X!r}")
+    x1, x2, y1, y2, z1, z2, _, _ = p
+    if reg == EQUAL_X:
+        n1, n2 = _EQUAL_CASES.values()
+        flags = (_flag(n1, z1 * y2, y1 * z2, tol), _flag(n2, z1 * y1, y2 * z2, tol))
+    else:
+        n1, n2, n3, n4 = _DISTINCT_CASES.values()
+        x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2
+        flags = (
+            _flag(n1, x1y2 * z2, x2y1 * z1, tol),
+            _flag(n2, x1y1 * z2, x2y2 * z1, tol),
+            _flag(n3, x1y2 * z1, x2y1 * z2, tol),
+            _flag(n4, x1y1 * z1, x2y2 * z2, tol),
+        )
+    decision = REDUCIBLE if any([f.equal for f in flags]) else IRREDUCIBLE
     return reg, decision, flags
 
 
@@ -200,39 +196,22 @@ def decide(
     build = build_equal_x if reg == EQUAL_X else build_general
     if triples is None:
         triples = {}
-    triples[r_sign] = build(p, r_sign)
-    oracle, witness = oracle_verdict(triples[r_sign], tol)
+    g = triples[r_sign] = build(p, r_sign)
+    oracle, witness = oracle_verdict(g, tol)
     agreement = oracle == theorem
     diagnosis = None
     if not agreement:
         flipped = -r_sign
-        triples[flipped] = build(p, flipped)
-        oracle2, witness2 = oracle_verdict(triples[flipped], tol)
+        g = triples[flipped] = build(p, flipped)
+        oracle2, witness2 = oracle_verdict(g, tol)
         resolved = oracle2 == theorem
-        diagnosis = BranchDiagnosis(
-            applicable=True,
-            note=(
-                "disagreement disappears on the flipped branch"
-                if resolved
-                else "disagreement persists on both branches"
-            ),
-            flipped_r_sign=flipped,
-            flipped_oracle_decision=oracle2,
-            resolved=resolved,
-            flipped_invariant_vector=witness2,
-            conditions=flags,
+        note = (
+            "disagreement disappears on the flipped branch"
+            if resolved
+            else "disagreement persists on both branches"
         )
-    return Verdict(
-        regime=reg,
-        r_sign=r_sign,
-        tolerance=tol,
-        theorem_decision=theorem,
-        conditions=flags,
-        oracle_decision=oracle,
-        invariant_vector=witness,
-        agreement=agreement,
-        branch_diagnosis=diagnosis,
-    )
+        diagnosis = BranchDiagnosis(True, note, flipped, oracle2, resolved, witness2, flags)
+    return Verdict(reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
 
 
 def invariant_vector_predicted(
@@ -251,7 +230,8 @@ def invariant_vector_predicted(
         raise KeyError(f"unknown case id {case_id!r}")
     name = ALL_CASES[case_id]
     reg = EQUAL_X if case_id in _EQUAL_CASES else DISTINCT_X
-    flag = next(f for f in _evaluate_conditions(p, reg, tol) if f.name == name)
+    _, _, flags = theorem_verdict(p, tol, reg)
+    flag = next(f for f in flags if f.name == name)
     if not flag.equal:
         raise ConditionNotSatisfied(f"{name} fails: {flag.lhs!r} vs {flag.rhs!r}")
     if case_id in _EQUAL_CASES:

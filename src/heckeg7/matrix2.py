@@ -163,21 +163,24 @@ def common_eigenvector(
     Candidates come from the first non-scalar matrix (one or two directions);
     a 2x2 matrix has at most two eigendirections, so any shared direction is
     among them.  If the whole family is scalar, every direction works and
-    (1, 0) is returned.
+    (1, 0) is returned.  A candidate needs every matrix to pass, so the
+    order of the tests cannot change the result; the others do the
+    rejecting, and the matrix the candidates came from is tested last.
     """
     candidates: tuple[Vec2, ...] | None = None
-    for m in matrices:
+    for i, m in enumerate(matrices):
         report = eigen_directions(m, tol)
         if report.kind != SCALAR:
             candidates = report.directions
             break
     if candidates is None:
         return (1.0 + 0.0j, 0.0 + 0.0j)
+    source_last = [*matrices[i + 1:], *matrices[:i + 1]]
     for v in candidates:
         # parallel(m.apply(v), v, tol) for every m, written out
         v0, v1 = v
         v_max = max(abs(v0), abs(v1))
-        for m in matrices:
+        for m in source_last:
             w0 = m.a * v0 + m.b * v1
             w1 = m.c * v0 + m.d * v1
             bound = tol * max(1.0, max(abs(w0), abs(w1)) * v_max)

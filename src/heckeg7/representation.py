@@ -73,6 +73,17 @@ class Params(_ParamsFields):
         return dict(zip(_REQUIRED, self))
 
     def validate(self) -> None:
+        x1, x2, y1, y2, z1, z2, y3, z3 = self
+        # all clear: every value finite and nonzero (a complex is truthy iff
+        # nonzero); the loop below only finds the first bad field's message
+        if (
+            is_finite(x1) and is_finite(x2) and is_finite(y1)
+            and is_finite(y2) and is_finite(z1) and is_finite(z2)
+            and x1 and x2 and y1 and y2 and z1 and z2
+            and (y3 is None or (is_finite(y3) and y3))
+            and (z3 is None or (is_finite(z3) and z3))
+        ):
+            return
         for name, v in zip(self._fields, self):
             if v is None:
                 continue
@@ -104,18 +115,23 @@ def _check_sign(r_sign: int) -> int:
 
 
 def _assemble(p: Params, x1: complex, x2: complex, r: complex, r_sign: int) -> GeneratorTriple:
-    y_prod = p.y1 * p.y2
-    y_sum = p.y1 + p.y2
-    z_sum = p.z1 + p.z2
-    entries = (
-        x1, y_sum / y_prod - z_sum * x2 / r, 0, x2,  # s1
-        y_sum, 1 / x1, -y_prod * x1, 0,  # s2
-        0, -r / (y_prod * x1 * x2), r, z_sum,  # s3
-    )
-    if not all(map(is_finite, entries)):
+    _, _, y1, y2, z1, z2, _, _ = p
+    y_prod = y1 * y2
+    y_sum = y1 + y2
+    z_sum = z1 + z2
+    s1_b = y_sum / y_prod - z_sum * x2 / r
+    s2_b = 1 / x1
+    s2_c = -y_prod * x1
+    s3_b = -r / (y_prod * x1 * x2)
+    if not all(map(is_finite, (
+        x1, s1_b, 0, x2,  # s1
+        y_sum, s2_b, s2_c, 0,  # s2
+        0, s3_b, r, z_sum,  # s3
+    ))):
         raise InvalidParams("parameter magnitudes overflow the matrix entries")
     return GeneratorTriple(
-        Mat2(*entries[:4]), Mat2(*entries[4:8]), Mat2(*entries[8:]), r, r_sign
+        Mat2(x1, s1_b, 0, x2), Mat2(y_sum, s2_b, s2_c, 0), Mat2(0, s3_b, r, z_sum),
+        r, r_sign,
     )
 
 

@@ -38,7 +38,7 @@ from .irreducibility import (
     solve_case,
 )
 from .matrix2 import Vec2, normalize_direction, parallel
-from .numerics import VERDICT_TOL, approx_eq, from_polar
+from .numerics import VERDICT_TOL, approx_eq
 from .representation import GeneratorTriple, InvalidParams, Params
 # Not called here: perfbench/tracing.py wraps these names on this module.
 from .representation import build_equal_x, build_general  # noqa: F401
@@ -198,21 +198,28 @@ def verdict_as_dict(v: Verdict) -> dict:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _draw_value(rng: random.Random, cfg: SweepConfig) -> complex:
-    if cfg.domain == UNIT_MODULUS:
-        modulus = 1.0
-    else:
-        modulus = 10.0 ** rng.uniform(cfg.log10_modulus_min, cfg.log10_modulus_max)
-    if cfg.domain == POSITIVE_REAL:
-        argument = 0.0
-    else:
-        # uniform over (-pi, pi]: random() is in [0, 1)
-        argument = math.pi - rng.random() * 2.0 * math.pi
-    return from_polar(modulus, argument)
-
-
 def _draw_base(rng: random.Random, cfg: SweepConfig) -> Params:
-    return Params(*(_draw_value(rng, cfg) for _ in range(6)))
+    """Six values, each bit-for-bit from_polar(modulus, argument) with the
+    modulus 10 ** rng.uniform(lo, hi) (1.0 on the unit circle) drawn before
+    the argument pi - rng.random() * 2.0 * pi (0.0 on the positive reals).
+    uniform is written out as its own formula; from_polar's products by
+    1.0 and 0.0 are exact, so they are left out."""
+    random_ = rng.random
+    lo = cfg.log10_modulus_min
+    span = cfg.log10_modulus_max - lo
+    pi, cos, sin = math.pi, math.cos, math.sin
+    if cfg.domain == POSITIVE_REAL:
+        values = [complex(10.0 ** (lo + span * random_()), 0.0) for _ in range(6)]
+    elif cfg.domain == UNIT_MODULUS:
+        arguments = [pi - random_() * 2.0 * pi for _ in range(6)]
+        values = [complex(cos(a), sin(a)) for a in arguments]
+    else:
+        values = []
+        for _ in range(6):
+            modulus = 10.0 ** (lo + span * random_())
+            argument = pi - random_() * 2.0 * pi
+            values.append(complex(modulus * cos(argument), modulus * sin(argument)))
+    return Params(*values)
 
 
 def _separated(a: complex, b: complex) -> bool:

@@ -181,3 +181,122 @@ class TestCommonEigenvector:
     def test_single_matrix_always_has_an_eigenvector(self, m):
         found = common_eigenvector([m], VERDICT_TOL)
         assert found is not None
+
+
+# ---------------------------------------------------------------------------
+# common_eigenvector against a reference that tests every candidate against
+# the matrices in list order
+
+def reference_common_eigenvector(matrices, tol):
+    for m in matrices:
+        report = eigen_directions(m, tol)
+        if report.kind != SCALAR:
+            break
+    else:
+        return (1.0 + 0.0j, 0.0 + 0.0j)
+    for v in report.directions:
+        if all(parallel(m.apply(v), v, tol) for m in matrices):
+            return normalize_direction(v)
+    return None
+
+
+# Eigendirections drawn from a small pool, so that families often share one.
+POOL = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2j), (3, 1 + 1j))
+eigenvalues = st.complex_numbers(
+    min_magnitude=0.25, max_magnitude=8, allow_nan=False, allow_infinity=False
+)
+two_directions = st.lists(st.sampled_from(POOL), min_size=2, max_size=2, unique=True)
+
+
+def in_basis(directions, m: Mat2) -> Mat2:
+    """P * m * P^-1, P's columns the two directions."""
+    (u0, u1), (v0, v1) = directions
+    p = Mat2(u0, v0, u1, v1)
+    return p * m * inverse(p)
+
+
+scalar_matrices = st.builds(
+    lambda lam, nudge: Mat2(lam, nudge, 0, lam + nudge),
+    eigenvalues,
+    st.sampled_from((0.0, 1e-13, 1e-11)),
+)
+semisimple_matrices = st.builds(
+    lambda d, l1, l2: in_basis(d, Mat2(l1, 0, 0, l2)), two_directions, eigenvalues, eigenvalues
+)
+jordan_matrices = st.one_of(
+    st.builds(
+        lambda d, lam, b: in_basis(d, Mat2(lam, b, 0, lam)),
+        two_directions, eigenvalues, st.sampled_from((1.0, 1e3)),
+    ),
+    # classified Jordan although not exactly defective: the candidate may
+    # fail the test against its own matrix
+    st.builds(
+        lambda lam, b, eps: Mat2(lam, b, eps, lam),
+        eigenvalues, st.sampled_from((1.0, 100.0)), st.sampled_from((1e-12, 1e-9, 2e-8)),
+    ),
+)
+non_scalar_matrices = st.one_of(semisimple_matrices, jordan_matrices, matrices)
+
+
+@st.composite
+def families(draw):
+    """Scalar matrices up to the first non-scalar one, at any position or
+    none at all, then matrices of any kind."""
+    first = draw(st.integers(0, 3))
+    if draw(st.integers(0, 9)) == 0:
+        return [draw(scalar_matrices) for _ in range(first + 1)]
+    family = [draw(scalar_matrices) for _ in range(first)]
+    family.append(draw(non_scalar_matrices))
+    any_kind = st.one_of(scalar_matrices, non_scalar_matrices)
+    family += [draw(any_kind) for _ in range(draw(st.integers(0, 3 - first)))]
+    return family
+
+
+def first_non_scalar(family) -> int | None:
+    kinds = [eigen_directions(m, VERDICT_TOL).kind for m in family]
+    return next((k for k, kind in enumerate(kinds) if kind != SCALAR), None)
+
+
+class TestCommonEigenvectorMatchesReference:
+    @given(families())
+    @settings(max_examples=400, derandomize=True)
+    def test_hypothesis_families(self, family):
+        expected = reference_common_eigenvector(family, VERDICT_TOL)
+        assert common_eigenvector(family, VERDICT_TOL) == expected
+        assert common_eigenvector(tuple(family), VERDICT_TOL) == expected
+
+    I2, I3 = Mat2(2, 0, 0, 2), Mat2(3, 0, 0, 3)
+    UPPER = Mat2(1, 1, 0, 2)  # candidates (1, 1), then (1, 0)
+    NEAR_JORDAN = Mat2(1, 100, 2e-8, 1)  # classified Jordan; (1, 0) fails it
+
+    @pytest.mark.parametrize(
+        "family, first, expected",
+        [
+            # first non-scalar at 0, 1 and 2; UPPER's first candidate (1, 1)
+            # is rejected where a diagonal matrix follows
+            ([UPPER, Mat2(3, 0, 0, 4), Mat2(2, 7, 0, 9)], 0, (1, 0)),
+            ([I2, UPPER, Mat2(5, 0, 0, 6)], 1, (1, 0)),
+            ([I2, I3, UPPER], 2, (1, 1)),
+            ([UPPER, Mat2(4, 0, -1, 5)], 0, (1, 1)),
+            # a Jordan first matrix
+            ([Mat2(2, 1, 0, 2), Mat2(3, 5, 0, 4)], 0, (1, 0)),
+            # all scalar
+            ([I2, I3, Mat2(4, 0, 0, 4)], None, (1, 0)),
+            # both candidates pass the matrix they came from, fail another
+            ([UPPER, Mat2(0, -1, 1, 0)], 0, None),
+            ([I2, UPPER, I3, Mat2(0, -1, 1, 0)], 1, None),
+            # the only candidate fails the matrix it came from, passes the rest
+            ([I2, NEAR_JORDAN, I3], 1, None),
+        ],
+    )
+    def test_named_families(self, family, first, expected):
+        assert first_non_scalar(family) == first
+        found = common_eigenvector(family, VERDICT_TOL)
+        assert found == reference_common_eigenvector(family, VERDICT_TOL)
+        assert found == expected
+
+    def test_near_jordan_candidate_passes_every_other_matrix(self):
+        (v,) = eigen_directions(self.NEAR_JORDAN, VERDICT_TOL).directions
+        assert eigen_directions(self.NEAR_JORDAN, VERDICT_TOL).kind == JORDAN
+        assert not parallel(self.NEAR_JORDAN.apply(v), v, VERDICT_TOL)
+        assert all(parallel(m.apply(v), v, VERDICT_TOL) for m in (self.I2, self.I3))

@@ -132,6 +132,43 @@ class TestParams:
         with pytest.raises(InvalidParams, match="^z3 must be nonzero$"):
             Params(1, 2, 3, 4, 5, 6, y3=1, z3=0)
 
+    # every bad value in every field, y3 and z3 included
+    FIELDS = ("x1", "x2", "y1", "y2", "z1", "z2", "y3", "z3")
+    GOOD = (1.5, -2, 3j, 4 + 1j, -5.25, 6, 7, 8j)
+    BAD = (
+        (0, "must be nonzero"),
+        (-0.0, "must be nonzero"),
+        (float("nan"), "is not finite"),
+        (float("inf"), "is not finite"),
+        (complex(0, float("nan")), "is not finite"),
+    )
+
+    def with_values(self, **bad):
+        return [bad.get(name, good) for name, good in zip(self.FIELDS, self.GOOD)]
+
+    def test_good_values_pass(self):
+        Params(*self.GOOD).validate()
+        Params(*self.GOOD[:6]).validate()
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_each_bad_value_in_each_field(self, field):
+        for value, problem in self.BAD:
+            values = self.with_values(**{field: value})
+            with pytest.raises(InvalidParams, match=f"^{field} {problem}$"):
+                Params(*values)
+            if field not in ("y3", "z3"):
+                with pytest.raises(InvalidParams, match=f"^{field} {problem}$"):
+                    Params(*values[:6])  # without y3 and z3
+
+    @pytest.mark.parametrize("first", range(len(FIELDS)))
+    def test_first_bad_field_is_named(self, first):
+        name = self.FIELDS[first]
+        for second in self.FIELDS[first + 1:]:
+            for value, problem in self.BAD:
+                for other, _ in self.BAD:
+                    with pytest.raises(InvalidParams, match=f"^{name} {problem}$"):
+                        Params(*self.with_values(**{name: value, second: other}))
+
     def test_replace_coerces_and_validates(self):
         p = Params(1, 2, 3, 4, 5, 6)
         q = p._replace(x1=9, y3=2)

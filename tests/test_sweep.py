@@ -1,13 +1,15 @@
 """Randomized agreement sweep: determinism, injection accounting, domains."""
 
 import json
+import math
 import random
 
 import pytest
 
 from heckeg7 import sweep
-from heckeg7.irreducibility import ALL_CASES, EQUAL_X, solve_case
-from heckeg7.representation import InvalidParams
+from heckeg7.irreducibility import ALL_CASES, DISTINCT_X, EQUAL_X, solve_case
+from heckeg7.numerics import from_polar
+from heckeg7.representation import InvalidParams, Params
 from heckeg7.sweep import (
     AGREE_IRREDUCIBLE,
     AGREE_REDUCIBLE,
@@ -96,6 +98,60 @@ class TestInjectionAccounting:
         assert result.counts[AGREE_REDUCIBLE] == result.injected_total
         assert result.witness_failures == ()
         assert result.predicted_mismatches == ()
+
+
+# Reference draws: the stdlib's uniform and from_polar, one value at a time.
+def reference_value(rng: random.Random, cfg: SweepConfig) -> complex:
+    if cfg.domain == UNIT_MODULUS:
+        modulus = 1.0
+    else:
+        modulus = 10.0 ** rng.uniform(cfg.log10_modulus_min, cfg.log10_modulus_max)
+    if cfg.domain == POSITIVE_REAL:
+        argument = 0.0
+    else:
+        argument = math.pi - rng.random() * 2.0 * math.pi
+    return from_polar(modulus, argument)
+
+
+def reference_base(rng: random.Random, cfg: SweepConfig) -> Params:
+    return Params(*[reference_value(rng, cfg) for _ in range(6)])
+
+
+def reference_random_sample(rng: random.Random, cfg: SweepConfig) -> Params:
+    while True:
+        base = reference_base(rng, cfg)
+        if cfg.regime_filter == EQUAL_X:
+            return Params(base.x2, base.x2, base.y1, base.y2, base.z1, base.z2)
+        if cfg.regime_filter == DISTINCT_X and not sweep._separated(base.x1, base.x2):
+            continue
+        return base
+
+
+def bits(p: Params) -> list:
+    """Every part of every value, signed zeros told apart."""
+    return [(v.real.hex(), v.imag.hex()) for v in p[:6]] + [p.y3, p.z3]
+
+
+BANDS = ((-1.0, 1.0), (-3.0, 3.0))
+
+
+class TestDrawsMatchTheStdlibFormulas:
+    # without a regime filter a random sample is the bare _draw_base draw
+    @pytest.mark.parametrize("regime_filter", [None, EQUAL_X, DISTINCT_X])
+    @pytest.mark.parametrize("band", BANDS)
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_2000_successive_samples(self, domain, band, regime_filter):
+        cfg = small_config(
+            domain=domain,
+            log10_modulus_min=band[0],
+            log10_modulus_max=band[1],
+            regime_filter=regime_filter,
+        )
+        rng, ref_rng = random.Random(6), random.Random(6)
+        for _ in range(2000):
+            drawn = sweep._draw_random_sample(rng, cfg)
+            assert bits(drawn) == bits(reference_random_sample(ref_rng, cfg))
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestInjectedDraws:
