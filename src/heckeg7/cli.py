@@ -29,7 +29,7 @@ import math
 import sys
 
 from .identities import REGISTRY, report_as_dict, run_all
-from .irreducibility import DISTINCT_X, EQUAL_X, Verdict, decide
+from .irreducibility import DISTINCT_X, EQUAL_X, Verdict, decide, regime
 from .numerics import VERDICT_TOL, from_polar
 from .representation import (
     GeneratorTriple,
@@ -186,9 +186,7 @@ def _relations_doc(
 ) -> dict:
     """Relation residuals of the triple for p's regime at r_sign; a triple
     passed in must be that one, already built."""
-    from .irreducibility import regime as regime_of
-
-    reg = regime_of(p, tolerance)
+    reg = regime(p, tolerance)
     g = triple
     if g is None:
         g = build_equal_x(p, r_sign) if reg == EQUAL_X else build_general(p, r_sign)
@@ -258,29 +256,16 @@ def _sweep_text(doc: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _force_regime(value: str) -> str | None:
-    return {"equal": EQUAL_X, "distinct": DISTINCT_X, "auto": None}[value]
-
-
 def cmd_check(args) -> int:
     p = load_params(args.param_file)
-    force_regime = _force_regime(args.force_regime)
     triples: dict[int, GeneratorTriple] = {}
     verdict: Verdict = decide(
         p,
         r_sign=args.r_sign,
         tol=args.tolerance,
-        force_regime=force_regime,
         triples=triples,
     )
-    # Unforced, decide chose the regime exactly as the residuals do, so its
-    # r_sign triple is the one they need; a forced regime may differ.
-    relations = _relations_doc(
-        p,
-        args.r_sign,
-        args.tolerance,
-        triples[args.r_sign] if force_regime is None else None,
-    )
+    relations = _relations_doc(p, args.r_sign, args.tolerance, triples[args.r_sign])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check-verdict",
@@ -398,12 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="decide irreducibility for one parameter file"
     )
     check.add_argument("param_file", help="JSON parameter file")
-    check.add_argument(
-        "--force-regime",
-        choices=("equal", "distinct", "auto"),
-        default="auto",
-        help="override the x1/x2 regime selection (default auto)",
-    )
     _add_common_flags(check)
     check.set_defaults(handler=cmd_check)
 

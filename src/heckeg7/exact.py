@@ -109,10 +109,6 @@ class Poly:
         return p
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def const(c: int) -> "Poly":
         return Poly({ZERO_MONO: c})
 
@@ -572,13 +568,11 @@ class Substitution:
         self._memo[id(p)] = (p, out)
         return out
 
-    def __call__(
-        self, value: RatLike, r_image: RatLike, check_root: bool = True
-    ) -> RatElem:
+    def __call__(self, value: RatLike, r_image: RatLike) -> RatElem:
         r_img = _as_rat(r_image)
         if r_img is None:
             raise TypeError("r_image must be a RatElem, ExtElem, Poly or int")
-        if check_root and not (r_img * r_img).equals(self._poly(DELTA_POLY)):
+        if not (r_img * r_img).equals(self._poly(DELTA_POLY)):
             raise InconsistentRootImage(
                 "r_image squared does not equal the image of x1*x2*y1*y2*z1*z2"
             )
@@ -596,7 +590,6 @@ def substitute(
     value: RatLike,
     assignment: Mapping[str, RatLike] | Substitution,
     r_image: RatLike,
-    check_root: bool = True,
 ) -> RatElem:
     """Apply variable images and the stated image of r, exactly.
 
@@ -610,7 +603,7 @@ def substitute(
     """
     if not isinstance(assignment, Substitution):
         assignment = Substitution(assignment)
-    return assignment(value, r_image, check_root)
+    return assignment(value, r_image)
 
 
 def poly_eval(p: Poly, values: Mapping[str, complex]) -> complex:

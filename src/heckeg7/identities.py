@@ -113,10 +113,6 @@ class SymMat2(NamedTuple):
         return (("(1,1)", self.a), ("(1,2)", self.b), ("(2,1)", self.c), ("(2,2)", self.d))
 
 
-def mat_equals(m1: SymMat2, m2: SymMat2) -> bool:
-    return all(e1.equals(e2) for (_, e1), (_, e2) in zip(m1.entries(), m2.entries()))
-
-
 def _check_sign(r_sign: int) -> int:
     if r_sign not in (1, -1):
         raise ValueError("r_sign must be +1 or -1")
@@ -203,6 +199,31 @@ def _zero_check(name: str, value: RatElem, note: str = "") -> CheckResult:
     return CheckResult(name, ok, note, None if ok else str(value.num))
 
 
+def _mat_check(name: str, lhs: SymMat2, rhs: SymMat2, note: str = "") -> CheckResult:
+    """Entrywise equality; the residual lists each unequal entry."""
+    bad = [
+        (pos, e1, e2)
+        for (pos, e1), (_, e2) in zip(lhs.entries(), rhs.entries())
+        if not e1.equals(e2)
+    ]
+    residual = "; ".join(
+        f"{pos}: {e1.num * e2.den - e2.num * e1.den}" for pos, e1, e2 in bad
+    )
+    return CheckResult(name, not bad, note, residual or None)
+
+
+def _eigvec_check(
+    name: str, m: SymMat2, eig: RatElem, v: tuple[RatElem, RatElem], note: str
+) -> CheckResult:
+    """m*v = eig*v, both components."""
+    image = m.apply(v)
+    ok = image[0].equals(eig * v[0]) and image[1].equals(eig * v[1])
+    residual = None
+    if not ok:
+        residual = str((image[0] - eig * v[0]).num * (image[1] - eig * v[1]).den)
+    return CheckResult(name, ok, note, residual)
+
+
 def _status(checks: list[CheckResult], sign_dependent: bool = False) -> str:
     if not all(c.ok for c in checks):
         return FAILED
@@ -229,16 +250,11 @@ def verify_reducibility_condition_factorization() -> IdentityReport:
 
 def verify_w_factorization() -> IdentityReport:
     w, alpha, beta = w_alpha_beta()
-    checks = []
-    diff = w - alpha * beta
-    checks.append(
-        CheckResult(
-            "w = alpha*beta",
-            diff.is_zero(),
-            "exact in the extension ring",
-            None if diff.is_zero() else str(diff),
+    checks = [
+        _zero_check(
+            "w = alpha*beta", RatElem(w - alpha * beta), "exact in the extension ring"
         )
-    )
+    ]
     # Multiplying each factor by its root-conjugate eliminates r and lands on
     # a product of two cross-product conditions: alpha*conj(alpha) =
     # y1*y2*(x1*y1*z2 - x2*y2*z1)*(x1*y2*z2 - x2*y1*z1), and beta likewise
@@ -250,13 +266,11 @@ def verify_w_factorization() -> IdentityReport:
         * (_PX1 * _PY1 * _PZ2 - _PX2 * _PY2 * _PZ1)
         * (_PX1 * _PY2 * _PZ2 - _PX2 * _PY1 * _PZ1)
     )
-    diff_a = alpha_sq - alpha_rhs
     checks.append(
-        CheckResult(
+        _zero_check(
             "alpha*conj(alpha) = y1*y2*(x1*y1*z2 - x2*y2*z1)*(x1*y2*z2 - x2*y1*z1)",
-            diff_a.is_zero(),
+            RatElem(alpha_sq - alpha_rhs),
             "links the vanishing of alpha to two of the four cross-product conditions",
-            None if diff_a.is_zero() else str(diff_a),
         )
     )
     beta_sq = beta * beta.conjugate()
@@ -265,13 +279,11 @@ def verify_w_factorization() -> IdentityReport:
         * (_PX1 * _PY2 * _PZ1 - _PX2 * _PY1 * _PZ2)
         * (_PX1 * _PY1 * _PZ1 - _PX2 * _PY2 * _PZ2)
     )
-    diff_b = beta_sq - beta_rhs
     checks.append(
-        CheckResult(
+        _zero_check(
             "beta*conj(beta) = y1*y2*(x1*y2*z1 - x2*y1*z2)*(x1*y1*z1 - x2*y2*z2)",
-            diff_b.is_zero(),
+            RatElem(beta_sq - beta_rhs),
             "links the vanishing of beta to the other two cross-product conditions",
-            None if diff_b.is_zero() else str(diff_b),
         )
     )
     return IdentityReport(
@@ -286,31 +298,14 @@ def verify_w_factorization() -> IdentityReport:
 def _relation_checks(sign: int) -> list[CheckResult]:
     s1, s2, s3 = sym_generators(sign)
     tag = f"[r sign {sign:+d}]"
-    checks = []
     p123 = s1 * s2 * s3
     p231 = s2 * s3 * s1
     p312 = s3 * s1 * s2
-    for label, lhs, rhs in (
-        (f"s1*s2*s3 = s2*s3*s1 {tag}", p123, p231),
-        (f"s1*s2*s3 = s3*s1*s2 {tag}", p123, p312),
-    ):
-        bad = [
-            (pos, e1, e2)
-            for (pos, e1), (_, e2) in zip(lhs.entries(), rhs.entries())
-            if not e1.equals(e2)
-        ]
-        checks.append(
-            CheckResult(
-                label,
-                not bad,
-                "entrywise in the fraction field",
-                None
-                if not bad
-                else "; ".join(
-                    f"{pos}: {e1.num * e2.den - e2.num * e1.den}" for pos, e1, e2 in bad
-                ),
-            )
-        )
+    note = "entrywise in the fraction field"
+    checks = [
+        _mat_check(f"s1*s2*s3 = s2*s3*s1 {tag}", p123, p231, note),
+        _mat_check(f"s1*s2*s3 = s3*s1*s2 {tag}", p123, p312, note),
+    ]
     quads = (
         (f"(s1 - x1)(s1 - x2) = 0 {tag}", s1, X1, X2),
         (f"(s2 - y1)(s2 - y2) = 0 {tag}", s2, Y1, Y2),
@@ -514,21 +509,11 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
         ("s2", s2_sub, s2_display),
         ("s3", s3_sub, s3_display),
     ):
-        bad = [
-            (pos, e1, e2)
-            for (pos, e1), (_, e2) in zip(lhs.entries(), rhs.entries())
-            if not e1.equals(e2)
-        ]
         checks.append(
-            CheckResult(
+            _mat_check(
                 f"{case_id}: substituted {pos_name} matches its displayed specialization",
-                not bad,
-                "",
-                None
-                if not bad
-                else "; ".join(
-                    f"{pos}: {e1.num * e2.den - e2.num * e1.den}" for pos, e1, e2 in bad
-                ),
+                lhs,
+                rhs,
             )
         )
     for mat, eig, label in (
@@ -536,18 +521,13 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
         (s2_sub, Y1, "s2*u = y1*u"),
         (s3_sub, s3_eig, f"s3*u = ({s3_eig})*u"),
     ):
-        image = mat.apply(u)
-        ok = image[0].equals(eig * u[0]) and image[1].equals(eig * u[1])
         checks.append(
-            CheckResult(
+            _eigvec_check(
                 f"{case_id}: {label} with u = (-1/(x2*y2), 1)",
-                ok,
+                mat,
+                eig,
+                u,
                 "the predicted invariant line is a joint eigendirection",
-                None
-                if ok
-                else str(
-                    (image[0] - eig * u[0]).num * (image[1] - eig * u[1]).den
-                ),
             )
         )
     # The invariant line is not unique here: s1 is scalar and the other
@@ -559,19 +539,14 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
         (s2_sub, Y2, "s2*v = y2*v"),
         (s3_sub, v_s3_eig, f"s3*v = ({v_s3_eig})*v"),
     ):
-        image = mat.apply(v)
-        ok = image[0].equals(eig * v[0]) and image[1].equals(eig * v[1])
         checks.append(
-            CheckResult(
+            _eigvec_check(
                 f"{case_id}: {label} with the complementary direction v = (-1/(x2*y1), 1)",
-                ok,
+                mat,
+                eig,
+                v,
                 "the complementary eigendirection of s2 is invariant too: the "
                 "invariant line is not unique (complete splitting)",
-                None
-                if ok
-                else str(
-                    (image[0] - eig * v[0]).num * (image[1] - eig * v[1]).den
-                ),
             )
         )
     s1_flip = substitute(s1.b, sub, -root)

@@ -12,9 +12,10 @@ never on the square root r:
 The oracle ignores all of that and simply searches the built triple for a
 common eigendirection.  The built triple *does* depend on the branch of r, so
 the two can disagree when a reducible parameter point is evaluated on the
-branch where the invariant line disappears; branch_diagnosis re-runs the
-oracle on the flipped branch and reports whether that explains the mismatch.
-The oracle is authoritative for the final agreement verdict.
+branch where the invariant line disappears; decide then re-runs the oracle
+on the flipped branch and reports, in Verdict.branch_diagnosis, whether that
+explains the mismatch.  The oracle is authoritative for the final agreement
+verdict.  The regime is always the one regime(p, tol) detects.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def _flag(name: str, lhs: complex, rhs: complex, tol: float) -> ConditionFlag:
 
 
 def theorem_verdict(
-    p: Params, tol: float = VERDICT_TOL, force_regime: str | None = None
+    p: Params, tol: float = VERDICT_TOL
 ) -> tuple[str, str, tuple[ConditionFlag, ...]]:
     """(regime, decision, condition flags).  Irreducible iff no reducibility
     condition holds.  Branch-independent: only cross-products of parameters.
@@ -131,14 +132,7 @@ def theorem_verdict(
     One flag per condition of the regime, in case order; each side is a
     product formed left to right as written in its name, e.g. (x1*y2)*z2.
     """
-    if force_regime is None:
-        reg = regime(p, tol)  # approx_eq rejects a nonpositive tol
-    elif force_regime == EQUAL_X or force_regime == DISTINCT_X:
-        if not tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        reg = force_regime
-    else:
-        raise ValueError(f"force_regime must be {EQUAL_X!r} or {DISTINCT_X!r}")
+    reg = regime(p, tol)  # approx_eq rejects a nonpositive tol
     x1, x2, y1, y2, z1, z2, _, _ = p
     if reg == EQUAL_X:
         n1, n2 = _EQUAL_CASES.values()
@@ -164,35 +158,16 @@ def oracle_verdict(g: GeneratorTriple, tol: float = VERDICT_TOL) -> tuple[str, V
     return REDUCIBLE, witness
 
 
-def branch_diagnosis(
-    p: Params,
-    r_sign: int = 1,
-    tol: float = VERDICT_TOL,
-    force_regime: str | None = None,
-) -> BranchDiagnosis:
-    """The flipped-branch diagnosis of decide, or a not-applicable one
-    carrying the condition flags when the criteria and the oracle agree."""
-    v = decide(p, r_sign, tol, force_regime)
-    if v.branch_diagnosis is not None:
-        return v.branch_diagnosis
-    return BranchDiagnosis(
-        applicable=False,
-        note="criteria and oracle agree; branch diagnosis not applicable",
-        conditions=v.conditions,
-    )
-
-
 def decide(
     p: Params,
     r_sign: int = 1,
     tol: float = VERDICT_TOL,
-    force_regime: str | None = None,
     triples: dict[int, GeneratorTriple] | None = None,
 ) -> Verdict:
     """Full pipeline: criteria, oracle at r_sign, agreement, and (only on
     disagreement) the oracle on the flipped branch.  Each branch's triple is
     built once; a dict passed as triples receives them keyed by r sign."""
-    reg, theorem, flags = theorem_verdict(p, tol, force_regime)
+    reg, theorem, flags = theorem_verdict(p, tol)
     build = build_equal_x if reg == EQUAL_X else build_general
     if triples is None:
         triples = {}
@@ -219,6 +194,8 @@ def invariant_vector_predicted(
 ) -> Vec2:
     """The invariant direction each reducibility case predicts.
 
+    The case must belong to p's regime, as regime(p, tol) detects it, and
+    its condition must hold; otherwise ConditionNotSatisfied is raised.
     Equal-x cases: (-1/(x2*y2), 1), independent of the branch.  Distinct-x
     cases: the second column of the diagonalizing conjugator, (T(1,2), 1) --
     which only exists when s1 has an off-diagonal part.  When the condition
@@ -229,17 +206,14 @@ def invariant_vector_predicted(
     if case_id not in ALL_CASES:
         raise KeyError(f"unknown case id {case_id!r}")
     name = ALL_CASES[case_id]
-    reg = EQUAL_X if case_id in _EQUAL_CASES else DISTINCT_X
-    _, _, flags = theorem_verdict(p, tol, reg)
+    reg, _, flags = theorem_verdict(p, tol)
+    if reg != (EQUAL_X if case_id in _EQUAL_CASES else DISTINCT_X):
+        raise ConditionNotSatisfied(f"{case_id} does not apply in the {reg} regime")
     flag = next(f for f in flags if f.name == name)
     if not flag.equal:
         raise ConditionNotSatisfied(f"{name} fails: {flag.lhs!r} vs {flag.rhs!r}")
-    if case_id in _EQUAL_CASES:
+    if reg == EQUAL_X:
         return normalize_direction((-1 / (p.x2 * p.y2), 1))
-    if approx_eq(p.x1, p.x2, tol):
-        raise ConditionNotSatisfied(
-            f"{case_id} presumes the distinct-x regime but x1 and x2 coincide"
-        )
     g = build_general(p, r_sign)
     if abs(g.s1.b) <= tol * max(1.0, g.s1.maxmod()):
         raise ContradictoryCase(

@@ -16,10 +16,6 @@ JORDAN = "jordan"
 SEMISIMPLE = "semisimple"
 
 
-class SingularMatrix(ValueError):
-    pass
-
-
 class Mat2(NamedTuple):
     """Row-major [[a, b], [c, d]]."""
 
@@ -27,10 +23,6 @@ class Mat2(NamedTuple):
     b: complex
     c: complex
     d: complex
-
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -50,20 +42,11 @@ class Mat2(NamedTuple):
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
-    def scale(self, k: complex) -> "Mat2":
-        return Mat2(k * self.a, k * self.b, k * self.c, k * self.d)
-
     def minus_scalar(self, lam: complex) -> "Mat2":
         return Mat2(self.a - lam, self.b, self.c, self.d - lam)
 
     def apply(self, v: Vec2) -> Vec2:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
-    def trace(self) -> complex:
-        return self.a + self.d
-
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
 
     def maxmod(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
@@ -73,13 +56,6 @@ class EigenReport(NamedTuple):
     kind: str  # scalar | jordan | semisimple
     eigenvalues: tuple[complex, ...]
     directions: tuple[Vec2, ...]  # empty for scalar (every direction works)
-
-
-def inverse(m: Mat2, tol: float = VERDICT_TOL) -> Mat2:
-    d = m.det()
-    if abs(d) <= tol:
-        raise SingularMatrix(f"determinant modulus {abs(d)} below {tol}")
-    return Mat2(m.d / d, -m.b / d, -m.c / d, m.a / d)
 
 
 def cross(u: Vec2, v: Vec2) -> complex:

@@ -1,4 +1,5 @@
-"""Complex scalar utilities: polar form, principal square root, comparisons.
+"""Complex scalar utilities: polar-to-Cartesian conversion, principal square
+root, comparisons.
 
 Branch convention used throughout the package: the argument of a nonzero
 complex number lives in the half-open interval (-pi, pi], and the principal
@@ -17,33 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 # Default tolerance for irreducibility verdicts and agreement checks.
 VERDICT_TOL = 1e-9
-# Tighter default for internal self-consistency checks.
-SELF_CHECK_TOL = 1e-12
-
-
-class PolarForm(NamedTuple):
-    modulus: float
-    argument: float  # in (-pi, pi]; 0.0 for the origin
-
-
-def to_polar(z: complex) -> PolarForm:
-    """Polar form with argument normalized to (-pi, pi].
-
-    atan2 returns -pi for inputs just below the negative real axis with a
-    signed-zero imaginary part; that endpoint is folded onto +pi so the
-    interval is genuinely half-open.  The origin maps to (0, 0) by convention.
-    """
-    z = complex(z)
-    if z == 0:
-        return PolarForm(0.0, 0.0)
-    alpha = math.atan2(z.imag, z.real)
-    if alpha <= -math.pi:
-        alpha = math.pi
-    return PolarForm(abs(z), alpha)
 
 
 def from_polar(modulus: float, argument: float) -> complex:

@@ -106,15 +106,12 @@ class TestCheck:
         assert code == OK
         assert json.loads(out)["verdict"]["agreement"] is True
 
-    def test_force_regime_distinct_on_equal_point(self, tmp_path, capsys):
+    def test_regime_cannot_be_overridden(self, tmp_path, capsys):
         path = write_params(tmp_path, ALL_ONES)
-        code, out, _ = run_cli(
-            capsys, "check", path, "--force-regime", "distinct"
-        )
-        assert code == OK
-        doc = json.loads(out)
-        assert doc["verdict"]["regime"] == "distinct_x"
-        assert len(doc["verdict"]["conditions"]) == 4
+        code, out, err = run_cli(capsys, "check", path, "--force-regime", "equal")
+        assert code == INPUT_ERROR
+        assert out == ""
+        assert "unrecognized arguments: --force-regime equal" in err
 
     @pytest.mark.parametrize(
         "doc, flags, builds",
@@ -123,8 +120,6 @@ class TestCheck:
             (IRREDUCIBLE_POINT, ["--r-sign", "-1"], 1),
             # disagreement: decide also builds the flipped branch
             (WRONG_BRANCH, [], 2),
-            # a forced regime may differ from the residuals' regime
-            (ALL_ONES, ["--force-regime", "distinct"], 2),
         ],
     )
     def test_each_triple_is_built_once(
@@ -144,8 +139,7 @@ class TestCheck:
         path = write_params(tmp_path, doc)
         _, out, _ = run_cli(capsys, "check", path, *flags)
         assert len(calls) == builds
-        relation_flags = [f for f in flags if f not in ("--force-regime", "distinct")]
-        _, rel_out, _ = run_cli(capsys, "relations", path, *relation_flags)
+        _, rel_out, _ = run_cli(capsys, "relations", path, *flags)
         relations = json.loads(rel_out)
         assert json.loads(out)["relations"] == {
             "braid-residual": relations["braid-residual"],

@@ -16,7 +16,6 @@ from heckeg7.irreducibility import (
     REDUCIBLE,
     ConditionNotSatisfied,
     ContradictoryCase,
-    branch_diagnosis,
     decide,
     invariant_vector_predicted,
     oracle_verdict,
@@ -92,12 +91,6 @@ class TestTheoremVerdict:
         reg, decision, flags = theorem_verdict(Params(2, 3, 5, 7, 11, 13))
         assert decision == IRREDUCIBLE
         assert len(flags) == 4
-
-    def test_force_regime_overrides_detection(self):
-        p = Params(1, 1.5, 1, 1, 1, 1)
-        reg, _, flags = theorem_verdict(p, force_regime=EQUAL_X)
-        assert reg == EQUAL_X
-        assert len(flags) == 2
 
     def test_flags_carry_the_compared_values(self):
         _, _, flags = theorem_verdict(Params(1, 1, 1, 2, 3, 6))
@@ -192,6 +185,20 @@ class TestPredictedDirection:
         with pytest.raises(ConditionNotSatisfied):
             invariant_vector_predicted(Params(2, 3, 5, 7, 11, 13), "distinct-x-1")
 
+    def test_equal_case_refused_at_a_distinct_point(self):
+        # y = z = (1, 2) satisfies z1*y2 = y1*z2, but x = (2, 3) is in the
+        # distinct-x regime, where the point is irreducible.
+        p = Params(2, 3, 1, 2, 1, 2)
+        assert decide(p).theorem_decision == IRREDUCIBLE
+        with pytest.raises(ConditionNotSatisfied, match="distinct_x regime"):
+            invariant_vector_predicted(p, "equal-x-1")
+
+    def test_distinct_case_refused_at_an_equal_point(self):
+        # x1*y2*z2 = x2*y1*z1 holds (both 4), but x1 = x2
+        p = Params(2, 2, 1, 2, 2, 1)
+        with pytest.raises(ConditionNotSatisfied, match="equal_x regime"):
+            invariant_vector_predicted(p, "distinct-x-1")
+
     def test_contradictory_point_raises_on_primary_branch(self):
         # The second distinct-x condition holds, yet on the +1 branch the
         # first generator is already diagonal with distinct eigenvalues:
@@ -205,11 +212,6 @@ class TestPredictedDirection:
 
 
 class TestBranchDiagnosis:
-    def test_not_applicable_on_agreement(self):
-        diag = branch_diagnosis(Params(2, 3, 5, 7, 11, 13))
-        assert not diag.applicable
-        assert diag.resolved is None
-
     def test_wrong_branch_point_disagrees_then_resolves(self):
         verdict = decide(WRONG_BRANCH_POINT)
         assert verdict.regime == EQUAL_X
@@ -255,10 +257,9 @@ class TestDecide:
             decide(Params(*values))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
-    @pytest.mark.parametrize("force_regime", [None, EQUAL_X, DISTINCT_X])
-    def test_nonpositive_tolerance_rejected(self, tol, force_regime):
+    def test_nonpositive_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="^tolerance must be positive$"):
-            decide(Params(2, 3, 5, 7, 11, 13), tol=tol, force_regime=force_regime)
+            decide(Params(2, 3, 5, 7, 11, 13), tol=tol)
 
     def test_verdict_records_inputs(self):
         verdict = decide(Params(1, 1, 1, 1, 1, 1), r_sign=1, tol=1e-8)

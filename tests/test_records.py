@@ -12,7 +12,6 @@ from heckeg7.exact import RatElem
 from heckeg7.identities import VERIFIED, CheckResult, IdentityReport, SymMat2
 from heckeg7.irreducibility import BranchDiagnosis, ConditionFlag, Verdict, decide
 from heckeg7.matrix2 import SCALAR, EigenReport, Mat2
-from heckeg7.numerics import PolarForm
 from heckeg7.representation import GeneratorTriple, InvalidParams, Params, build_general
 from heckeg7.sweep import SweepConfig, SweepResult, run_sweep
 
@@ -22,7 +21,6 @@ ONE = RatElem(1)
 def one_of_each():
     p = Params(2, 3, 5, 7, 11, 13)
     return [
-        PolarForm(1.0, 0.5),
         Mat2(1, 2, 3, 4),
         EigenReport(SCALAR, (1,), ()),
         p,
@@ -41,7 +39,7 @@ def one_of_each():
 def test_every_record_type_is_covered():
     types = {type(rec) for rec in one_of_each()}
     assert types == {
-        PolarForm, Mat2, EigenReport, Params, GeneratorTriple, ConditionFlag,
+        Mat2, EigenReport, Params, GeneratorTriple, ConditionFlag,
         BranchDiagnosis, Verdict, CheckResult, IdentityReport, SymMat2,
         SweepConfig, SweepResult,
     }

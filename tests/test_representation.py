@@ -101,15 +101,15 @@ class TestGeneratorEntries:
         g = build_equal_x(Params(1, 1, 2, 3, 1, 1))
         assert_matrix_close(g.s2, ((5, 1), (-6, 0)))
         # Characteristic data: trace y1+y2, determinant y1*y2.
-        assert g.s2.trace() == pytest.approx(5)
-        assert g.s2.det() == pytest.approx(6)
+        assert g.s2.a + g.s2.d == pytest.approx(5)
+        assert g.s2.a * g.s2.d - g.s2.b * g.s2.c == pytest.approx(6)
 
     def test_s2_satisfies_its_own_characteristic_polynomial(self):
         g = build_equal_x(Params(1, 1, 1, 2, 1, 1))
         assert_matrix_close(g.s2, ((3, 1), (-2, 0)))
         square = g.s2 * g.s2
         assert_matrix_close(square, ((7, 3), (-6, -2)))
-        rebuilt = g.s2.scale(3) - Mat2.identity().scale(2)
+        rebuilt = (g.s2 + g.s2 + g.s2).minus_scalar(2)
         assert (square - rebuilt).maxmod() < 1e-14
 
     def test_r_sign_flips_the_root(self):
