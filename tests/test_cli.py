@@ -36,6 +36,15 @@ WRONG_BRANCH = {
     "z2": {"re": 1, "im": 0},
 }
 
+# y = z, so both equal-x conditions hold, but x1 != x2: irreducible.
+Y_EQUALS_Z_DISTINCT_X = {
+    "x1": {"re": 2, "im": 0},
+    "x2": {"re": 3, "im": 0},
+    "y1": {"re": 1, "im": 0},
+    "y2": {"re": 2, "im": 0},
+    "z1": {"re": 1, "im": 0},
+    "z2": {"re": 2, "im": 0},
+}
 
 GOLDEN_IDENTITIES = Path(__file__).parent / "fixtures" / "identities.json"
 
@@ -114,12 +123,32 @@ class TestCheck:
         assert "unrecognized arguments: --force-regime equal" in err
 
     @pytest.mark.parametrize(
+        "doc, regime, conditions, decision",
+        [
+            (ALL_ONES, "equal_x", 2, "reducible"),
+            (Y_EQUALS_Z_DISTINCT_X, "distinct_x", 4, "irreducible"),
+        ],
+    )
+    def test_regime_is_detected_from_x(
+        self, tmp_path, capsys, doc, regime, conditions, decision
+    ):
+        path = write_params(tmp_path, doc)
+        code, out, _ = run_cli(capsys, "check", path)
+        assert code == OK
+        verdict = json.loads(out)["verdict"]
+        assert verdict["regime"] == regime
+        assert len(verdict["conditions"]) == conditions
+        assert verdict["theorem-decision"] == decision
+        assert verdict["agreement"] is True
+
+    @pytest.mark.parametrize(
         "doc, flags, builds",
         [
             (ALL_ONES, [], 1),
             (IRREDUCIBLE_POINT, ["--r-sign", "-1"], 1),
             # disagreement: decide also builds the flipped branch
             (WRONG_BRANCH, [], 2),
+            (WRONG_BRANCH, ["--r-sign", "-1"], 1),
         ],
     )
     def test_each_triple_is_built_once(

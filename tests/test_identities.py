@@ -244,6 +244,42 @@ class TestCaseSubstitutions:
         assert len(report.checks) == 22
 
 
+class TestCheckHelpers:
+    """The shared checks behind the reports: a pass carries no residual, a
+    failure names what differs."""
+
+    RX1, RX2 = RatElem.var("x1"), RatElem.var("x2")
+    UPPER = SymMat2(RX1, RatElem(1), RatElem(0), RX2)
+
+    def test_mat_check_passes_without_residual(self):
+        check = identities._mat_check("m = m", self.UPPER, self.UPPER, "note")
+        assert check == ("m = m", True, "note", None)
+
+    def test_mat_check_lists_each_unequal_entry(self):
+        m = self.UPPER
+        other = SymMat2(m.a, m.b + self.RX1, m.c, m.d + RatElem(2))
+        check = identities._mat_check("m = other", m, other)
+        assert not check.ok
+        assert check.residual == "(1,2): -x1; (2,2): -2"
+
+    def test_eigvec_check_accepts_an_eigenvector(self):
+        one, zero = RatElem(1), RatElem(0)
+        check = identities._eigvec_check("s*e1", self.UPPER, self.RX1, (one, zero), "n")
+        assert check.ok and check.residual is None
+
+    def test_eigvec_check_rejects_a_non_eigenvector(self):
+        one, zero = RatElem(1), RatElem(0)
+        check = identities._eigvec_check("s*e2", self.UPPER, self.RX2, (zero, one), "n")
+        assert not check.ok
+        assert check.residual is not None
+
+    def test_zero_check_reports_the_numerator(self):
+        assert identities._zero_check("0", self.RX1 - self.RX1).residual is None
+        check = identities._zero_check("x1/x2", self.RX1 / self.RX2)
+        assert not check.ok
+        assert check.residual == "x1"
+
+
 class TestPlantedFailures:
     """A wrong input must fail exactly the reports that use it, with the
     residual strings the unreduced arithmetic prints.  The pinned strings

@@ -32,6 +32,15 @@ WRONG_BRANCH_POINT = Params(
 )
 DIAGONAL_S1_POINT = Params(-1, 3, 1, 1, -1 / 3, 1)
 
+EQUAL_CASE_IDS = ("equal-x-1", "equal-x-2")
+# x1*y2*z2 = x2*y1*z1 at x1 = x2 is z1*y1 = y2*z2, and so on.
+DISTINCT_TO_EQUAL_AT_EQUAL_X = {
+    "distinct-x-1": "equal-x-2",
+    "distinct-x-2": "equal-x-1",
+    "distinct-x-3": "equal-x-1",
+    "distinct-x-4": "equal-x-2",
+}
+
 
 def positive_params(rng: random.Random) -> Params:
     return Params(*(complex(10.0 ** rng.uniform(-1, 1)) for _ in range(6)))
@@ -96,6 +105,12 @@ class TestTheoremVerdict:
         _, _, flags = theorem_verdict(Params(1, 1, 1, 2, 3, 6))
         for flag in flags:
             assert flag.equal == approx_eq(flag.lhs, flag.rhs, VERDICT_TOL)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        # the regime test is the first use of tol
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            theorem_verdict(Params(2, 3, 5, 7, 11, 13), tol=tol)
 
 
 class TestSolveCase:
@@ -198,6 +213,43 @@ class TestPredictedDirection:
         p = Params(2, 2, 1, 2, 2, 1)
         with pytest.raises(ConditionNotSatisfied, match="equal_x regime"):
             invariant_vector_predicted(p, "distinct-x-1")
+
+    @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
+    def test_solved_point_gets_an_invariant_direction(self, case_id):
+        build = build_equal_x if case_id in EQUAL_CASE_IDS else build_general
+        rng = random.Random(f"predicted:{case_id}")
+        for _ in range(5):
+            p = solve_case(case_id, positive_params(rng))
+            direction = invariant_vector_predicted(p, case_id)
+            assert generator_invariance(build(p, 1), direction)
+
+    @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
+    def test_case_of_the_other_regime_is_refused(self, case_id):
+        # The case's own condition holds at every point drawn here; only the
+        # detected regime rules the case out.
+        rng = random.Random(f"other-regime:{case_id}")
+        for _ in range(5):
+            base = positive_params(rng)
+            if case_id in EQUAL_CASE_IDS:
+                p = solve_case(case_id, base)
+                p = p._replace(x1=2 * p.x2)
+                expected = DISTINCT_X
+                assert regime(p) == expected
+            else:
+                # With x1 = x2 a distinct-x condition reduces to an equal-x one.
+                p = solve_case(DISTINCT_TO_EQUAL_AT_EQUAL_X[case_id], base)
+                expected = EQUAL_X
+                _, _, flags = theorem_verdict(p)
+                assert {f.name: f.equal for f in flags}[
+                    ALL_CASES[DISTINCT_TO_EQUAL_AT_EQUAL_X[case_id]]
+                ]
+            with pytest.raises(ConditionNotSatisfied, match=f"the {expected} regime"):
+                invariant_vector_predicted(p, case_id)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_nonpositive_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            invariant_vector_predicted(Params(16, 4, 1, 1, 2, 0.5), "distinct-x-1", tol=tol)
 
     def test_contradictory_point_raises_on_primary_branch(self):
         # The second distinct-x condition holds, yet on the +1 branch the

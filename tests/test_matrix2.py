@@ -44,6 +44,13 @@ class TestArithmetic:
         p = a * b
         assert (p.a, p.b, p.c, p.d) == (19, 22, 43, 50)
 
+    def test_sum_is_entrywise(self):
+        # not the tuple concatenation a NamedTuple inherits
+        m = Mat2(1, 2, 3, 4)
+        assert m + m == Mat2(2, 4, 6, 8)
+        with pytest.raises(TypeError):
+            2 * m
+
     @given(matrices, matrices)
     @settings(max_examples=200, derandomize=True)
     def test_det_is_multiplicative(self, a, b):
