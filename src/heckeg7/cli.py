@@ -15,8 +15,9 @@ y2, z1, z2 and optional y3, z3; each complex value is either
 {"re": <num>, "im": <num>} or {"modulus": <num >= 0>, "argument": <num>}
 with the argument in (-pi, pi].
 
-All JSON output carries schema_version and is deterministic: identical
-inputs, flags, and seeds produce byte-identical documents.  Exit codes:
+All JSON output carries schema_version, is rendered by render.dumps, and
+is deterministic: identical inputs, flags, and seeds produce byte-identical
+documents.  Exit codes:
 0 success/agreement, 1 input error, 2 mathematical disagreement or
 identity failure.
 """
@@ -28,9 +29,11 @@ import json
 import math
 import sys
 
+from . import render
 from .identities import REGISTRY, report_as_dict, run_all
 from .irreducibility import DISTINCT_X, EQUAL_X, Verdict, decide, regime
 from .numerics import VERDICT_TOL, from_polar
+from .render import params_as_dict, verdict_as_dict
 from .representation import (
     GeneratorTriple,
     InvalidParams,
@@ -40,14 +43,7 @@ from .representation import (
     build_general,
     hecke_residuals,
 )
-from .sweep import (
-    DOMAINS,
-    SCHEMA_VERSION,
-    SweepConfig,
-    params_as_dict,
-    run_sweep,
-    verdict_as_dict,
-)
+from .sweep import DOMAINS, SCHEMA_VERSION, SweepConfig, run_sweep
 
 OK = 0
 INPUT_ERROR = 1
@@ -144,7 +140,7 @@ def _fmt_vec(v) -> str:
 
 def _emit(doc: dict, output: str, text_lines) -> None:
     if output == "json":
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        print(render.dumps(doc))
     else:
         print("\n".join(text_lines(doc)))
 
@@ -312,8 +308,7 @@ def cmd_sweep(args) -> int:
         }
         try:
             with open(args.fixtures_out, "w", encoding="utf-8") as fh:
-                json.dump(fixtures, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+                fh.write(render.dumps(fixtures) + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {args.fixtures_out}: {exc}") from exc
     return MATH_FAILURE if result.unresolved() > 0 else OK

@@ -15,9 +15,7 @@ splits completely, so the invariant line is not unique and the oracle may
 return either one.
 
 Results are JSON-ready dicts with deterministic content: one seed and one
-config always produce byte-identical serialized output.  This module also
-houses the shared JSON renderings of verdicts and diagnoses used by the
-command-line layer.
+config always produce byte-identical serialized output.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from typing import NamedTuple
 from .irreducibility import (
     _EQUAL_CASES,
     _DISTINCT_CASES,
-    BranchDiagnosis,
-    ConditionFlag,
     EQUAL_X,
     DISTINCT_X,
     Verdict,
@@ -39,6 +35,7 @@ from .irreducibility import (
 )
 from .matrix2 import Vec2, normalize_direction, parallel
 from .numerics import VERDICT_TOL, approx_eq
+from .render import params_as_dict, verdict_as_dict
 from .representation import GeneratorTriple, InvalidParams, Params
 # Not called here: perfbench/tracing.py wraps these names on this module.
 from .representation import build_equal_x, build_general  # noqa: F401
@@ -133,66 +130,6 @@ class SweepResult(NamedTuple):
             },
             "disagreements": list(self.disagreements),
         }
-
-
-# ---------------------------------------------------------------------------
-# JSON-ready renderings (shared with the command-line layer)
-
-def complex_as_dict(z: complex) -> dict:
-    z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def vec_as_dict(v: Vec2 | None) -> list | None:
-    if v is None:
-        return None
-    return [complex_as_dict(v[0]), complex_as_dict(v[1])]
-
-
-def params_as_dict(p: Params) -> dict:
-    out = {name: complex_as_dict(value) for name, value in p.as_dict().items()}
-    if p.y3 is not None:
-        out["y3"] = complex_as_dict(p.y3)
-    if p.z3 is not None:
-        out["z3"] = complex_as_dict(p.z3)
-    return out
-
-
-def flag_as_dict(f: ConditionFlag) -> dict:
-    return {
-        "condition": f.name,
-        "lhs": complex_as_dict(f.lhs),
-        "rhs": complex_as_dict(f.rhs),
-        "holds": f.equal,
-    }
-
-
-def diagnosis_as_dict(d: BranchDiagnosis | None) -> dict | None:
-    if d is None:
-        return None
-    return {
-        "applicable": d.applicable,
-        "note": d.note,
-        "flipped-r-sign": d.flipped_r_sign,
-        "flipped-oracle-decision": d.flipped_oracle_decision,
-        "resolved": d.resolved,
-        "flipped-invariant-vector": vec_as_dict(d.flipped_invariant_vector),
-        "conditions": [flag_as_dict(f) for f in d.conditions],
-    }
-
-
-def verdict_as_dict(v: Verdict) -> dict:
-    return {
-        "regime": v.regime,
-        "r-sign": v.r_sign,
-        "tolerance": v.tolerance,
-        "theorem-decision": v.theorem_decision,
-        "conditions": [flag_as_dict(f) for f in v.conditions],
-        "oracle-decision": v.oracle_decision,
-        "invariant-vector": vec_as_dict(v.invariant_vector),
-        "agreement": v.agreement,
-        "branch-diagnosis": diagnosis_as_dict(v.branch_diagnosis),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ import time
 import pytest
 
 from heckeg7.cli import OK, main
-from heckeg7.exact import ExtElem, RatElem, substitute
+from heckeg7.exact import RatElem, substitute
 from heckeg7.identities import (
-    SIGN_DEPENDENT,
     VERIFIED,
     case_substitution,
     conjugated_upper_right_numerator,
@@ -23,7 +22,7 @@ from heckeg7.identities import (
     verify_w_factorization,
     w_alpha_beta,
 )
-from heckeg7.irreducibility import decide, oracle_verdict, solve_case
+from heckeg7.irreducibility import oracle_verdict, solve_case
 from heckeg7.matrix2 import normalize_direction, parallel
 from heckeg7.representation import Params, build_equal_x
 from heckeg7.sweep import (

@@ -40,7 +40,7 @@ from heckeg7.identities import (
     w_alpha_beta,
 )
 from heckeg7.numerics import approx_eq
-from heckeg7.representation import Params, build_general, delta
+from heckeg7.representation import Params, build_general
 
 X1, X2, Y1, Y2, Z1, Z2 = (Poly.var(name) for name in VARS)
 

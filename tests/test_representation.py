@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeg7.matrix2 import Mat2
-from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
+from heckeg7.numerics import approx_eq, principal_sqrt
 from heckeg7.representation import (
     DegenerateRegime,
     GeneratorTriple,
