@@ -6,6 +6,12 @@ r of DELTA = x1*x2*y1*y2*z1*z2 (see exact).  A check counts as "verified"
 only when the difference of the two sides reduces to the literal zero
 element -- never "small", always exactly zero.
 
+The checks run the package's own closed forms over this field: the
+generators of representation.generators, the conjugator of
+representation.conjugator, the solved cases of irreducibility.solved_value
+and the lines of irreducibility.equal_x_lines, with matrix2.Mat2 as the
+matrix type.  So each proof is about the formula the float code runs.
+
 The suite covers six identity groups:
 
   reducibility-condition-factorization
@@ -44,6 +50,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import ExtElem, Poly, RatElem, Substitution, substitute
+from .irreducibility import _EQUAL_CASES, equal_x_lines, solved_value
+from .matrix2 import Mat2
+from .representation import GeneratorTriple, _check_sign, conjugator, generators
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -75,67 +84,26 @@ class IdentityReport(NamedTuple):
         return self.status == FAILED
 
 
-class SymMat2(NamedTuple):
-    """2x2 matrix over the fraction field of the extension ring."""
-
-    a: RatElem
-    b: RatElem
-    c: RatElem
-    d: RatElem
-
-    def __mul__(self, other: "SymMat2") -> "SymMat2":
-        return SymMat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __rmul__(self, other):
-        # the inherited tuple operators would repeat or concatenate entries
-        return NotImplemented
-
-    __add__ = __rmul__
-
-    def minus_scalar(self, lam: RatElem) -> "SymMat2":
-        return SymMat2(self.a - lam, self.b, self.c, self.d - lam)
-
-    def apply(self, v: tuple[RatElem, RatElem]) -> tuple[RatElem, RatElem]:
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
-    def trace(self) -> RatElem:
-        return self.a + self.d
-
-    def det(self) -> RatElem:
-        return self.a * self.d - self.b * self.c
-
-    def entries(self) -> tuple[tuple[str, RatElem], ...]:
-        return (("(1,1)", self.a), ("(1,2)", self.b), ("(2,1)", self.c), ("(2,2)", self.d))
+_POSITIONS = ("(1,1)", "(1,2)", "(2,1)", "(2,2)")
 
 
-def _check_sign(r_sign: int) -> int:
-    if r_sign not in (1, -1):
-        raise ValueError("r_sign must be +1 or -1")
-    return r_sign
+def entries(m: Mat2) -> tuple[tuple[str, RatElem], ...]:
+    """The four entries of m with their position labels, row-major."""
+    return tuple(zip(_POSITIONS, m))
 
 
-def sym_generators(r_sign: int = 1) -> tuple[SymMat2, SymMat2, SymMat2]:
-    """The generator images with r kept formal (r_sign = -1 replaces r by
-    its conjugate root throughout)."""
-    rr = RatElem.r(_check_sign(r_sign))
-    zero, one = RatElem(0), RatElem(1)
-    ysum, yprod, zsum = Y1 + Y2, Y1 * Y2, Z1 + Z2
-    s1 = SymMat2(X1, ysum / yprod - zsum * X2 / rr, zero, X2)
-    s2 = SymMat2(ysum, one / X1, -(yprod * X1), zero)
-    s3 = SymMat2(zero, -rr / (yprod * X1 * X2), rr, zsum)
-    return s1, s2, s3
+def trace(m: Mat2) -> RatElem:
+    return m.a + m.d
 
 
-def sym_conjugator(s1: SymMat2) -> tuple[SymMat2, SymMat2]:
-    """(T, T^-1) with T = [[1, s1(1,2)/(x2-x1)], [0, 1]]."""
-    zero, one = RatElem(0), RatElem(1)
-    t12 = s1.b / (X2 - X1)
-    return SymMat2(one, t12, zero, one), SymMat2(one, -t12, zero, one)
+def det(m: Mat2) -> RatElem:
+    return m.a * m.d - m.b * m.c
+
+
+def sym_generators(r_sign: int = 1) -> GeneratorTriple:
+    """representation.generators over the fraction field, with r kept formal
+    (r_sign = -1 replaces r by its conjugate root throughout)."""
+    return generators(X1, X2, Y1, Y2, Z1, Z2, RatElem.r(_check_sign(r_sign)))
 
 
 def w_alpha_beta() -> tuple[ExtElem, ExtElem, ExtElem]:
@@ -168,22 +136,29 @@ def conjugated_upper_right_numerator() -> ExtElem:
     return ExtElem(poly_part, r_part)
 
 
-# Reducibility-case substitutions, keyed consistently with
-# irreducibility.ALL_CASES: the assignment that makes the case condition an
-# identity, plus the induced root (whose square is exactly the image of
-# DELTA; both signs are legal root images).
+# The root image each reducibility case induces, keyed consistently with
+# irreducibility.ALL_CASES: its square is exactly the image of DELTA, and
+# both signs are legal root images.
+_ROOT_IMAGES = {
+    "equal-x-1": X2 * Y1 * Z2,
+    "equal-x-2": X2 * Y2 * Z2,
+    "distinct-x-1": X2 * Y1 * Z1,
+    "distinct-x-2": X2 * Y2 * Z1,
+    "distinct-x-3": X2 * Y1 * Z2,
+    "distinct-x-4": X2 * Y2 * Z2,
+}
+
+
 def case_substitution(case_id: str) -> tuple[dict[str, RatElem], RatElem]:
-    table: dict[str, tuple[dict[str, RatElem], RatElem]] = {
-        "equal-x-1": ({"x1": X2, "z1": Y1 * Z2 / Y2}, X2 * Y1 * Z2),
-        "equal-x-2": ({"x1": X2, "z1": Y2 * Z2 / Y1}, X2 * Y2 * Z2),
-        "distinct-x-1": ({"x1": X2 * Y1 * Z1 / (Y2 * Z2)}, X2 * Y1 * Z1),
-        "distinct-x-2": ({"x1": X2 * Y2 * Z1 / (Y1 * Z2)}, X2 * Y2 * Z1),
-        "distinct-x-3": ({"x1": X2 * Y1 * Z2 / (Y2 * Z1)}, X2 * Y1 * Z2),
-        "distinct-x-4": ({"x1": X2 * Y2 * Z2 / (Y1 * Z1)}, X2 * Y2 * Z2),
-    }
-    if case_id not in table:
+    """The assignment that makes the case condition an identity -- the
+    solved value of irreducibility.solved_value, with x1 = x2 in the
+    equal-x cases -- and the induced root."""
+    if case_id not in _ROOT_IMAGES:
         raise KeyError(f"unknown case id {case_id!r}")
-    return table[case_id]
+    value = solved_value(case_id, X2, Y1, Y2, Z1, Z2)
+    if case_id in _EQUAL_CASES:
+        return {"x1": X2, "z1": value}, _ROOT_IMAGES[case_id]
+    return {"x1": value}, _ROOT_IMAGES[case_id]
 
 
 def _eq_check(name: str, lhs: RatElem, rhs: RatElem, note: str = "") -> CheckResult:
@@ -199,11 +174,11 @@ def _zero_check(name: str, value: RatElem, note: str = "") -> CheckResult:
     return CheckResult(name, ok, note, None if ok else str(value.num))
 
 
-def _mat_check(name: str, lhs: SymMat2, rhs: SymMat2, note: str = "") -> CheckResult:
+def _mat_check(name: str, lhs: Mat2, rhs: Mat2, note: str = "") -> CheckResult:
     """Entrywise equality; the residual lists each unequal entry."""
     bad = [
         (pos, e1, e2)
-        for (pos, e1), (_, e2) in zip(lhs.entries(), rhs.entries())
+        for (pos, e1), e2 in zip(entries(lhs), rhs)
         if not e1.equals(e2)
     ]
     residual = "; ".join(
@@ -213,7 +188,7 @@ def _mat_check(name: str, lhs: SymMat2, rhs: SymMat2, note: str = "") -> CheckRe
 
 
 def _eigvec_check(
-    name: str, m: SymMat2, eig: RatElem, v: tuple[RatElem, RatElem], note: str
+    name: str, m: Mat2, eig: RatElem, v: tuple[RatElem, RatElem], note: str
 ) -> CheckResult:
     """m*v = eig*v, both components."""
     image = m.apply(v)
@@ -313,7 +288,7 @@ def _relation_checks(sign: int) -> list[CheckResult]:
     )
     for label, m, e1, e2 in quads:
         prod = m.minus_scalar(e1) * m.minus_scalar(e2)
-        bad = [(pos, e) for pos, e in prod.entries() if not e.is_zero()]
+        bad = [(pos, e) for pos, e in entries(prod) if not e.is_zero()]
         checks.append(
             CheckResult(
                 label,
@@ -340,7 +315,8 @@ def _conjugation_checks(sign: int) -> list[CheckResult]:
     rr = RatElem.r(sign)
     tag = f"[r sign {sign:+d}]"
     s1, s2, s3 = sym_generators(sign)
-    t_mat, t_inv = sym_conjugator(s1)
+    t_mat = conjugator(s1, X1, X2)
+    t_inv = Mat2(1, -t_mat.b, 0, 1)
     b1 = t_inv * (s1 * t_mat)
     b2 = t_inv * (s2 * t_mat)
     b3 = t_inv * (s3 * t_mat)
@@ -416,10 +392,10 @@ def _conjugation_checks(sign: int) -> list[CheckResult]:
             b3.d,
             c_entry,
         ),
-        _eq_check(f"trace of conjugated s2 = y1+y2 {tag}", b2.trace(), ysum),
-        _eq_check(f"det of conjugated s2 = y1*y2 {tag}", b2.det(), yprod),
-        _eq_check(f"trace of conjugated s3 = z1+z2 {tag}", b3.trace(), zsum),
-        _eq_check(f"det of conjugated s3 = z1*z2 {tag}", b3.det(), Z1 * Z2),
+        _eq_check(f"trace of conjugated s2 = y1+y2 {tag}", trace(b2), ysum),
+        _eq_check(f"det of conjugated s2 = y1*y2 {tag}", det(b2), yprod),
+        _eq_check(f"trace of conjugated s3 = z1+z2 {tag}", trace(b3), zsum),
+        _eq_check(f"det of conjugated s3 = z1*z2 {tag}", det(b3), Z1 * Z2),
     ]
     return checks
 
@@ -476,22 +452,23 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
     assignment, root = case_substitution(case_id)
     sub = Substitution(assignment)
     s1, s2, s3 = sym_generators(1)
-    one = RatElem(1)
-    u = (-(one) / (X2 * Y2), one)
+    u, v = equal_x_lines(X2, Y1, Y2)
+    # s3 acts on u and v by z2 and by the solved z1, in the case's order
+    z1 = assignment["z1"]
     if case_id == "equal-x-1":
-        s3_eig = Z2
-        s3_display = SymMat2(
+        s3_eig, v_s3_eig = Z2, z1
+        s3_display = Mat2(
             RatElem(0), -Z2 / (X2 * Y2), X2 * Y1 * Z2, Z2 + Y1 * Z2 / Y2
         )
     else:
-        s3_eig = Z2 * Y2 / Y1
-        s3_display = SymMat2(
+        s3_eig, v_s3_eig = z1, Z2
+        s3_display = Mat2(
             RatElem(0), -Z2 / (X2 * Y1), X2 * Y2 * Z2, Z2 + Y2 * Z2 / Y1
         )
-    s2_display = SymMat2(Y1 + Y2, one / X2, -(X2 * Y1 * Y2), RatElem(0))
+    s2_display = Mat2(Y1 + Y2, RatElem(1) / X2, -(X2 * Y1 * Y2), RatElem(0))
 
-    def sub_mat(m: SymMat2, r_img: RatElem) -> SymMat2:
-        return SymMat2(*(substitute(e, sub, r_img) for _, e in m.entries()))
+    def sub_mat(m: Mat2, r_img: RatElem) -> Mat2:
+        return Mat2(*(substitute(e, sub, r_img) for e in m))
 
     s1_sub = sub_mat(s1, root)
     s2_sub = sub_mat(s2, root)
@@ -533,8 +510,6 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
     # The invariant line is not unique here: s1 is scalar and the other
     # eigendirection of s2 is fixed by s3 as well, so the representation
     # splits into a direct sum of two one-dimensional summands.
-    v = (-(one) / (X2 * Y1), one)
-    v_s3_eig = Y1 * Z2 / Y2 if case_id == "equal-x-1" else Z2
     for mat, eig, label in (
         (s2_sub, Y2, "s2*v = y2*v"),
         (s3_sub, v_s3_eig, f"s3*v = ({v_s3_eig})*v"),

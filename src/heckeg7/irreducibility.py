@@ -54,13 +54,11 @@ class ConditionFlag(NamedTuple):
 
 
 class BranchDiagnosis(NamedTuple):
-    applicable: bool
-    note: str
-    flipped_r_sign: int | None = None
-    flipped_oracle_decision: str | None = None
-    resolved: bool | None = None
-    flipped_invariant_vector: Vec2 | None = None
-    conditions: tuple[ConditionFlag, ...] = ()
+    """The oracle on the flipped branch -r_sign, run only on disagreement."""
+
+    flipped_oracle_decision: str
+    resolved: bool
+    flipped_invariant_vector: Vec2 | None
 
 
 class Verdict(NamedTuple):
@@ -77,8 +75,7 @@ class Verdict(NamedTuple):
 
 # Reducibility cases: case id -> the condition that makes the point
 # reducible.  theorem_verdict computes both sides of each condition, in
-# this order; the *solved* forms used for constructing reducible tuples are in
-# solve_case below.
+# this order; solved_value gives the parameter that makes it hold.
 _EQUAL_CASES = {
     "equal-x-1": "z1*y2 = y1*z2",
     "equal-x-2": "z1*y1 = y2*z2",
@@ -94,25 +91,40 @@ _DISTINCT_CASES = {
 ALL_CASES = {**_EQUAL_CASES, **_DISTINCT_CASES}
 
 
+def solved_value(case_id: str, x2, y1, y2, z1, z2):
+    """The value that makes the case condition an identity over any field:
+    z1 (with x1 = x2) for the equal-x cases, x1 for the distinct-x cases."""
+    if case_id == "equal-x-1":
+        return y1 * z2 / y2
+    if case_id == "equal-x-2":
+        return y2 * z2 / y1
+    if case_id == "distinct-x-1":
+        return x2 * y1 * z1 / (y2 * z2)
+    if case_id == "distinct-x-2":
+        return x2 * y2 * z1 / (y1 * z2)
+    if case_id == "distinct-x-3":
+        return x2 * y1 * z2 / (y2 * z1)
+    if case_id == "distinct-x-4":
+        return x2 * y2 * z2 / (y1 * z1)
+    raise KeyError(f"unknown case id {case_id!r}")
+
+
+def equal_x_lines(x2, y1, y2):
+    """The two invariant lines of an equal-x reducible point, over any
+    field: (-1/(x2*y2), 1), the s2-eigenline for y1, and (-1/(x2*y1), 1),
+    the one for y2."""
+    return (-1 / (x2 * y2), 1), (-1 / (x2 * y1), 1)
+
+
 def solve_case(case_id: str, p: Params) -> Params:
     """Return p with one parameter replaced so the case condition holds
     exactly (in floating point): z1 is solved for the equal-x cases, x1 for
     the distinct-x cases."""
-    if case_id == "equal-x-1":
-        return Params(p.x2, p.x2, p.y1, p.y2, p.y1 * p.z2 / p.y2, p.z2, p.y3, p.z3)
-    if case_id == "equal-x-2":
-        return Params(p.x2, p.x2, p.y1, p.y2, p.y2 * p.z2 / p.y1, p.z2, p.y3, p.z3)
-    if case_id == "distinct-x-1":
-        x1 = p.x2 * p.y1 * p.z1 / (p.y2 * p.z2)
-    elif case_id == "distinct-x-2":
-        x1 = p.x2 * p.y2 * p.z1 / (p.y1 * p.z2)
-    elif case_id == "distinct-x-3":
-        x1 = p.x2 * p.y1 * p.z2 / (p.y2 * p.z1)
-    elif case_id == "distinct-x-4":
-        x1 = p.x2 * p.y2 * p.z2 / (p.y1 * p.z1)
-    else:
-        raise KeyError(f"unknown case id {case_id!r}")
-    return Params(x1, p.x2, p.y1, p.y2, p.z1, p.z2, p.y3, p.z3)
+    _, x2, y1, y2, z1, z2, y3, z3 = p
+    value = solved_value(case_id, x2, y1, y2, z1, z2)
+    if case_id in _EQUAL_CASES:
+        return Params(x2, x2, y1, y2, value, z2, y3, z3)
+    return Params(value, x2, y1, y2, z1, z2, y3, z3)
 
 
 def regime(p: Params, tol: float = VERDICT_TOL) -> str:
@@ -152,7 +164,7 @@ def theorem_verdict(
 
 def oracle_verdict(g: GeneratorTriple, tol: float = VERDICT_TOL) -> tuple[str, Vec2 | None]:
     """Brute-force decision: reducible iff the triple shares an eigendirection."""
-    witness = common_eigenvector(g.as_list(), tol)
+    witness = common_eigenvector(g, tol)
     if witness is None:
         return IRREDUCIBLE, None
     return REDUCIBLE, witness
@@ -179,13 +191,7 @@ def decide(
         flipped = -r_sign
         g = triples[flipped] = build(p, flipped)
         oracle2, witness2 = oracle_verdict(g, tol)
-        resolved = oracle2 == theorem
-        note = (
-            "disagreement disappears on the flipped branch"
-            if resolved
-            else "disagreement persists on both branches"
-        )
-        diagnosis = BranchDiagnosis(True, note, flipped, oracle2, resolved, witness2, flags)
+        diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem, witness2)
     return Verdict(reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
 
 
@@ -196,9 +202,10 @@ def invariant_vector_predicted(
 
     The case must belong to p's regime, as regime(p, tol) detects it, and
     its condition must hold; otherwise ConditionNotSatisfied is raised.
-    Equal-x cases: (-1/(x2*y2), 1), independent of the branch.  Distinct-x
-    cases: the second column of the diagonalizing conjugator, (T(1,2), 1) --
-    which only exists when s1 has an off-diagonal part.  When the condition
+    Equal-x cases: the first of equal_x_lines, (-1/(x2*y2), 1), independent
+    of the branch.  Distinct-x cases: the second column of the diagonalizing
+    conjugator, (T(1,2), 1) -- which only exists when x1 and x2 are apart
+    (the regime test) and s1 has an off-diagonal part.  When the condition
     holds but s1(1,2) vanishes at this branch no invariant line can exist
     here (the family is irreducible on this branch) and ContradictoryCase is
     raised; the flipped branch carries the honest witness.
@@ -213,12 +220,11 @@ def invariant_vector_predicted(
     if not flag.equal:
         raise ConditionNotSatisfied(f"{name} fails: {flag.lhs!r} vs {flag.rhs!r}")
     if reg == EQUAL_X:
-        return normalize_direction((-1 / (p.x2 * p.y2), 1))
+        return normalize_direction(equal_x_lines(p.x2, p.y1, p.y2)[0])
     g = build_general(p, r_sign)
     if abs(g.s1.b) <= tol * max(1.0, g.s1.maxmod()):
         raise ContradictoryCase(
             f"{name} holds yet s1 is diagonal at r_sign {r_sign:+d}; no invariant "
             "line exists on this branch (the flipped branch carries one)"
         )
-    t_mat = conjugator(p, g, tol)
-    return normalize_direction((t_mat.b, 1))
+    return normalize_direction((conjugator(g.s1, p.x1, p.x2).b, 1))

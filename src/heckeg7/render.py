@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 
-from .irreducibility import BranchDiagnosis, ConditionFlag, Verdict
+from .irreducibility import ConditionFlag, Verdict
 from .matrix2 import Vec2
 from .representation import Params
 
@@ -127,17 +127,24 @@ def flag_as_dict(f: ConditionFlag) -> dict:
     }
 
 
-def diagnosis_as_dict(d: BranchDiagnosis | None) -> dict | None:
+def diagnosis_as_dict(v: Verdict) -> dict | None:
+    """The branch diagnosis of v; the fields a diagnosis does not store
+    follow from the verdict."""
+    d = v.branch_diagnosis
     if d is None:
         return None
     return {
-        "applicable": d.applicable,
-        "note": d.note,
-        "flipped-r-sign": d.flipped_r_sign,
+        "applicable": True,
+        "note": (
+            "disagreement disappears on the flipped branch"
+            if d.resolved
+            else "disagreement persists on both branches"
+        ),
+        "flipped-r-sign": -v.r_sign,
         "flipped-oracle-decision": d.flipped_oracle_decision,
         "resolved": d.resolved,
         "flipped-invariant-vector": vec_as_dict(d.flipped_invariant_vector),
-        "conditions": [flag_as_dict(f) for f in d.conditions],
+        "conditions": [flag_as_dict(f) for f in v.conditions],
     }
 
 
@@ -151,5 +158,5 @@ def verdict_as_dict(v: Verdict) -> dict:
         "oracle-decision": v.oracle_decision,
         "invariant-vector": vec_as_dict(v.invariant_vector),
         "agreement": v.agreement,
-        "branch-diagnosis": diagnosis_as_dict(v.branch_diagnosis),
+        "branch-diagnosis": diagnosis_as_dict(v),
     }

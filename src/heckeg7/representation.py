@@ -17,6 +17,9 @@ everywhere and defaults to +1, meaning r = principal_sqrt of the product.
 
 build_equal_x is the x1 = x2 family written with x2 alone; it agrees
 entrywise with build_general whenever x1 equals x2 exactly.
+
+generators and conjugator use only + - * /, so the same formulas run over
+complex floats here and over exact fractions in the identity suite.
 """
 
 from __future__ import annotations
@@ -24,14 +27,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .matrix2 import Mat2
-from .numerics import VERDICT_TOL, is_finite, principal_sqrt
+from .numerics import is_finite, principal_sqrt
 
 
 class InvalidParams(ValueError):
-    pass
-
-
-class DegenerateRegime(ValueError):
     pass
 
 
@@ -97,11 +96,6 @@ class GeneratorTriple(NamedTuple):
     s1: Mat2
     s2: Mat2
     s3: Mat2
-    r_used: complex
-    r_sign: int
-
-    def as_list(self) -> list[Mat2]:
-        return [self.s1, self.s2, self.s3]
 
 
 def delta(p: Params) -> complex:
@@ -114,25 +108,27 @@ def _check_sign(r_sign: int) -> int:
     return r_sign
 
 
-def _assemble(p: Params, x1: complex, x2: complex, r: complex, r_sign: int) -> GeneratorTriple:
-    _, _, y1, y2, z1, z2, _, _ = p
+def generators(x1, x2, y1, y2, z1, z2, r) -> GeneratorTriple:
+    """The triple (s1, s2, s3) of the module docstring over any field;
+    r - r is the field's zero, so products of the entries stay in it."""
+    zero = r - r
     y_prod = y1 * y2
     y_sum = y1 + y2
     z_sum = z1 + z2
-    s1_b = y_sum / y_prod - z_sum * x2 / r
-    s2_b = 1 / x1
-    s2_c = -y_prod * x1
-    s3_b = -r / (y_prod * x1 * x2)
-    if not all(map(is_finite, (
-        x1, s1_b, 0, x2,  # s1
-        y_sum, s2_b, s2_c, 0,  # s2
-        0, s3_b, r, z_sum,  # s3
-    ))):
-        raise InvalidParams("parameter magnitudes overflow the matrix entries")
     return GeneratorTriple(
-        Mat2(x1, s1_b, 0, x2), Mat2(y_sum, s2_b, s2_c, 0), Mat2(0, s3_b, r, z_sum),
-        r, r_sign,
+        Mat2(x1, y_sum / y_prod - z_sum * x2 / r, zero, x2),
+        Mat2(y_sum, 1 / x1, -y_prod * x1, zero),
+        Mat2(zero, -r / (y_prod * x1 * x2), r, z_sum),
     )
+
+
+def _assemble(p: Params, x1: complex, x2: complex, r: complex) -> GeneratorTriple:
+    _, _, y1, y2, z1, z2, _, _ = p
+    g = generators(x1, x2, y1, y2, z1, z2, r)
+    s1, s2, s3 = g
+    if not all(map(is_finite, (*s1, *s2, *s3))):
+        raise InvalidParams("parameter magnitudes overflow the matrix entries")
+    return g
 
 
 def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
@@ -141,7 +137,7 @@ def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
     r = r_sign * principal_sqrt(delta(p))
     if r == 0:
         raise InvalidParams("parameter product underflows to zero")
-    return _assemble(p, p.x1, p.x2, r, r_sign)
+    return _assemble(p, p.x1, p.x2, r)
 
 
 def build_equal_x(p: Params, r_sign: int = 1) -> GeneratorTriple:
@@ -151,7 +147,7 @@ def build_equal_x(p: Params, r_sign: int = 1) -> GeneratorTriple:
     r = r_sign * principal_sqrt(p.x2 * p.x2 * p.y1 * p.y2 * p.z1 * p.z2)
     if r == 0:
         raise InvalidParams("parameter product underflows to zero")
-    return _assemble(p, p.x2, p.x2, r, r_sign)
+    return _assemble(p, p.x2, p.x2, r)
 
 
 def _scaled_product_residual(factors: list[Mat2]) -> float:
@@ -197,15 +193,7 @@ def hecke_residuals(g: GeneratorTriple, p: Params) -> dict[str, float]:
     return out
 
 
-def conjugator(p: Params, g: GeneratorTriple, tol: float = VERDICT_TOL) -> Mat2:
-    """Unitriangular T with T^-1 s1 T = diag(x1, x2); T(1,2) = s1(1,2)/(x2-x1).
-
-    Needs x1 != x2 (distinct diagonal) and a nonzero s1(1,2); otherwise s1 is
-    already diagonal or scalar and this change of basis is meaningless.
-    """
-    if abs(p.x1 - p.x2) <= tol * max(1.0, abs(p.x1), abs(p.x2)):
-        raise DegenerateRegime("x1 and x2 coincide; no separating conjugation")
-    top_right = g.s1.b
-    if abs(top_right) <= tol * max(1.0, g.s1.maxmod()):
-        raise DegenerateRegime("s1 is already diagonal; conjugation is trivial")
-    return Mat2(1, top_right / (p.x2 - p.x1), 0, 1)
+def conjugator(s1: Mat2, x1, x2) -> Mat2:
+    """Unitriangular T with T^-1 s1 T = diag(x1, x2) for s1 = [[x1, b], [0, x2]]
+    and x1 != x2: T(1,2) = b/(x2-x1)."""
+    return Mat2(1, s1.b / (x2 - x1), 0, 1)

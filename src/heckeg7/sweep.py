@@ -31,6 +31,7 @@ from .irreducibility import (
     DISTINCT_X,
     Verdict,
     decide,
+    equal_x_lines,
     solve_case,
 )
 from .matrix2 import Vec2, normalize_direction, parallel
@@ -228,12 +229,12 @@ def _producing_witness(v: Verdict) -> tuple[Vec2, int] | None:
         return v.invariant_vector, v.r_sign
     d = v.branch_diagnosis
     if d is not None and d.resolved and d.flipped_invariant_vector is not None:
-        return d.flipped_invariant_vector, d.flipped_r_sign
+        return d.flipped_invariant_vector, -v.r_sign
     return None
 
 
 def _invariant(g: GeneratorTriple, v: Vec2, tol: float) -> bool:
-    return all(parallel(m.apply(v), v, tol) for m in g.as_list())
+    return all(parallel(m.apply(v), v, tol) for m in g)
 
 
 def _direction_eq(u: Vec2, v: Vec2, tol: float) -> bool:
@@ -258,8 +259,7 @@ def _predicted_direction_ok(
     generators and (b) the produced witness is parallel to one of the two
     invariant lines.
     """
-    predicted = normalize_direction((-1.0 / (p.x2 * p.y2), 1.0))
-    complementary = normalize_direction((-1.0 / (p.x2 * p.y1), 1.0))
+    predicted, complementary = map(normalize_direction, equal_x_lines(p.x2, p.y1, p.y2))
     if not _invariant(g, predicted, tol):
         return False
     return _direction_eq(witness, predicted, tol) or _direction_eq(

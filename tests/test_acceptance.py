@@ -220,7 +220,7 @@ def test_acceptance_8_injected_witnesses_are_invariant(
         decision, witness = oracle_verdict(g_big)
         assert decision == "reducible"
         assert parallel(witness, predicted, WITNESS_TOL)
-        for m in g_big.as_list():
+        for m in g_big:
             assert parallel(m.apply(witness), witness, WITNESS_TOL)
 
         # Complementary direction on a |y1| < |y2| point.
@@ -231,7 +231,7 @@ def test_acceptance_8_injected_witnesses_are_invariant(
         )
         _, witness_small = oracle_verdict(g_small)
         assert parallel(witness_small, complementary, WITNESS_TOL)
-        for m in g_small.as_list():
+        for m in g_small:
             assert parallel(m.apply(witness_small), witness_small, WITNESS_TOL)
 
 

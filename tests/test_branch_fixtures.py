@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 from heckeg7.irreducibility import decide
+from heckeg7.render import diagnosis_as_dict
 from heckeg7.representation import Params
 
 FIXTURE_PATH = (
@@ -44,9 +45,9 @@ def test_disagrees_on_default_branch(entry):
     verdict = decide(to_params(entry))
     assert not verdict.agreement
     diagnosis = verdict.branch_diagnosis
-    assert diagnosis.applicable
     assert diagnosis.resolved
-    assert diagnosis.flipped_r_sign == -1
+    rendered = diagnosis_as_dict(verdict)
+    assert rendered["applicable"] and rendered["flipped-r-sign"] == -1
 
 
 @pytest.mark.parametrize(

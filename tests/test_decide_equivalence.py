@@ -60,7 +60,7 @@ CONDITION_SIDES = {
 
 
 def reference_oracle(g, tol):
-    matrices = g.as_list()
+    matrices = list(g)
     candidates = None
     for m in matrices:
         report = eigen_directions(m, tol)
@@ -90,17 +90,9 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
         oracle2, witness2 = reference_oracle(build(p, -r_sign), tol)
         resolved = oracle2 == theorem
         diagnosis = BranchDiagnosis(
-            applicable=True,
-            note=(
-                "disagreement disappears on the flipped branch"
-                if resolved
-                else "disagreement persists on both branches"
-            ),
-            flipped_r_sign=-r_sign,
             flipped_oracle_decision=oracle2,
             resolved=resolved,
             flipped_invariant_vector=witness2,
-            conditions=flags,
         )
     return Verdict(
         regime=reg,
@@ -143,7 +135,7 @@ def test_decide_matches_reference_on_both_branches(cfg):
 def invariant_on_fresh_triple(p, v, direction, sign, tol):
     build = build_equal_x if v.regime == EQUAL_X else build_general
     return all(
-        parallel(m.apply(direction), direction, tol) for m in build(p, sign).as_list()
+        parallel(m.apply(direction), direction, tol) for m in build(p, sign)
     )
 
 

@@ -24,12 +24,11 @@ from heckeg7.identities import (
     REGISTRY,
     SIGN_DEPENDENT,
     VERIFIED,
-    SymMat2,
     case_substitution,
     conjugated_upper_right_numerator,
+    entries,
     report_as_dict,
     run_all,
-    sym_conjugator,
     sym_generators,
     verify_braid_hecke_relations,
     verify_conjugated_upper_right_vanishing,
@@ -39,8 +38,9 @@ from heckeg7.identities import (
     verify_w_factorization,
     w_alpha_beta,
 )
+from heckeg7.matrix2 import Mat2
 from heckeg7.numerics import approx_eq
-from heckeg7.representation import Params, build_general
+from heckeg7.representation import conjugator
 
 X1, X2, Y1, Y2, Z1, Z2 = (Poly.var(name) for name in VARS)
 
@@ -153,48 +153,43 @@ class TestSymbolicGenerators:
         p231 = s2 * s3 * s1
         p312 = s3 * s1 * s2
         for m1, m2 in ((p123, p231), (p231, p312)):
-            for (_, e1), (_, e2) in zip(m1.entries(), m2.entries()):
+            for e1, e2 in zip(m1, m2):
                 assert e1.equals(e2)
         for values, r_value in seeded_points(3):
-            for pos, entry in p123.entries():
-                other = dict(p231.entries())[pos]
+            for pos, entry in entries(p123):
+                other = dict(entries(p231))[pos]
                 lhs = eval_numeric(entry, values, r_value)
                 rhs = eval_numeric(other, values, r_value)
                 assert approx_eq(lhs, rhs, NUMERIC_TOL)
-
-    def test_symbolic_generators_match_numeric_build(self):
-        for values, r_value in seeded_points(3):
-            p = Params(**{k: v for k, v in values.items()})
-            g = build_general(p)
-            for sym, num in zip(sym_generators(), g.as_list()):
-                for pos, entry in sym.entries():
-                    got = eval_numeric(entry, values, r_value)
-                    want = {
-                        "(1,1)": num.a,
-                        "(1,2)": num.b,
-                        "(2,1)": num.c,
-                        "(2,2)": num.d,
-                    }[pos]
-                    assert approx_eq(got, want, NUMERIC_TOL)
 
     def test_conjugation_report_covers_both_signs(self):
         report = verify_conjugation_formulas()
         assert report.status == VERIFIED
         assert len(report.checks) == 36
 
+    def test_entries_label_positions_row_major(self):
+        m = Mat2(*(RatElem(k) for k in range(4)))
+        assert [pos for pos, _ in entries(m)] == ["(1,1)", "(1,2)", "(2,1)", "(2,2)"]
+        assert [e for _, e in entries(m)] == list(m)
+
+    def test_generator_entries_stay_in_the_field(self):
+        # the zero entries are r - r, not the int 0, so .is_zero() works on
+        # every entry of every product
+        for sign in (1, -1):
+            g = sym_generators(sign)
+            assert all(type(e) is RatElem for m in g for e in m)
+            assert all(type(e) is RatElem for e in g.s1 * g.s2 * g.s3)
+
     def test_conjugator_is_unitriangular(self):
         s1, _, _ = sym_generators()
-        t, t_inv = sym_conjugator(s1)
-        one = RatElem(1)
-        zero = RatElem(0)
-        assert t.a.equals(one) and t.d.equals(one) and t.c.equals(zero)
-        product = t * t_inv
-        assert product.a.equals(one) and product.d.equals(one)
-        assert product.b.is_zero() and product.c.is_zero()
+        t = conjugator(s1, RatElem.var("x1"), RatElem.var("x2"))
+        assert (t.a, t.c, t.d) == (1, 0, 1)
+        assert t * Mat2(1, -t.b, 0, 1) == Mat2(1, 0, 0, 1)
 
     def test_conjugated_s1_is_diagonal(self):
         s1, _, _ = sym_generators()
-        t, t_inv = sym_conjugator(s1)
+        t = conjugator(s1, RatElem.var("x1"), RatElem.var("x2"))
+        t_inv = Mat2(1, -t.b, 0, 1)
         d = t_inv * s1 * t
         assert d.b.is_zero() and d.c.is_zero()
         assert d.a.equals(RatElem.var("x1"))
@@ -249,7 +244,7 @@ class TestCheckHelpers:
     failure names what differs."""
 
     RX1, RX2 = RatElem.var("x1"), RatElem.var("x2")
-    UPPER = SymMat2(RX1, RatElem(1), RatElem(0), RX2)
+    UPPER = Mat2(RX1, RatElem(1), RatElem(0), RX2)
 
     def test_mat_check_passes_without_residual(self):
         check = identities._mat_check("m = m", self.UPPER, self.UPPER, "note")
@@ -257,7 +252,7 @@ class TestCheckHelpers:
 
     def test_mat_check_lists_each_unequal_entry(self):
         m = self.UPPER
-        other = SymMat2(m.a, m.b + self.RX1, m.c, m.d + RatElem(2))
+        other = Mat2(m.a, m.b + self.RX1, m.c, m.d + RatElem(2))
         check = identities._mat_check("m = other", m, other)
         assert not check.ok
         assert check.residual == "(1,2): -x1; (2,2): -2"
@@ -323,7 +318,7 @@ class TestPlantedFailures:
 
         def planted(r_sign: int = 1):
             s1, s2, s3 = original(r_sign)
-            return s1, SymMat2(s2.a, s2.b + RatElem(ExtElem(X1)), s2.c, s2.d), s3
+            return s1, Mat2(s2.a, s2.b + RatElem(ExtElem(X1)), s2.c, s2.d), s3
 
         monkeypatch.setattr(identities, "sym_generators", planted)
         failures = self._failures(run_all())
@@ -369,7 +364,7 @@ def _substituted_entries(case_id: str) -> list[RatElem]:
     """What the reports substitute under each case: the generator entries
     (equal-x) or the conjugated upper-right numerator (distinct-x)."""
     if case_id.startswith("equal-x"):
-        return [e for m in sym_generators(1) for _, e in m.entries()]
+        return [e for m in sym_generators(1) for e in m]
     return [RatElem(conjugated_upper_right_numerator())]
 
 

@@ -25,6 +25,7 @@ from heckeg7.irreducibility import (
 )
 from heckeg7.matrix2 import normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, approx_eq
+from heckeg7.render import diagnosis_as_dict
 from heckeg7.representation import InvalidParams, Params, build_equal_x, build_general
 
 WRONG_BRANCH_POINT = Params(
@@ -47,7 +48,7 @@ def positive_params(rng: random.Random) -> Params:
 
 
 def generator_invariance(g, direction, tol=1e-9) -> bool:
-    for m in g.as_list():
+    for m in g:
         image = m.apply(direction)
         if not parallel(image, direction, tol * max(1.0, m.maxmod())):
             return False
@@ -271,8 +272,10 @@ class TestBranchDiagnosis:
         assert verdict.oracle_decision == IRREDUCIBLE
         assert not verdict.agreement
         diag = verdict.branch_diagnosis
-        assert diag.applicable and diag.resolved
-        assert diag.flipped_r_sign == -1
+        assert diag.resolved
+        rendered = diagnosis_as_dict(verdict)
+        assert rendered["applicable"] and rendered["flipped-r-sign"] == -1
+        assert rendered["note"] == "disagreement disappears on the flipped branch"
         assert diag.flipped_oracle_decision == REDUCIBLE
 
     def test_wrong_branch_point_agrees_on_flipped_branch(self):

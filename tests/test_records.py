@@ -9,7 +9,7 @@ Params) coerce and validate every value, also through _replace.
 import pytest
 
 from heckeg7.exact import RatElem
-from heckeg7.identities import VERIFIED, CheckResult, IdentityReport, SymMat2
+from heckeg7.identities import VERIFIED, CheckResult, IdentityReport
 from heckeg7.irreducibility import BranchDiagnosis, ConditionFlag, Verdict, decide
 from heckeg7.matrix2 import SCALAR, EigenReport, Mat2
 from heckeg7.representation import GeneratorTriple, InvalidParams, Params, build_general
@@ -26,11 +26,10 @@ def one_of_each():
         p,
         build_general(p),
         ConditionFlag("z1*y2 = y1*z2", 1, 2, False),
-        BranchDiagnosis(applicable=False, note="agree"),
+        BranchDiagnosis("reducible", True, (1, 0)),
         decide(p),
         CheckResult("c", True),
         IdentityReport("r", VERIFIED, ()),
-        SymMat2(ONE, ONE, ONE, ONE),
         SweepConfig(samples=5),
         run_sweep(SweepConfig(samples=5)),
     ]
@@ -40,7 +39,7 @@ def test_every_record_type_is_covered():
     types = {type(rec) for rec in one_of_each()}
     assert types == {
         Mat2, EigenReport, Params, GeneratorTriple, ConditionFlag,
-        BranchDiagnosis, Verdict, CheckResult, IdentityReport, SymMat2,
+        BranchDiagnosis, Verdict, CheckResult, IdentityReport,
         SweepConfig, SweepResult,
     }
 
@@ -82,12 +81,8 @@ def test_records_refuse_assignment(record):
             "ConditionFlag(name='z1*y2 = y1*z2', lhs=-1j, rhs=-1j, equal=True), "
             "ConditionFlag(name='z1*y1 = y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False)), "
             "oracle_decision='irreducible', invariant_vector=None, agreement=False, "
-            "branch_diagnosis=BranchDiagnosis(applicable=True, "
-            "note='disagreement disappears on the flipped branch', flipped_r_sign=-1, "
-            "flipped_oracle_decision='reducible', resolved=True, "
-            "flipped_invariant_vector=((1+0j), 1j), conditions=("
-            "ConditionFlag(name='z1*y2 = y1*z2', lhs=-1j, rhs=-1j, equal=True), "
-            "ConditionFlag(name='z1*y1 = y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False))))",
+            "branch_diagnosis=BranchDiagnosis(flipped_oracle_decision='reducible', "
+            "resolved=True, flipped_invariant_vector=((1+0j), 1j)))",
         ),
     ],
     ids=["Mat2", "Params", "Params-cubic", "ConditionFlag", "Verdict"],
@@ -97,7 +92,7 @@ def test_repr_is_unchanged(record, expected):
 
 
 @pytest.mark.parametrize(
-    "matrix", [Mat2(1, 2, 3, 4), SymMat2(ONE, ONE, ONE, ONE)], ids=["Mat2", "SymMat2"]
+    "matrix", [Mat2(1, 2, 3, 4), Mat2(ONE, ONE, ONE, ONE)], ids=["Mat2", "Mat2-exact"]
 )
 def test_scalar_times_matrix_is_refused(matrix):
     # tuple.__rmul__ would silently return the entries repeated
@@ -105,10 +100,10 @@ def test_scalar_times_matrix_is_refused(matrix):
         2 * matrix
 
 
-def test_symbolic_matrices_do_not_concatenate():
-    m = SymMat2(ONE, ONE, ONE, ONE)
-    with pytest.raises(TypeError):
-        m + m
+def test_exact_matrices_add_entrywise():
+    # not the tuple concatenation a NamedTuple inherits
+    m = Mat2(ONE, ONE, ONE, ONE)
+    assert m + m == Mat2(2, 2, 2, 2)
 
 
 class TestParams:

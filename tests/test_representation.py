@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 from heckeg7.matrix2 import Mat2
 from heckeg7.numerics import approx_eq, principal_sqrt
 from heckeg7.representation import (
-    DegenerateRegime,
     GeneratorTriple,
     InvalidParams,
     Params,
@@ -20,6 +20,7 @@ from heckeg7.representation import (
     build_general,
     conjugator,
     delta,
+    generators,
     hecke_residuals,
 )
 
@@ -82,19 +83,19 @@ class TestGeneratorEntries:
         g = build_equal_x(Params(1, 1, 1, 1, 1, 1))
         assert_matrix_close(g.s2, ((2, 1), (-1, 0)))
         assert_matrix_close(g.s3, ((0, -1), (1, 2)))
-        assert g.r_used == 1
+        assert g.s3.c == 1
 
     def test_equal_x_with_two_z_values(self):
         # x = (1, 1), y = (1, 1), z = (4, 1): the root is 2 and the top-right
         # entry of s1 is 2/1 - 5*1/2 = -1/2.
         g = build_equal_x(Params(1, 1, 1, 1, 4, 1))
-        assert g.r_used == pytest.approx(2)
+        assert g.s3.c == pytest.approx(2)
         assert g.s1.b == pytest.approx(-0.5)
 
     def test_equal_x_with_larger_moduli(self):
         # x2 = 1, y = (2, 2), z = (8, 2): root 8, top-right 4/4 - 10/8 = -1/4.
         g = build_equal_x(Params(1, 1, 2, 2, 8, 2))
-        assert g.r_used == pytest.approx(8)
+        assert g.s3.c == pytest.approx(8)
         assert g.s1.b == pytest.approx(-0.25)
 
     def test_s2_eigenvalues_are_y1_y2(self):
@@ -116,14 +117,13 @@ class TestGeneratorEntries:
         p = Params(1, 1, 1, 1, 4, 1)
         plus = build_equal_x(p, r_sign=1)
         minus = build_equal_x(p, r_sign=-1)
-        assert minus.r_used == -plus.r_used
-        assert minus.r_sign == -1
+        assert plus.s3.c == 2
         assert minus.s3.c == -plus.s3.c
 
     def test_general_uses_principal_root_of_full_product(self):
         p = Params(2, 3, 5, 7, 11, 13)
         g = build_general(p)
-        assert approx_eq(g.r_used, principal_sqrt(delta(p)), 1e-15)
+        assert approx_eq(g.s3.c, principal_sqrt(delta(p)), 1e-15)
         assert g.s1.a == 2 and g.s1.d == 3 and g.s1.c == 0
 
     def test_equal_x_matches_general_when_x1_equals_x2(self):
@@ -133,12 +133,42 @@ class TestGeneratorEntries:
             q = Params(p.x2, p.x2, p.y1, p.y2, p.z1, p.z2)
             a = build_general(q)
             b = build_equal_x(q)
-            for left, right in zip(a.as_list(), b.as_list()):
+            for left, right in zip(a, b):
                 assert (left - right).maxmod() < 1e-12 * max(1.0, left.maxmod())
 
-    def test_as_list_order(self):
-        g = build_general(Params(1, 2, 3, 4, 5, 6))
-        assert g.as_list() == [g.s1, g.s2, g.s3]
+    def test_builder_is_generators_at_the_principal_root(self):
+        p = Params(1, 2, 3, 4, 5, 6)
+        r = principal_sqrt(delta(p))
+        assert build_general(p) == generators(*p[:6], r)
+        assert build_general(p, -1) == generators(*p[:6], -r)
+        assert list(build_general(p)) == [*generators(*p[:6], r)]
+
+
+nonzero_fractions = st.fractions(
+    min_value=-8, max_value=8, max_denominator=9
+).filter(bool)
+
+
+class TestGeneratorsOverTheRationals:
+    """generators is written with + - * / only, so it runs over exact
+    fractions too.  z2 is chosen so that DELTA = x1*x2*y1*y2*z1*z2 is the
+    square q^2; on both branches r = +-q the defining relations and the
+    central element s1*s2*s3 = r*I hold exactly."""
+
+    @given(*[nonzero_fractions] * 6)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_relations_and_central_element_hold_exactly(self, x1, x2, y1, y2, z1, q):
+        z2 = q * q / (x1 * x2 * y1 * y2 * z1)
+        zero = Mat2(0, 0, 0, 0)
+        for r in (q, -q):
+            g = generators(x1, x2, y1, y2, z1, z2, r)
+            assert all(type(e) is Fraction for m in g for e in m)
+            s1, s2, s3 = g
+            product = s1 * s2 * s3
+            assert product == s2 * s3 * s1 == s3 * s1 * s2
+            assert product == Mat2(r, 0, 0, r)
+            for m, e1, e2 in ((s1, x1, x2), (s2, y1, y2), (s3, z1, z2)):
+                assert m.minus_scalar(e1) * m.minus_scalar(e2) == zero
 
 
 class TestBuilderSafetyChecks:
@@ -204,8 +234,6 @@ class TestRelations:
             s1=Mat2(g.s1.a, g.s1.b + 0.05, g.s1.c, g.s1.d),
             s2=g.s2,
             s3=g.s3,
-            r_used=g.r_used,
-            r_sign=g.r_sign,
         )
         assert braid_residual(bad) > 0.01
 
@@ -224,7 +252,7 @@ class TestConjugator:
         # 2 - 4/sqrt(2) = 2 - 2*sqrt(2), and x2 - x1 = 1.
         p = Params(1, 2, 1, 1, 1, 1)
         g = build_general(p)
-        t = conjugator(p, g)
+        t = conjugator(g.s1, p.x1, p.x2)
         assert t.a == 1 and t.c == 0 and t.d == 1
         assert t.b == pytest.approx(2 - 2 * math.sqrt(2))
 
@@ -235,7 +263,7 @@ class TestConjugator:
             if abs(p.x1 - p.x2) < 1e-3:
                 continue
             g = build_general(p)
-            t = conjugator(p, g)
+            t = conjugator(g.s1, p.x1, p.x2)
             t_inv = Mat2(1, -t.b, 0, 1)
             conj = t_inv * g.s1 * t
             assert abs(conj.b) < 1e-9 * max(1.0, g.s1.maxmod())
@@ -246,18 +274,7 @@ class TestConjugator:
     def test_conjugated_s2_lower_left_is_minus_x1_y1_y2(self):
         p = Params(1, 2, 1, 1, 1, 1)
         g = build_general(p)
-        t = conjugator(p, g)
+        t = conjugator(g.s1, p.x1, p.x2)
         t_inv = Mat2(1, -t.b, 0, 1)
         conj = t_inv * g.s2 * t
         assert approx_eq(conj.c, -p.x1 * p.y1 * p.y2, 1e-12)
-
-    def test_degenerate_cases_rejected(self):
-        p_equal = Params(1, 1, 1, 1, 4, 1)
-        with pytest.raises(DegenerateRegime):
-            conjugator(p_equal, build_equal_x(p_equal))
-        # Distinct x but s1 already diagonal: top-right entry vanishes.
-        p_diag = Params(-1, 3, 1, 1, -1 / 3, 1)
-        g = build_general(p_diag)
-        assert abs(g.s1.b) < 1e-12
-        with pytest.raises(DegenerateRegime):
-            conjugator(p_diag, g)
