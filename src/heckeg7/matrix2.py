@@ -105,9 +105,11 @@ def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
     """Classify m and return eigendirections.
 
     Scalar: off-diagonal entries and the diagonal gap all vanish within
-    tol relative to the matrix magnitude.  Jordan: the characteristic
-    discriminant (a-d)^2 + 4bc vanishes within tol * maxmod^2 but the matrix
-    is not scalar; a single eigendirection exists.  Semisimple otherwise, two
+    tol relative to the matrix magnitude.  Jordan: the eigenvalue gap
+    sqrt|(a-d)^2 + 4bc| is at most tol * maxmod but the matrix is not
+    scalar; a single eigendirection exists.  (A looser test would merge
+    eigenvalues farther apart than common_eigenvector's own tolerance, whose
+    one direction can then fail its source matrix.)  Semisimple otherwise, two
     directions, eigenvalue order fixed by the principal square root of the
     discriminant (+ root first).
     """
@@ -118,7 +120,7 @@ def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
     if max(mod_b, mod_c, abs(gap)) <= tol * max(1.0, scale):
         return EigenReport(SCALAR, (trace / 2,), ())
     disc = gap ** 2 + 4 * b * c
-    if abs(disc) <= tol * scale * scale:
+    if abs(disc) <= (tol * scale) ** 2:
         lam = trace / 2
         return EigenReport(JORDAN, (lam,), (_kernel_direction(m, lam),))
     root = principal_sqrt(disc)

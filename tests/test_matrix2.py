@@ -3,7 +3,7 @@
 import cmath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeg7.matrix2 import (
@@ -24,6 +24,10 @@ entries = st.complex_numbers(
     min_magnitude=0, max_magnitude=1e3, allow_nan=False, allow_infinity=False
 )
 matrices = st.builds(Mat2, entries, entries, entries, entries)
+
+# Nearly defective: eigenvalue gap 2*sqrt(100*2e-8) ~ 2.8e-3, far above
+# tol * maxmod = 1e-7, so semisimple with two close directions.
+NEAR_JORDAN = Mat2(1, 100, 2e-8, 1)
 
 
 def assert_eigenpair(m: Mat2, value: complex, direction) -> None:
@@ -102,6 +106,21 @@ class TestEigenDirections:
         assert len(rep.directions) == 1
         assert_eigenpair(Mat2(2, 1, 0, 2), rep.eigenvalues[0], rep.directions[0])
 
+    @pytest.mark.parametrize("eps, kind", [(1e-19, JORDAN), (1e-17, SEMISIMPLE)])
+    def test_jordan_means_an_eigenvalue_gap_within_tol(self, eps, kind):
+        # gap 2*sqrt(eps) against tol * maxmod = 1e-9; either way the
+        # matrix keeps an eigendirection that passes its own test
+        m = Mat2(1, 1, eps, 1)
+        rep = eigen_directions(m, VERDICT_TOL)
+        assert rep.kind == kind
+        assert all(parallel(m.apply(v), v, VERDICT_TOL) for v in rep.directions)
+
+    def test_near_jordan_is_semisimple(self):
+        rep = eigen_directions(NEAR_JORDAN, VERDICT_TOL)
+        assert rep.kind == SEMISIMPLE
+        for value, direction in zip(rep.eigenvalues, rep.directions):
+            assert_eigenpair(NEAR_JORDAN, value, direction)
+
     def test_principal_root_ordering_of_eigenvalues(self):
         # Eigenvalues come out as (tr +/- principal_sqrt(disc)) / 2 with the
         # plus root first, so the order is deterministic.
@@ -166,6 +185,7 @@ class TestCommonEigenvector:
             assert any(parallel(found, d, 1e-9) for d in rep.directions)
 
     @given(matrices)
+    @example(NEAR_JORDAN)
     @settings(max_examples=200, derandomize=True)
     def test_single_matrix_always_has_an_eigenvector(self, m):
         found = common_eigenvector([m], VERDICT_TOL)
@@ -218,11 +238,13 @@ jordan_matrices = st.one_of(
         lambda d, lam, b: in_basis(d, Mat2(lam, b, 0, lam)),
         two_directions, eigenvalues, st.sampled_from((1.0, 1e3)),
     ),
-    # classified Jordan although not exactly defective: the candidate may
-    # fail the test against its own matrix
+    # nearly defective: Jordan when the eigenvalue gap 2*sqrt(b*eps) is
+    # within tol * maxmod (eps = 1e-20), semisimple with two close
+    # directions otherwise
     st.builds(
         lambda lam, b, eps: Mat2(lam, b, eps, lam),
-        eigenvalues, st.sampled_from((1.0, 100.0)), st.sampled_from((1e-12, 1e-9, 2e-8)),
+        eigenvalues, st.sampled_from((1.0, 100.0)),
+        st.sampled_from((1e-20, 1e-12, 1e-9, 2e-8)),
     ),
 )
 non_scalar_matrices = st.one_of(semisimple_matrices, jordan_matrices, matrices)
@@ -257,7 +279,7 @@ class TestCommonEigenvectorMatchesReference:
 
     I2, I3 = Mat2(2, 0, 0, 2), Mat2(3, 0, 0, 3)
     UPPER = Mat2(1, 1, 0, 2)  # candidates (1, 1), then (1, 0)
-    NEAR_JORDAN = Mat2(1, 100, 2e-8, 1)  # classified Jordan; (1, 0) fails it
+    NEAR_JORDAN = NEAR_JORDAN
 
     @pytest.mark.parametrize(
         "family, first, expected",
@@ -275,8 +297,8 @@ class TestCommonEigenvectorMatchesReference:
             # both candidates pass the matrix they came from, fail another
             ([UPPER, Mat2(0, -1, 1, 0)], 0, None),
             ([I2, UPPER, I3, Mat2(0, -1, 1, 0)], 1, None),
-            # the only candidate fails the matrix it came from, passes the rest
-            ([I2, NEAR_JORDAN, I3], 1, None),
+            # a nearly defective matrix keeps its first direction
+            ([I2, NEAR_JORDAN, I3], 1, (1, 1.4142135623731456e-05)),
         ],
     )
     def test_named_families(self, family, first, expected):
@@ -285,8 +307,9 @@ class TestCommonEigenvectorMatchesReference:
         assert found == reference_common_eigenvector(family, VERDICT_TOL)
         assert found == expected
 
-    def test_near_jordan_candidate_passes_every_other_matrix(self):
-        (v,) = eigen_directions(self.NEAR_JORDAN, VERDICT_TOL).directions
-        assert eigen_directions(self.NEAR_JORDAN, VERDICT_TOL).kind == JORDAN
-        assert not parallel(self.NEAR_JORDAN.apply(v), v, VERDICT_TOL)
-        assert all(parallel(m.apply(v), v, VERDICT_TOL) for m in (self.I2, self.I3))
+    def test_near_jordan_candidates_pass_every_matrix(self):
+        report = eigen_directions(self.NEAR_JORDAN, VERDICT_TOL)
+        assert report.kind == SEMISIMPLE and len(report.directions) == 2
+        for v in report.directions:
+            for m in (self.NEAR_JORDAN, self.I2, self.I3):
+                assert parallel(m.apply(v), v, VERDICT_TOL)
