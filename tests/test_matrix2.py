@@ -115,12 +115,6 @@ class TestEigenDirections:
         assert rep.kind == kind
         assert all(parallel(m.apply(v), v, VERDICT_TOL) for v in rep.directions)
 
-    def test_near_jordan_is_semisimple(self):
-        rep = eigen_directions(NEAR_JORDAN, VERDICT_TOL)
-        assert rep.kind == SEMISIMPLE
-        for value, direction in zip(rep.eigenvalues, rep.directions):
-            assert_eigenpair(NEAR_JORDAN, value, direction)
-
     def test_principal_root_ordering_of_eigenvalues(self):
         # Eigenvalues come out as (tr +/- principal_sqrt(disc)) / 2 with the
         # plus root first, so the order is deterministic.
