@@ -136,7 +136,7 @@ class TestGeneratorEntries:
             for left, right in zip(a, b):
                 assert (left - right).maxmod() < 1e-12 * max(1.0, left.maxmod())
 
-    def test_builder_is_generators_at_the_principal_root(self):
+    def test_build_general_is_generators_at_the_principal_root(self):
         p = Params(1, 2, 3, 4, 5, 6)
         r = principal_sqrt(delta(p))
         assert build_general(p) == generators(*p[:6], r)
