@@ -56,7 +56,6 @@ from .representation import (
     InvalidParams,
     Params,
     braid_residual,
-    build_equal_x,
     build_general,
     conjugator,
     delta,
@@ -89,7 +88,6 @@ __all__ = [
     "VERDICT_TOL",
     "approx_eq",
     "braid_residual",
-    "build_equal_x",
     "build_general",
     "common_eigenvector",
     "conjugator",

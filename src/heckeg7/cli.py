@@ -39,10 +39,11 @@ from .representation import (
     InvalidParams,
     Params,
     braid_residual,
-    build_equal_x,
     build_general,
     hecke_residuals,
 )
+# Not called here: perfbench/tracing.py wraps this name on this module.
+from .representation import build_equal_x  # noqa: F401
 from .sweep import DOMAINS, SCHEMA_VERSION, SweepConfig, run_sweep
 
 OK = 0
@@ -180,12 +181,9 @@ def _check_text(doc: dict) -> list[str]:
 def _relations_doc(
     p: Params, r_sign: int, tolerance: float, triple: GeneratorTriple | None = None
 ) -> dict:
-    """Relation residuals of the triple for p's regime at r_sign; a triple
-    passed in must be that one, already built."""
-    reg = regime(p, tolerance)
-    g = triple
-    if g is None:
-        g = build_equal_x(p, r_sign) if reg == EQUAL_X else build_general(p, r_sign)
+    """Relation residuals of p's triple at r_sign; a triple passed in must
+    be that one, already built."""
+    g = build_general(p, r_sign) if triple is None else triple
     braid = braid_residual(g)
     hecke = hecke_residuals(g, p)
     worst = max([braid, *hecke.values()])
@@ -193,7 +191,7 @@ def _relations_doc(
         "schema_version": SCHEMA_VERSION,
         "kind": "relation-residuals",
         "params": params_as_dict(p),
-        "regime": reg,
+        "regime": regime(p, tolerance),
         "r-sign": r_sign,
         "tolerance": tolerance,
         "braid-residual": braid,

@@ -50,7 +50,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import ExtElem, Poly, RatElem, Substitution, substitute
-from .irreducibility import _EQUAL_CASES, equal_x_lines, solved_value
+from .irreducibility import (
+    ALL_CASES,
+    _EQUAL_CASES,
+    equal_x_lines,
+    root_image,
+    solved_value,
+)
 from .matrix2 import Mat2
 from .representation import GeneratorTriple, _check_sign, conjugator, generators
 
@@ -136,16 +142,10 @@ def conjugated_upper_right_numerator() -> ExtElem:
     return ExtElem(poly_part, r_part)
 
 
-# The root image each reducibility case induces, keyed consistently with
-# irreducibility.ALL_CASES: its square is exactly the image of DELTA, and
-# both signs are legal root images.
+# irreducibility.root_image of each case over the symbols: its square is
+# exactly the image of DELTA, and both signs are legal root images.
 _ROOT_IMAGES = {
-    "equal-x-1": X2 * Y1 * Z2,
-    "equal-x-2": X2 * Y2 * Z2,
-    "distinct-x-1": X2 * Y1 * Z1,
-    "distinct-x-2": X2 * Y2 * Z1,
-    "distinct-x-3": X2 * Y1 * Z2,
-    "distinct-x-4": X2 * Y2 * Z2,
+    case_id: root_image(case_id, X2, Y1, Y2, Z1, Z2) for case_id in ALL_CASES
 }
 
 
@@ -153,8 +153,6 @@ def case_substitution(case_id: str) -> tuple[dict[str, RatElem], RatElem]:
     """The assignment that makes the case condition an identity -- the
     solved value of irreducibility.solved_value, with x1 = x2 in the
     equal-x cases -- and the induced root."""
-    if case_id not in _ROOT_IMAGES:
-        raise KeyError(f"unknown case id {case_id!r}")
     value = solved_value(case_id, X2, Y1, Y2, Z1, Z2)
     if case_id in _EQUAL_CASES:
         return {"x1": X2, "z1": value}, _ROOT_IMAGES[case_id]

@@ -1,21 +1,21 @@
 """Irreducibility decisions: closed-form criteria against a brute-force oracle.
 
 The closed-form criteria depend only on cross-products of the parameters and
-never on the square root r:
+never on the square root r: the point is irreducible iff all four of
 
-  equal-x regime (x1 = x2): irreducible iff
-      z1*y2 != y1*z2   and   z1*y1 != y2*z2;
-  distinct-x regime: irreducible iff all four of
-      x1*y2*z2 != x2*y1*z1,   x1*y1*z2 != x2*y2*z1,
-      x1*y2*z1 != x2*y1*z2,   x1*y1*z1 != x2*y2*z2.
+    x1*y2*z2 != x2*y1*z1,   x1*y1*z2 != x2*y2*z1,
+    x1*y2*z1 != x2*y1*z2,   x1*y1*z1 != x2*y2*z2.
+
+At x1 = x2 they reduce pairwise to the paper's two equal-x conditions, so
+the regime that regime(p, tol) detects is only a reported label.
 
 The oracle ignores all of that and simply searches the built triple for a
 common eigendirection.  The built triple *does* depend on the branch of r, so
 the two can disagree when a reducible parameter point is evaluated on the
 branch where the invariant line disappears; decide then re-runs the oracle
 on the flipped branch and reports, in Verdict.branch_diagnosis, whether that
-explains the mismatch.  The oracle is authoritative for the final agreement
-verdict.  The regime is always the one regime(p, tol) detects.
+explains the mismatch (it can only for a criteria-reducible point).  The
+oracle is authoritative for the final agreement verdict.
 """
 
 from __future__ import annotations
@@ -23,14 +23,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .matrix2 import Vec2, common_eigenvector, normalize_direction
-from .numerics import VERDICT_TOL, approx_eq
-from .representation import (
-    GeneratorTriple,
-    Params,
-    build_equal_x,
-    build_general,
-    conjugator,
-)
+from .numerics import VERDICT_TOL, approx_eq, principal_sqrt
+from .representation import GeneratorTriple, Params, _check_sign, build_general, delta
+# Not called here: perfbench/tracing.py wraps this name on this module.
+from .representation import build_equal_x  # noqa: F401
 
 EQUAL_X = "equal_x"
 DISTINCT_X = "distinct_x"
@@ -54,7 +50,8 @@ class ConditionFlag(NamedTuple):
 
 
 class BranchDiagnosis(NamedTuple):
-    """The oracle on the flipped branch -r_sign, run only on disagreement."""
+    """The oracle on the flipped branch -r_sign, run only on disagreement;
+    resolved iff the criteria and the flipped oracle both say reducible."""
 
     flipped_oracle_decision: str
     resolved: bool
@@ -74,8 +71,9 @@ class Verdict(NamedTuple):
 
 
 # Reducibility cases: case id -> the condition that makes the point
-# reducible.  theorem_verdict computes both sides of each condition, in
-# this order; solved_value gives the parameter that makes it hold.
+# reducible.  theorem_verdict computes both sides of each distinct-x
+# condition, in this order; solved_value gives the parameter that makes a
+# case's condition hold.
 _EQUAL_CASES = {
     "equal-x-1": "z1*y2 = y1*z2",
     "equal-x-2": "z1*y1 = y2*z2",
@@ -109,11 +107,27 @@ def solved_value(case_id: str, x2, y1, y2, z1, z2):
     raise KeyError(f"unknown case id {case_id!r}")
 
 
-def equal_x_lines(x2, y1, y2):
-    """The two invariant lines of an equal-x reducible point, over any
-    field: (-1/(x2*y2), 1), the s2-eigenline for y1, and (-1/(x2*y1), 1),
-    the one for y2."""
-    return (-1 / (x2 * y2), 1), (-1 / (x2 * y1), 1)
+# Case id -> (j, k) of its root image x2*y_j*z_k.  Each condition says
+# x1*y_j'*z_k' = x2*y_j*z_k (at x1 = x2 for the equal-x cases); DELTA is the
+# product of the two sides, so the image squares to DELTA where it holds.
+_ROOT_IMAGE_INDICES = {
+    "equal-x-1": (1, 2), "equal-x-2": (2, 2),
+    "distinct-x-1": (1, 1), "distinct-x-2": (2, 1),
+    "distinct-x-3": (1, 2), "distinct-x-4": (2, 2),
+}
+
+
+def root_image(case_id: str, x2, y1, y2, z1, z2):
+    """The case's root image x2*y_j*z_k over any field."""
+    j, k = _ROOT_IMAGE_INDICES[case_id]
+    return x2 * (y1, y2)[j - 1] * (z1, z2)[k - 1]
+
+
+def equal_x_lines(x, y1, y2):
+    """The eigenlines of s2 = [[y1+y2, 1/x], [-y1*y2*x, 0]] over any field:
+    (-1/(x*y2), 1) for y1 and (-1/(x*y1), 1) for y2.  At an equal-x
+    reducible point both are invariant."""
+    return (-1 / (x * y2), 1), (-1 / (x * y1), 1)
 
 
 def solve_case(case_id: str, p: Params) -> Params:
@@ -141,23 +155,20 @@ def theorem_verdict(
     """(regime, decision, condition flags).  Irreducible iff no reducibility
     condition holds.  Branch-independent: only cross-products of parameters.
 
-    One flag per condition of the regime, in case order; each side is a
-    product formed left to right as written in its name, e.g. (x1*y2)*z2.
+    One flag per distinct-x condition, in case order, at every point; each
+    side is a product formed left to right as written in its name, e.g.
+    (x1*y2)*z2.
     """
     reg = regime(p, tol)  # approx_eq rejects a nonpositive tol
     x1, x2, y1, y2, z1, z2, _, _ = p
-    if reg == EQUAL_X:
-        n1, n2 = _EQUAL_CASES.values()
-        flags = (_flag(n1, z1 * y2, y1 * z2, tol), _flag(n2, z1 * y1, y2 * z2, tol))
-    else:
-        n1, n2, n3, n4 = _DISTINCT_CASES.values()
-        x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2
-        flags = (
-            _flag(n1, x1y2 * z2, x2y1 * z1, tol),
-            _flag(n2, x1y1 * z2, x2y2 * z1, tol),
-            _flag(n3, x1y2 * z1, x2y1 * z2, tol),
-            _flag(n4, x1y1 * z1, x2y2 * z2, tol),
-        )
+    n1, n2, n3, n4 = _DISTINCT_CASES.values()
+    x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2
+    flags = (
+        _flag(n1, x1y2 * z2, x2y1 * z1, tol),
+        _flag(n2, x1y1 * z2, x2y2 * z1, tol),
+        _flag(n3, x1y2 * z1, x2y1 * z2, tol),
+        _flag(n4, x1y1 * z1, x2y2 * z2, tol),
+    )
     decision = REDUCIBLE if any([f.equal for f in flags]) else IRREDUCIBLE
     return reg, decision, flags
 
@@ -180,51 +191,50 @@ def decide(
     disagreement) the oracle on the flipped branch.  Each branch's triple is
     built once; a dict passed as triples receives them keyed by r sign."""
     reg, theorem, flags = theorem_verdict(p, tol)
-    build = build_equal_x if reg == EQUAL_X else build_general
     if triples is None:
         triples = {}
-    g = triples[r_sign] = build(p, r_sign)
+    g = triples[r_sign] = build_general(p, r_sign)
     oracle, witness = oracle_verdict(g, tol)
     agreement = oracle == theorem
     diagnosis = None
     if not agreement:
         flipped = -r_sign
-        g = triples[flipped] = build(p, flipped)
+        g = triples[flipped] = build_general(p, flipped)
         oracle2, witness2 = oracle_verdict(g, tol)
-        diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem, witness2)
+        diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem == REDUCIBLE, witness2)
     return Verdict(reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
+
+
+def _close(a: complex, b: complex, tol: float) -> bool:
+    return abs(a - b) <= tol * max(abs(a), abs(b))
 
 
 def invariant_vector_predicted(
     p: Params, case_id: str, r_sign: int = 1, tol: float = VERDICT_TOL
 ) -> Vec2:
-    """The invariant direction each reducibility case predicts.
+    """The invariant direction the case predicts at the branch r_sign.
 
-    The case must belong to p's regime, as regime(p, tol) detects it, and
-    its condition must hold; otherwise ConditionNotSatisfied is raised.
-    Equal-x cases: the first of equal_x_lines, (-1/(x2*y2), 1), independent
-    of the branch.  Distinct-x cases: the second column of the diagonalizing
-    conjugator, (T(1,2), 1) -- which only exists when x1 and x2 are apart
-    (the regime test) and s1 has an off-diagonal part.  When the condition
-    holds but s1(1,2) vanishes at this branch no invariant line can exist
-    here (the family is irreducible on this branch) and ContradictoryCase is
-    raised; the flipped branch carries the honest witness.
+    An invariant line is never (1, 0), since s2(2,1) = -y1*y2*x1 != 0, so
+    s1 acts on it by x2, and s1*s2*s3 = r*I makes r = x2*y_j*z_k for the
+    eigenvalues y_j of s2 and z_k of s3 on it.  So when the case's root
+    image equals r the line is s2's y_j eigenline; when it equals -r,
+    ContradictoryCase is raised (the flipped branch has the line); otherwise
+    ConditionNotSatisfied.  Compared purely relatively: |a-b| <= tol*max(|a|,|b|).
     """
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     if case_id not in ALL_CASES:
         raise KeyError(f"unknown case id {case_id!r}")
+    x1, x2, y1, y2, z1, z2, _, _ = p
+    r = _check_sign(r_sign) * principal_sqrt(delta(p))
+    image = root_image(case_id, x2, y1, y2, z1, z2)
+    if _close(image, r, tol):
+        j = _ROOT_IMAGE_INDICES[case_id][0]
+        return normalize_direction(equal_x_lines(x1, y1, y2)[j - 1])
     name = ALL_CASES[case_id]
-    reg, _, flags = theorem_verdict(p, tol)
-    if reg != (EQUAL_X if case_id in _EQUAL_CASES else DISTINCT_X):
-        raise ConditionNotSatisfied(f"{case_id} does not apply in the {reg} regime")
-    flag = next(f for f in flags if f.name == name)
-    if not flag.equal:
-        raise ConditionNotSatisfied(f"{name} fails: {flag.lhs!r} vs {flag.rhs!r}")
-    if reg == EQUAL_X:
-        return normalize_direction(equal_x_lines(p.x2, p.y1, p.y2)[0])
-    g = build_general(p, r_sign)
-    if abs(g.s1.b) <= tol * max(1.0, g.s1.maxmod()):
+    if _close(image, -r, tol):
         raise ContradictoryCase(
-            f"{name} holds yet s1 is diagonal at r_sign {r_sign:+d}; no invariant "
-            "line exists on this branch (the flipped branch carries one)"
+            f"{name} holds with root image {image!r} = -r at r_sign {r_sign:+d}; "
+            "no invariant line exists on this branch (the flipped branch carries one)"
         )
-    return normalize_direction((conjugator(g.s1, p.x1, p.x2).b, 1))
+    raise ConditionNotSatisfied(f"{case_id}: root image {image!r} is not +-r = {r!r}")

@@ -128,23 +128,21 @@ def flag_as_dict(f: ConditionFlag) -> dict:
 
 
 def diagnosis_as_dict(v: Verdict) -> dict | None:
-    """The branch diagnosis of v; the fields a diagnosis does not store
-    follow from the verdict."""
+    """The branch diagnosis of v; the note and the flipped sign follow from
+    the verdict."""
     d = v.branch_diagnosis
     if d is None:
         return None
     return {
-        "applicable": True,
         "note": (
             "disagreement disappears on the flipped branch"
             if d.resolved
-            else "disagreement persists on both branches"
+            else "the flipped branch does not explain the disagreement"
         ),
         "flipped-r-sign": -v.r_sign,
         "flipped-oracle-decision": d.flipped_oracle_decision,
         "resolved": d.resolved,
         "flipped-invariant-vector": vec_as_dict(d.flipped_invariant_vector),
-        "conditions": [flag_as_dict(f) for f in v.conditions],
     }
 
 

@@ -15,8 +15,9 @@ measure those numerically.  The sign choice for r changes the triple (the two
 choices are genuinely different specializations), so r_sign is explicit
 everywhere and defaults to +1, meaning r = principal_sqrt of the product.
 
-build_equal_x is the x1 = x2 family written with x2 alone; it agrees
-entrywise with build_general whenever x1 equals x2 exactly.
+build_general is the one float builder.  build_equal_x, the x1 = x2
+family, is build_general with x1 replaced by x2; the package decides every
+point with build_general, whatever regime the point is labelled with.
 
 generators and conjugator use only + - * /, so the same formulas run over
 complex floats here and over exact fractions in the identity suite.
@@ -122,8 +123,13 @@ def generators(x1, x2, y1, y2, z1, z2, r) -> GeneratorTriple:
     )
 
 
-def _assemble(p: Params, x1: complex, x2: complex, r: complex) -> GeneratorTriple:
-    _, _, y1, y2, z1, z2, _, _ = p
+def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
+    """Generator triple at p with r = r_sign * principal_sqrt(x1*x2*y1*y2*z1*z2)."""
+    _check_sign(r_sign)
+    r = r_sign * principal_sqrt(delta(p))
+    if r == 0:
+        raise InvalidParams("parameter product underflows to zero")
+    x1, x2, y1, y2, z1, z2, _, _ = p
     g = generators(x1, x2, y1, y2, z1, z2, r)
     s1, s2, s3 = g
     if not all(map(is_finite, (*s1, *s2, *s3))):
@@ -131,23 +137,9 @@ def _assemble(p: Params, x1: complex, x2: complex, r: complex) -> GeneratorTripl
     return g
 
 
-def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
-    """Generator triple at p with r = r_sign * principal_sqrt(x1*x2*y1*y2*z1*z2)."""
-    _check_sign(r_sign)
-    r = r_sign * principal_sqrt(delta(p))
-    if r == 0:
-        raise InvalidParams("parameter product underflows to zero")
-    return _assemble(p, p.x1, p.x2, r)
-
-
 def build_equal_x(p: Params, r_sign: int = 1) -> GeneratorTriple:
-    """The x1 = x2 family, written with x2 only; r squares to
-    x2^2*y1*y2*z1*z2.  The caller decides that the equal-x regime applies."""
-    _check_sign(r_sign)
-    r = r_sign * principal_sqrt(p.x2 * p.x2 * p.y1 * p.y2 * p.z1 * p.z2)
-    if r == 0:
-        raise InvalidParams("parameter product underflows to zero")
-    return _assemble(p, p.x2, p.x2, r)
+    """The x1 = x2 family: build_general with x1 replaced by x2."""
+    return build_general(p._replace(x1=p.x2), r_sign)
 
 
 def _scaled_product_residual(factors: list[Mat2]) -> float:

@@ -14,6 +14,10 @@ invariant direction (-1/(x2*y1), 1) -- in that case the representation
 splits completely, so the invariant line is not unique and the oracle may
 return either one.
 
+A disagreement counts as resolved only when the criteria and the flipped
+branch's oracle both say reducible.  The regime filter only chooses what is
+drawn; every sample goes through the same decide.
+
 Results are JSON-ready dicts with deterministic content: one seed and one
 config always produce byte-identical serialized output.
 """
@@ -41,7 +45,7 @@ from .representation import GeneratorTriple, InvalidParams, Params
 # Not called here: perfbench/tracing.py wraps these names on this module.
 from .representation import build_equal_x, build_general  # noqa: F401
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 POSITIVE_REAL = "positive-real"
 UNIT_MODULUS = "unit-modulus"
@@ -228,7 +232,7 @@ def _producing_witness(v: Verdict) -> tuple[Vec2, int] | None:
             return None
         return v.invariant_vector, v.r_sign
     d = v.branch_diagnosis
-    if d is not None and d.resolved and d.flipped_invariant_vector is not None:
+    if d is not None and d.resolved:
         return d.flipped_invariant_vector, -v.r_sign
     return None
 

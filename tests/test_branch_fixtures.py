@@ -47,7 +47,7 @@ def test_disagrees_on_default_branch(entry):
     diagnosis = verdict.branch_diagnosis
     assert diagnosis.resolved
     rendered = diagnosis_as_dict(verdict)
-    assert rendered["applicable"] and rendered["flipped-r-sign"] == -1
+    assert rendered["flipped-r-sign"] == -1
 
 
 @pytest.mark.parametrize(

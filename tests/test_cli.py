@@ -67,7 +67,7 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", path)
         assert code == OK
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["kind"] == "check-verdict"
         assert doc["verdict"]["agreement"] is True
         assert doc["verdict"]["theorem-decision"] == "reducible"
@@ -125,7 +125,7 @@ class TestCheck:
     @pytest.mark.parametrize(
         "doc, regime, conditions, decision",
         [
-            (ALL_ONES, "equal_x", 2, "reducible"),
+            (ALL_ONES, "equal_x", 4, "reducible"),
             (Y_EQUALS_Z_DISTINCT_X, "distinct_x", 4, "irreducible"),
         ],
     )

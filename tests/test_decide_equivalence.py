@@ -19,7 +19,6 @@ from heckeg7 import sweep
 
 from heckeg7.irreducibility import (
     ALL_CASES,
-    EQUAL_X,
     IRREDUCIBLE,
     REDUCIBLE,
     BranchDiagnosis,
@@ -30,7 +29,7 @@ from heckeg7.irreducibility import (
 )
 from heckeg7.matrix2 import SCALAR, eigen_directions, normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, approx_eq
-from heckeg7.representation import build_equal_x, build_general
+from heckeg7.representation import build_general
 from heckeg7.sweep import (
     GENERAL_COMPLEX,
     POSITIVE_REAL,
@@ -50,8 +49,6 @@ POINTS_PER_CONFIG = 500  # x 4 configs = 2,000 points, each on both branches
 
 # Each side of each condition, with the multiplications in name order.
 CONDITION_SIDES = {
-    "z1*y2 = y1*z2": (lambda p: p.z1 * p.y2, lambda p: p.y1 * p.z2),
-    "z1*y1 = y2*z2": (lambda p: p.z1 * p.y1, lambda p: p.y2 * p.z2),
     "x1*y2*z2 = x2*y1*z1": (lambda p: p.x1 * p.y2 * p.z2, lambda p: p.x2 * p.y1 * p.z1),
     "x1*y1*z2 = x2*y2*z1": (lambda p: p.x1 * p.y1 * p.z2, lambda p: p.x2 * p.y2 * p.z1),
     "x1*y2*z1 = x2*y1*z2": (lambda p: p.x1 * p.y2 * p.z1, lambda p: p.x2 * p.y1 * p.z2),
@@ -82,13 +79,14 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
         lhs_fn, rhs_fn = CONDITION_SIDES[flag.name]
         lhs, rhs = lhs_fn(p), rhs_fn(p)
         expected_flags.append(ConditionFlag(flag.name, lhs, rhs, approx_eq(lhs, rhs, tol)))
+    assert [flag.name for flag in flags] == list(CONDITION_SIDES)
     assert flags == tuple(expected_flags)
-    build = build_equal_x if reg == EQUAL_X else build_general
-    oracle, witness = reference_oracle(build(p, r_sign), tol)
+    oracle, witness = reference_oracle(build_general(p, r_sign), tol)
     diagnosis = None
     if oracle != theorem:
-        oracle2, witness2 = reference_oracle(build(p, -r_sign), tol)
-        resolved = oracle2 == theorem
+        oracle2, witness2 = reference_oracle(build_general(p, -r_sign), tol)
+        # only a criteria-reducible disagreement can be a branch effect
+        resolved = oracle2 == theorem == REDUCIBLE
         diagnosis = BranchDiagnosis(
             flipped_oracle_decision=oracle2,
             resolved=resolved,
@@ -127,15 +125,13 @@ def test_decide_matches_reference_on_both_branches(cfg):
             triples = {}
             v = decide(p, r_sign, triples=triples)
             assert v == reference_verdict(p, r_sign), (case_id, p, r_sign)
-            build = build_equal_x if v.regime == EQUAL_X else build_general
             expected_signs = {r_sign} if v.agreement else {r_sign, -r_sign}
-            assert triples == {s: build(p, s) for s in expected_signs}
+            assert triples == {s: build_general(p, s) for s in expected_signs}
 
 
-def invariant_on_fresh_triple(p, v, direction, sign, tol):
-    build = build_equal_x if v.regime == EQUAL_X else build_general
+def invariant_on_fresh_triple(p, direction, sign, tol):
     return all(
-        parallel(m.apply(direction), direction, tol) for m in build(p, sign)
+        parallel(m.apply(direction), direction, tol) for m in build_general(p, sign)
     )
 
 
@@ -165,7 +161,7 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
     for i, case_id in injected.items():
         p, v = decided[i]
         found = sweep._producing_witness(v)
-        if found is None or not invariant_on_fresh_triple(p, v, *found, cfg.tolerance):
+        if found is None or not invariant_on_fresh_triple(p, *found, cfg.tolerance):
             failures.append(i)
             continue
         if case_id != "equal-x-1":
@@ -174,7 +170,7 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
         predicted = normalize_direction((-1.0 / (p.x2 * p.y2), 1.0))
         complementary = normalize_direction((-1.0 / (p.x2 * p.y1), 1.0))
         if not (
-            invariant_on_fresh_triple(p, v, predicted, sign, cfg.tolerance)
+            invariant_on_fresh_triple(p, predicted, sign, cfg.tolerance)
             and any(
                 sweep._direction_eq(witness, line, cfg.tolerance)
                 for line in (predicted, complementary)

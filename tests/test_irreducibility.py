@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeg7.irreducibility import (
@@ -24,23 +24,27 @@ from heckeg7.irreducibility import (
     theorem_verdict,
 )
 from heckeg7.matrix2 import normalize_direction, parallel
-from heckeg7.numerics import VERDICT_TOL, approx_eq
+from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
 from heckeg7.render import diagnosis_as_dict
-from heckeg7.representation import InvalidParams, Params, build_equal_x, build_general
+from heckeg7.representation import InvalidParams, Params, build_general, delta
 
 WRONG_BRANCH_POINT = Params(
     1, 1, cmath.exp(0.9j * math.pi), 1, cmath.exp(0.9j * math.pi), 1
 )
 DIAGONAL_S1_POINT = Params(-1, 3, 1, 1, -1 / 3, 1)
 
-EQUAL_CASE_IDS = ("equal-x-1", "equal-x-2")
-# x1*y2*z2 = x2*y1*z1 at x1 = x2 is z1*y1 = y2*z2, and so on.
-DISTINCT_TO_EQUAL_AT_EQUAL_X = {
-    "distinct-x-1": "equal-x-2",
-    "distinct-x-2": "equal-x-1",
-    "distinct-x-3": "equal-x-1",
-    "distinct-x-4": "equal-x-2",
-}
+# Sample 245 of `sweep --samples 5000 --domain general-complex
+# --log10-modulus-min -6 --log10-modulus-max 6` (seed 42): the criteria say
+# irreducible, the oracle finds a false witness at r sign +1 and none on the
+# flipped branch, so the flip cannot explain the disagreement.
+FALSE_WITNESS_POINT = Params(
+    0.004009522500325584 + 0.0030117211332456144j,
+    0.39235717274057913 - 0.627279377069502j,
+    1.1932525569462424e-05 - 3.395775573795647e-06j,
+    -0.00012441759716472285 - 0.00010900620693806829j,
+    0.02553350250660864 + 0.009052371997597609j,
+    0.0014092878169968855 + 0.00031447436071397065j,
+)
 
 
 def positive_params(rng: random.Random) -> Params:
@@ -67,18 +71,33 @@ class TestRegime:
 
 class TestTheoremVerdict:
     def test_equal_x_reducible_when_cross_products_match(self):
-        # y1*z2 = 1*6 = 6 = z1*y2 = 3*2.
+        # y1*z2 = 1*6 = 6 = z1*y2 = 3*2: at x1 = x2 the second and third
+        # distinct-x conditions both say so.
         reg, decision, flags = theorem_verdict(Params(1, 1, 1, 2, 3, 6))
         assert reg == EQUAL_X
         assert decision == REDUCIBLE
-        assert len(flags) == 2
-        assert any(flag.equal for flag in flags)
+        assert len(flags) == 4
+        assert [flag.equal for flag in flags] == [False, True, True, False]
 
     def test_equal_x_irreducible(self):
         reg, decision, flags = theorem_verdict(Params(1, 1, 2, 3, 5, 7))
         assert reg == EQUAL_X
         assert decision == IRREDUCIBLE
+        assert len(flags) == 4
         assert all(not flag.equal for flag in flags)
+
+    def test_conditions_pair_up_at_equal_x(self):
+        # At x1 = x2 the first and fourth conditions are z1*y1 = y2*z2 and
+        # the second and third are z1*y2 = y1*z2, side for side.
+        p = Params(3, 3, 2, 5, 7, 11)
+        _, _, flags = theorem_verdict(p)
+        first, second, third, fourth = flags
+        assert (first.lhs, first.rhs) == (fourth.rhs, fourth.lhs) == (
+            3 * 5 * 11, 3 * 2 * 7
+        )
+        assert (second.lhs, second.rhs) == (third.rhs, third.lhs) == (
+            3 * 2 * 11, 3 * 5 * 7
+        )
 
     def test_distinct_x_reducible_third_case(self):
         # x1*y2*z1 = 1*1*2 = 2 = x2*y1*z2 = 2*1*1.  With y1 = y2 the fourth
@@ -101,6 +120,43 @@ class TestTheoremVerdict:
         reg, decision, flags = theorem_verdict(Params(2, 3, 5, 7, 11, 13))
         assert decision == IRREDUCIBLE
         assert len(flags) == 4
+
+    @given(
+        st.lists(
+            st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3),
+            min_size=6,
+            max_size=6,
+        ),
+        st.booleans(),
+        st.sampled_from((None, *sorted(ALL_CASES))),
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @example([1, 1, 1, 2, 3, 6], True, None)
+    def test_swapping_a_pair_permutes_the_conditions(self, values, equal_x, case_id):
+        # positions of the four flags after swapping y1<->y2, z1<->z2 or
+        # x1<->x2; swapping x also swaps the two sides of each condition
+        swaps = {
+            ("y1", "y2"): ((1, 0, 3, 2), False),
+            ("z1", "z2"): ((2, 3, 0, 1), False),
+            ("x1", "x2"): ((3, 2, 1, 0), True),
+        }
+        p = Params(*values)
+        if equal_x:
+            p = p._replace(x1=p.x2)
+        if case_id is not None:
+            try:
+                p = solve_case(case_id, p)
+            except InvalidParams:
+                return
+        reg, decision, flags = theorem_verdict(p)
+        for (a, b), (moved, sides_swap) in swaps.items():
+            q = p._replace(**{a: getattr(p, b), b: getattr(p, a)})
+            reg_q, decision_q, flags_q = theorem_verdict(q)
+            assert (reg_q, decision_q) == (reg, decision)
+            for i, flag in enumerate(flags):
+                image = flags_q[moved[i]]
+                sides = (flag.rhs, flag.lhs) if sides_swap else (flag.lhs, flag.rhs)
+                assert (image.lhs, image.rhs, image.equal) == (*sides, flag.equal)
 
     def test_flags_carry_the_compared_values(self):
         _, _, flags = theorem_verdict(Params(1, 1, 1, 2, 3, 6))
@@ -135,7 +191,7 @@ class TestSolveCase:
 
 class TestOracle:
     def test_all_ones_point_has_invariant_direction(self):
-        g = build_equal_x(Params(1, 1, 1, 1, 1, 1))
+        g = build_general(Params(1, 1, 1, 1, 1, 1))
         decision, witness = oracle_verdict(g)
         assert decision == REDUCIBLE
         assert witness is not None
@@ -152,7 +208,7 @@ class TestOracle:
         rng = random.Random(23)
         for case_id in sorted(ALL_CASES):
             p = solve_case(case_id, positive_params(rng))
-            g = build_equal_x(p) if case_id.startswith("equal") else build_general(p)
+            g = build_general(p)
             decision, witness = oracle_verdict(g)
             assert decision == REDUCIBLE
             assert generator_invariance(g, witness)
@@ -175,7 +231,7 @@ class TestPredictedDirection:
             for _ in range(10):
                 p = solve_case(case_id, positive_params(rng))
                 direction = invariant_vector_predicted(p, case_id)
-                g = build_equal_x(p)
+                g = build_general(p)
                 assert generator_invariance(g, direction)
 
     def test_equal_case_splits_completely(self):
@@ -183,7 +239,7 @@ class TestPredictedDirection:
         # are invariant, so the invariant line is not unique.  The oracle
         # returns the one attached to the larger-modulus eigenvalue of s2.
         p_big_y1 = solve_case("equal-x-1", Params(1, 1, 4, 1, 1, 1))
-        g = build_equal_x(p_big_y1)
+        g = build_general(p_big_y1)
         primary = normalize_direction((-1 / (p_big_y1.x2 * p_big_y1.y2), 1))
         secondary = normalize_direction((-1 / (p_big_y1.x2 * p_big_y1.y1), 1))
         assert generator_invariance(g, primary)
@@ -192,7 +248,7 @@ class TestPredictedDirection:
         assert parallel(witness, primary, 1e-9)
 
         p_big_y2 = solve_case("equal-x-1", Params(1, 1, 1, 4, 1, 1))
-        g2 = build_equal_x(p_big_y2)
+        g2 = build_general(p_big_y2)
         _, witness2 = oracle_verdict(g2)
         complementary = normalize_direction((-1 / (p_big_y2.x2 * p_big_y2.y1), 1))
         assert parallel(witness2, complementary, 1e-9)
@@ -201,51 +257,50 @@ class TestPredictedDirection:
         with pytest.raises(ConditionNotSatisfied):
             invariant_vector_predicted(Params(2, 3, 5, 7, 11, 13), "distinct-x-1")
 
-    def test_equal_case_refused_at_a_distinct_point(self):
-        # y = z = (1, 2) satisfies z1*y2 = y1*z2, but x = (2, 3) is in the
-        # distinct-x regime, where the point is irreducible.
+    def test_distinct_case_at_an_equal_point(self):
+        # x1*y2*z2 = x2*y1*z1 holds (both 4) with x1 = x2; the root image
+        # x2*y1*z1 = 4 is r, so the y1 eigenline of s2 is invariant.
+        p = Params(2, 2, 1, 2, 2, 1)
+        direction = invariant_vector_predicted(p, "distinct-x-1")
+        assert parallel(direction, (-0.25, 1), 1e-12)
+        assert generator_invariance(build_general(p), direction)
+
+    def test_equal_case_at_a_distinct_point_needs_its_root_image(self):
+        # y = z = (1, 2) satisfies z1*y2 = y1*z2, but with x = (2, 3) the
+        # root image x2*y1*z2 = 6 is not +-r = +-sqrt(24): the point is
+        # irreducible.
         p = Params(2, 3, 1, 2, 1, 2)
         assert decide(p).theorem_decision == IRREDUCIBLE
-        with pytest.raises(ConditionNotSatisfied, match="distinct_x regime"):
+        with pytest.raises(ConditionNotSatisfied, match="is not"):
             invariant_vector_predicted(p, "equal-x-1")
-
-    def test_distinct_case_refused_at_an_equal_point(self):
-        # x1*y2*z2 = x2*y1*z1 holds (both 4), but x1 = x2
-        p = Params(2, 2, 1, 2, 2, 1)
-        with pytest.raises(ConditionNotSatisfied, match="equal_x regime"):
-            invariant_vector_predicted(p, "distinct-x-1")
 
     @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
     def test_solved_point_gets_an_invariant_direction(self, case_id):
-        build = build_equal_x if case_id in EQUAL_CASE_IDS else build_general
         rng = random.Random(f"predicted:{case_id}")
         for _ in range(5):
             p = solve_case(case_id, positive_params(rng))
             direction = invariant_vector_predicted(p, case_id)
-            assert generator_invariance(build(p, 1), direction)
+            assert generator_invariance(build_general(p, 1), direction)
 
     @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
-    def test_case_of_the_other_regime_is_refused(self, case_id):
-        # The case's own condition holds at every point drawn here; only the
-        # detected regime rules the case out.
-        rng = random.Random(f"other-regime:{case_id}")
-        for _ in range(5):
-            base = positive_params(rng)
-            if case_id in EQUAL_CASE_IDS:
-                p = solve_case(case_id, base)
-                p = p._replace(x1=2 * p.x2)
-                expected = DISTINCT_X
-                assert regime(p) == expected
-            else:
-                # With x1 = x2 a distinct-x condition reduces to an equal-x one.
-                p = solve_case(DISTINCT_TO_EQUAL_AT_EQUAL_X[case_id], base)
-                expected = EQUAL_X
-                _, _, flags = theorem_verdict(p)
-                assert {f.name: f.equal for f in flags}[
-                    ALL_CASES[DISTINCT_TO_EQUAL_AT_EQUAL_X[case_id]]
-                ]
-            with pytest.raises(ConditionNotSatisfied, match=f"the {expected} regime"):
-                invariant_vector_predicted(p, case_id)
+    def test_only_the_branch_of_the_root_image_has_the_line(self, case_id):
+        # The case holds at both signs of r, but its root image equals r on
+        # one branch only; the other branch has no invariant line.
+        p = solve_case(case_id, Params(2, 3, 5, 7, 11, 13))
+        x1, x2, y1, y2, z1, z2, _, _ = p
+        image = {
+            "equal-x-1": x2 * y1 * z2, "equal-x-2": x2 * y2 * z2,
+            "distinct-x-1": x2 * y1 * z1, "distinct-x-2": x2 * y2 * z1,
+            "distinct-x-3": x2 * y1 * z2, "distinct-x-4": x2 * y2 * z2,
+        }[case_id]
+        root = principal_sqrt(delta(p))
+        right = 1 if approx_eq(image, root) else -1
+        assert approx_eq(image, right * root)
+        direction = invariant_vector_predicted(p, case_id, r_sign=right)
+        assert generator_invariance(build_general(p, right), direction)
+        assert oracle_verdict(build_general(p, -right))[0] == IRREDUCIBLE
+        with pytest.raises(ContradictoryCase):
+            invariant_vector_predicted(p, case_id, r_sign=-right)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_nonpositive_tolerance_rejected(self, tol):
@@ -274,9 +329,21 @@ class TestBranchDiagnosis:
         diag = verdict.branch_diagnosis
         assert diag.resolved
         rendered = diagnosis_as_dict(verdict)
-        assert rendered["applicable"] and rendered["flipped-r-sign"] == -1
+        assert rendered["flipped-r-sign"] == -1
         assert rendered["note"] == "disagreement disappears on the flipped branch"
+        assert "applicable" not in rendered and "conditions" not in rendered
         assert diag.flipped_oracle_decision == REDUCIBLE
+
+    def test_flip_never_resolves_a_criteria_irreducible_point(self):
+        verdict = decide(FALSE_WITNESS_POINT)
+        assert verdict.theorem_decision == IRREDUCIBLE
+        assert verdict.oracle_decision == REDUCIBLE
+        diag = verdict.branch_diagnosis
+        assert diag.flipped_oracle_decision == IRREDUCIBLE
+        assert not diag.resolved
+        assert diagnosis_as_dict(verdict)["note"] == (
+            "the flipped branch does not explain the disagreement"
+        )
 
     def test_wrong_branch_point_agrees_on_flipped_branch(self):
         verdict = decide(WRONG_BRANCH_POINT, r_sign=-1)

@@ -17,8 +17,9 @@ PACKAGE = Path(heckeg7.__file__).resolve().parent
 # Exported without a caller, pending decisions on the roadmap:
 #   eval_numeric, rat_equals -- item 6 (exact ground truth for the float
 #       deciders) either calls them or deletes them;
-#   invariant_vector_predicted -- item 1 (the central-element decider)
-#       decides whether the conjugator path behind it stays.
+#   invariant_vector_predicted -- the closed-form line of a reducibility
+#       case (the s2 eigenline its root image names); item 1 (the
+#       central-element decider) decides whether the sweep calls it.
 UNCALLED_ALLOWED = {"eval_numeric", "rat_equals", "invariant_vector_predicted"}
 
 

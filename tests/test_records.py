@@ -78,8 +78,10 @@ def test_records_refuse_assignment(record):
             decide(Params(1, 1, -1j, 1, -1j, 1)),
             "Verdict(regime='equal_x', r_sign=1, tolerance=1e-09, "
             "theorem_decision='reducible', conditions=("
-            "ConditionFlag(name='z1*y2 = y1*z2', lhs=-1j, rhs=-1j, equal=True), "
-            "ConditionFlag(name='z1*y1 = y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False)), "
+            "ConditionFlag(name='x1*y2*z2 = x2*y1*z1', lhs=(1+0j), rhs=(-1+0j), equal=False), "
+            "ConditionFlag(name='x1*y1*z2 = x2*y2*z1', lhs=-1j, rhs=-1j, equal=True), "
+            "ConditionFlag(name='x1*y2*z1 = x2*y1*z2', lhs=-1j, rhs=-1j, equal=True), "
+            "ConditionFlag(name='x1*y1*z1 = x2*y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False)), "
             "oracle_decision='irreducible', invariant_vector=None, agreement=False, "
             "branch_diagnosis=BranchDiagnosis(flipped_oracle_decision='reducible', "
             "resolved=True, flipped_invariant_vector=((1+0j), 1j)))",

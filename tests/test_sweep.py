@@ -223,7 +223,7 @@ class TestRegimeFilter:
 class TestResultDocument:
     def test_schema_fields(self):
         doc = run_sweep(small_config(samples=100)).as_dict()
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["kind"] == "sweep-summary"
         assert set(doc["config"]) == {
             "samples",
