@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .matrix2 import Vec2, common_eigenvector, normalize_direction
+from .matrix2 import Vec2, _record, common_eigenvector, normalize_direction
 from .numerics import VERDICT_TOL, approx_eq, principal_sqrt
 from .representation import GeneratorTriple, Params, _check_sign, build_general, delta
 # Not called here: perfbench/tracing.py wraps this name on this module.
@@ -145,10 +145,6 @@ def regime(p: Params, tol: float = VERDICT_TOL) -> str:
     return EQUAL_X if approx_eq(p.x1, p.x2, tol) else DISTINCT_X
 
 
-def _flag(name: str, lhs: complex, rhs: complex, tol: float) -> ConditionFlag:
-    return ConditionFlag(name, lhs, rhs, abs(lhs - rhs) <= tol * max(1.0, abs(lhs), abs(rhs)))
-
-
 def theorem_verdict(
     p: Params, tol: float = VERDICT_TOL
 ) -> tuple[str, str, tuple[ConditionFlag, ...]]:
@@ -157,19 +153,31 @@ def theorem_verdict(
 
     One flag per distinct-x condition, in case order, at every point; each
     side is a product formed left to right as written in its name, e.g.
-    (x1*y2)*z2.
+    (x1*y2)*z2, and the sides are equal when
+    |lhs - rhs| <= tol*max(1, |lhs|, |rhs|).  The regime is regime(p, tol),
+    written out like each comparison since this runs once per point.
     """
-    reg = regime(p, tol)  # approx_eq rejects a nonpositive tol
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     x1, x2, y1, y2, z1, z2, _, _ = p
-    n1, n2, n3, n4 = _DISTINCT_CASES.values()
+    reg = EQUAL_X if abs(x1 - x2) <= tol * max(1.0, abs(x1), abs(x2)) else DISTINCT_X
     x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2
+    l1, r1 = x1y2 * z2, x2y1 * z1
+    l2, r2 = x1y1 * z2, x2y2 * z1
+    l3, r3 = x1y2 * z1, x2y1 * z2
+    l4, r4 = x1y1 * z1, x2y2 * z2
+    e1 = abs(l1 - r1) <= tol * max(1.0, abs(l1), abs(r1))
+    e2 = abs(l2 - r2) <= tol * max(1.0, abs(l2), abs(r2))
+    e3 = abs(l3 - r3) <= tol * max(1.0, abs(l3), abs(r3))
+    e4 = abs(l4 - r4) <= tol * max(1.0, abs(l4), abs(r4))
+    n1, n2, n3, n4 = _DISTINCT_CASES.values()
     flags = (
-        _flag(n1, x1y2 * z2, x2y1 * z1, tol),
-        _flag(n2, x1y1 * z2, x2y2 * z1, tol),
-        _flag(n3, x1y2 * z1, x2y1 * z2, tol),
-        _flag(n4, x1y1 * z1, x2y2 * z2, tol),
+        _record(ConditionFlag, (n1, l1, r1, e1)),
+        _record(ConditionFlag, (n2, l2, r2, e2)),
+        _record(ConditionFlag, (n3, l3, r3, e3)),
+        _record(ConditionFlag, (n4, l4, r4, e4)),
     )
-    decision = REDUCIBLE if any([f.equal for f in flags]) else IRREDUCIBLE
+    decision = REDUCIBLE if e1 or e2 or e3 or e4 else IRREDUCIBLE
     return reg, decision, flags
 
 
@@ -202,7 +210,9 @@ def decide(
         g = triples[flipped] = build_general(p, flipped)
         oracle2, witness2 = oracle_verdict(g, tol)
         diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem == REDUCIBLE, witness2)
-    return Verdict(reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
+    return _record(
+        Verdict, (reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
+    )
 
 
 def _close(a: complex, b: complex, tol: float) -> bool:

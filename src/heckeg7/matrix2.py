@@ -11,6 +11,10 @@ from .numerics import VERDICT_TOL, principal_sqrt
 
 Vec2 = tuple[complex, complex]
 
+# _record(cls, fields) is the NamedTuple cls(*fields), made without running
+# cls's Python-level __new__; the per-point decide path builds its records so.
+_record = tuple.__new__
+
 SCALAR = "scalar"
 JORDAN = "jordan"
 SEMISIMPLE = "semisimple"
@@ -70,12 +74,8 @@ def vec_maxmod(v: Vec2) -> float:
 def normalize_direction(v: Vec2) -> Vec2:
     """Divide by the largest-modulus component (ties pick the first), making
     that component exactly 1."""
-    return _divide_by_pivot(v[0], v[1], abs(v[0]), abs(v[1]))
-
-
-def _divide_by_pivot(v0: complex, v1: complex, mod0: float, mod1: float) -> Vec2:
-    # normalize_direction with the moduli |v0|, |v1| already known
-    pivot = v0 if mod0 >= mod1 else v1
+    v0, v1 = v
+    pivot = v0 if abs(v0) >= abs(v1) else v1
     if pivot == 0:
         raise ValueError("zero vector has no direction")
     return (v0 / pivot, v1 / pivot)
@@ -85,20 +85,25 @@ def parallel(u: Vec2, v: Vec2, tol: float = VERDICT_TOL) -> bool:
     return abs(cross(u, v)) <= tol * max(1.0, vec_maxmod(u) * vec_maxmod(v))
 
 
-def _kernel_direction(m: Mat2, lam: complex) -> Vec2:
+def _kernel_direction(a, b, c, d, mod_b: float, mod_c: float, lam: complex) -> Vec2:
     # (m - lam) annihilates both candidates (b, lam - a) and (lam - d, c)
-    # when lam is an exact eigenvalue; pick the numerically larger one.
-    # Each entry's modulus is taken once.
-    a0, a1, b0, b1 = m.b, lam - m.a, lam - m.d, m.c
-    mod_a0, mod_a1, mod_b0, mod_b1 = abs(a0), abs(a1), abs(b0), abs(b1)
-    if max(mod_a0, mod_a1) >= max(mod_b0, mod_b1):
-        v0, v1, mod0, mod1 = a0, a1, mod_a0, mod_a1
+    # when lam is an exact eigenvalue for m = [[a, b], [c, d]]; pick the
+    # numerically larger one and divide by its larger-modulus component
+    # (ties pick the first).  |b| and |c| come from the caller, so each
+    # modulus is taken once.
+    v1, w0 = lam - a, lam - d
+    mod_v1, mod_w0 = abs(v1), abs(w0)
+    if max(mod_b, mod_v1) >= max(mod_w0, mod_c):
+        v0, mod0, mod1 = b, mod_b, mod_v1
     else:
-        v0, v1, mod0, mod1 = b0, b1, mod_b0, mod_b1
+        v0, v1, mod0, mod1 = w0, c, mod_w0, mod_c
     if max(mod0, mod1) == 0.0:
         # m is exactly lam*I on this eigenvalue; any direction works
         return (1.0 + 0.0j, 0.0 + 0.0j)
-    return _divide_by_pivot(v0, v1, mod0, mod1)
+    pivot = v0 if mod0 >= mod1 else v1
+    if pivot == 0:
+        raise ValueError("zero vector has no direction")
+    return (v0 / pivot, v1 / pivot)
 
 
 def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
@@ -118,19 +123,20 @@ def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
     scale = max(abs(a), mod_b, mod_c, abs(d))
     gap, trace = a - d, a + d
     if max(mod_b, mod_c, abs(gap)) <= tol * max(1.0, scale):
-        return EigenReport(SCALAR, (trace / 2,), ())
+        return _record(EigenReport, (SCALAR, (trace / 2,), ()))
     disc = gap ** 2 + 4 * b * c
     if abs(disc) <= (tol * scale) ** 2:
         lam = trace / 2
-        return EigenReport(JORDAN, (lam,), (_kernel_direction(m, lam),))
+        direction = _kernel_direction(a, b, c, d, mod_b, mod_c, lam)
+        return _record(EigenReport, (JORDAN, (lam,), (direction,)))
     root = principal_sqrt(disc)
     lam1 = (trace + root) / 2
     lam2 = (trace - root) / 2
-    return EigenReport(
-        SEMISIMPLE,
-        (lam1, lam2),
-        (_kernel_direction(m, lam1), _kernel_direction(m, lam2)),
+    directions = (
+        _kernel_direction(a, b, c, d, mod_b, mod_c, lam1),
+        _kernel_direction(a, b, c, d, mod_b, mod_c, lam2),
     )
+    return _record(EigenReport, (SEMISIMPLE, (lam1, lam2), directions))
 
 
 def common_eigenvector(
@@ -147,23 +153,22 @@ def common_eigenvector(
     """
     candidates: tuple[Vec2, ...] | None = None
     for i, m in enumerate(matrices):
-        report = eigen_directions(m, tol)
-        if report.kind != SCALAR:
-            candidates = report.directions
+        kind, _, directions = eigen_directions(m, tol)
+        if kind != SCALAR:
+            candidates = directions
             break
     if candidates is None:
         return (1.0 + 0.0j, 0.0 + 0.0j)
     source_last = [*matrices[i + 1:], *matrices[:i + 1]]
-    for v in candidates:
+    for v0, v1 in candidates:
         # parallel(m.apply(v), v, tol) for every m, written out
-        v0, v1 = v
         v_max = max(abs(v0), abs(v1))
-        for m in source_last:
-            w0 = m.a * v0 + m.b * v1
-            w1 = m.c * v0 + m.d * v1
+        for a, b, c, d in source_last:
+            w0 = a * v0 + b * v1
+            w1 = c * v0 + d * v1
             bound = tol * max(1.0, max(abs(w0), abs(w1)) * v_max)
             if not abs(w0 * v1 - w1 * v0) <= bound:
                 break
         else:
-            return normalize_direction(v)
+            return normalize_direction((v0, v1))
     return None

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .matrix2 import Mat2
+from .matrix2 import Mat2, _record
 from .numerics import is_finite, principal_sqrt
 
 
@@ -116,23 +116,28 @@ def generators(x1, x2, y1, y2, z1, z2, r) -> GeneratorTriple:
     y_prod = y1 * y2
     y_sum = y1 + y2
     z_sum = z1 + z2
-    return GeneratorTriple(
-        Mat2(x1, y_sum / y_prod - z_sum * x2 / r, zero, x2),
-        Mat2(y_sum, 1 / x1, -y_prod * x1, zero),
-        Mat2(zero, -r / (y_prod * x1 * x2), r, z_sum),
-    )
+    return _record(GeneratorTriple, (
+        _record(Mat2, (x1, y_sum / y_prod - z_sum * x2 / r, zero, x2)),
+        _record(Mat2, (y_sum, 1 / x1, -y_prod * x1, zero)),
+        _record(Mat2, (zero, -r / (y_prod * x1 * x2), r, z_sum)),
+    ))
 
 
 def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
     """Generator triple at p with r = r_sign * principal_sqrt(x1*x2*y1*y2*z1*z2)."""
-    _check_sign(r_sign)
-    r = r_sign * principal_sqrt(delta(p))
+    if r_sign not in (1, -1):  # _check_sign, inline on the per-point path
+        raise InvalidParams(f"r_sign must be +1 or -1, got {r_sign!r}")
+    x1, x2, y1, y2, z1, z2, _, _ = p
+    r = r_sign * principal_sqrt(x1 * x2 * y1 * y2 * z1 * z2)
     if r == 0:
         raise InvalidParams("parameter product underflows to zero")
-    x1, x2, y1, y2, z1, z2, _, _ = p
     g = generators(x1, x2, y1, y2, z1, z2, r)
-    s1, s2, s3 = g
-    if not all(map(is_finite, (*s1, *s2, *s3))):
+    (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = g
+    if not (
+        is_finite(a1) and is_finite(b1) and is_finite(c1) and is_finite(d1)
+        and is_finite(a2) and is_finite(b2) and is_finite(c2) and is_finite(d2)
+        and is_finite(a3) and is_finite(b3) and is_finite(c3) and is_finite(d3)
+    ):
         raise InvalidParams("parameter magnitudes overflow the matrix entries")
     return g
 

@@ -33,6 +33,7 @@ from .irreducibility import (
     _DISTINCT_CASES,
     EQUAL_X,
     DISTINCT_X,
+    REDUCIBLE,
     Verdict,
     decide,
     equal_x_lines,
@@ -92,6 +93,16 @@ class SweepConfig(NamedTuple):
             raise ValueError("r_sign must be +1 or -1")
         if not 0.0 <= self.inject_reducible_rate <= 1.0:
             raise ValueError("inject_reducible_rate must lie in [0, 1]")
+        for bound in (self.log10_modulus_min, self.log10_modulus_max):
+            if not math.isfinite(bound):
+                raise ValueError(f"log10 modulus bound {bound} is not finite")
+            try:
+                10.0 ** bound
+            except OverflowError:
+                raise ValueError(
+                    f"log10 modulus bound {bound:g} overflows: "
+                    f"10 ** {bound:g} exceeds the largest float"
+                ) from None
         if self.log10_modulus_min > self.log10_modulus_max:
             raise ValueError("log10 modulus band is empty")
         if self.regime_filter not in (None, EQUAL_X, DISTINCT_X):
@@ -217,14 +228,6 @@ def _injection_case(cfg: SweepConfig, injection_index: int) -> str:
     return _DISTINCT_CASE_IDS[within % len(_DISTINCT_CASE_IDS)]
 
 
-def _classify(v: Verdict) -> str:
-    if v.agreement:
-        return AGREE_REDUCIBLE if v.oracle_decision == "reducible" else AGREE_IRREDUCIBLE
-    if v.branch_diagnosis is not None and v.branch_diagnosis.resolved:
-        return DISAGREE_RESOLVED
-    return DISAGREE_UNRESOLVED
-
-
 def _producing_witness(v: Verdict) -> tuple[Vec2, int] | None:
     """The invariant vector the run produced, with the branch it came from."""
     if v.agreement:
@@ -299,30 +302,42 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
     disagreements: list[dict] = []
 
     rate = cfg.inject_reducible_rate
+    tol = cfg.tolerance
+    # sample i is injected when floor((i + 1) * rate) > floor(i * rate); each
+    # floor is computed once and carried over to the next sample
+    floor_below = math.floor(0 * rate)
     for i in range(cfg.samples):
-        inject = math.floor((i + 1) * rate) > math.floor(i * rate)
+        floor_above = math.floor((i + 1) * rate)
         case_id: str | None = None
-        if inject:
+        if floor_above > floor_below:
             case_id = _injection_case(cfg, injected_total)
             p = _draw_injected_sample(rng, cfg, case_id)
             injected_total += 1
             injected_per_case[case_id] = injected_per_case.get(case_id, 0) + 1
         else:
             p = _draw_random_sample(rng, cfg)
+        floor_below = floor_above
         triples: dict[int, GeneratorTriple] = {}
-        v = decide(p, r_sign=cfg.r_sign, tol=cfg.tolerance, triples=triples)
-        classification = _classify(v)
+        v = decide(p, r_sign=cfg.r_sign, tol=tol, triples=triples)
+        if v.agreement:
+            classification = (
+                AGREE_REDUCIBLE if v.oracle_decision == REDUCIBLE else AGREE_IRREDUCIBLE
+            )
+        elif v.branch_diagnosis is not None and v.branch_diagnosis.resolved:
+            classification = DISAGREE_RESOLVED
+        else:
+            classification = DISAGREE_UNRESOLVED
         counts[classification] += 1
         if case_id is not None:
             # the witness is re-checked on the triple that produced it
             found = _producing_witness(v)
-            if found is None or not _invariant(triples[found[1]], found[0], cfg.tolerance):
+            if found is None or not _invariant(triples[found[1]], found[0], tol):
                 witness_failures.append(i)
             elif case_id == "equal-x-1" and not _predicted_direction_ok(
-                p, triples[found[1]], found[0], cfg.tolerance
+                p, triples[found[1]], found[0], tol
             ):
                 predicted_mismatches.append(i)
-        if classification in (DISAGREE_RESOLVED, DISAGREE_UNRESOLVED):
+        if not v.agreement:
             disagreements.append(_disagreement_record(i, p, case_id, v, classification))
 
     return SweepResult(

@@ -377,6 +377,35 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--domain", "made-up")
         assert code == INPUT_ERROR
 
+    @pytest.mark.parametrize(
+        "band, message",
+        [
+            (("350", "400"), "log10 modulus bound 350 overflows"),
+            (("nan", "1"), "log10 modulus bound nan is not finite"),
+            (("-1", "inf"), "log10 modulus bound inf is not finite"),
+        ],
+    )
+    def test_unrepresentable_modulus_band_exits_one(self, capsys, band, message):
+        # 10 ** 350 is no float: the band is refused before anything is drawn
+        code, out, err = run_cli(
+            capsys, "sweep", "--samples", "20",
+            "--log10-modulus-min", band[0], "--log10-modulus-max", band[1],
+        )
+        assert code == INPUT_ERROR
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    def test_overflowing_matrix_entries_exit_one(self, capsys):
+        # 10 ** 150 is a float, but the generator entries overflow
+        code, out, err = run_cli(
+            capsys, "sweep", "--samples", "20", "--domain", "positive-real",
+            "--log10-modulus-min", "-150", "--log10-modulus-max", "150",
+        )
+        assert code == INPUT_ERROR
+        assert out == ""
+        assert err == "error: parameter magnitudes overflow the matrix entries\n"
+
 
 # What the wrapper script written by an install does with the declared
 # "module:attribute" target: import it and hand its result to sys.exit.

@@ -1,12 +1,15 @@
-"""decide against a reference assembled from the public pieces.
+"""decide against a reference written out from the formulas.
 
 decide evaluates the criteria, builds each branch's triple once and hands
-the triples to the sweep for its witness checks.  The reference below does
-every step separately and from scratch: the condition products as written in
-the condition names, the oracle as eigen_directions plus parallel, and a
-fresh build for each branch.  Both must agree field by field on seeded
-points from every sweep domain, the +-3 modulus band included, with half of
-the points made reducible by solve_case.  The sweep's witness and
+the triples to the sweep for its witness checks; its layers are written
+for speed.  The reference below shares none of that code: the condition
+products as written in the condition names, compared by approx_eq; the
+triple as Mat2 entries from the formulas of representation's docstring;
+the oracle as the eigen-classification kept verbatim in oracle_reference
+plus parallel on every candidate.  Every float keeps its operations and
+their order, so both must agree bit for bit, signed zeros included, on
+seeded points from every sweep domain, the +-3 modulus band included, with
+half of the points made reducible by solve_case.  The sweep's witness and
 prediction verdicts must match re-checks on freshly built triples.
 """
 
@@ -19,17 +22,18 @@ from heckeg7 import sweep
 
 from heckeg7.irreducibility import (
     ALL_CASES,
+    DISTINCT_X,
+    EQUAL_X,
     IRREDUCIBLE,
     REDUCIBLE,
     BranchDiagnosis,
     ConditionFlag,
     Verdict,
     decide,
-    theorem_verdict,
 )
-from heckeg7.matrix2 import SCALAR, eigen_directions, normalize_direction, parallel
-from heckeg7.numerics import VERDICT_TOL, approx_eq
-from heckeg7.representation import build_general
+from heckeg7.matrix2 import SCALAR, Mat2, normalize_direction, parallel
+from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
+from heckeg7.representation import GeneratorTriple, build_general
 from heckeg7.sweep import (
     GENERAL_COMPLEX,
     POSITIVE_REAL,
@@ -38,6 +42,7 @@ from heckeg7.sweep import (
     _draw_base,
     _draw_injected_sample,
 )
+from oracle_reference import bits, ref_eigen_directions, ref_normalize_direction
 
 CONFIGS = (
     SweepConfig(domain=POSITIVE_REAL),
@@ -56,11 +61,23 @@ CONDITION_SIDES = {
 }
 
 
+def reference_triple(p, r_sign):
+    """The docstring's s1, s2, s3 with r = r_sign*sqrt(x1*x2*y1*y2*z1*z2);
+    the zero entries are the complex zero r - r."""
+    x1, x2, y1, y2, z1, z2 = p[:6]
+    r = r_sign * principal_sqrt(x1 * x2 * y1 * y2 * z1 * z2)
+    return GeneratorTriple(
+        Mat2(x1, (y1 + y2) / (y1 * y2) - (z1 + z2) * x2 / r, 0j, x2),
+        Mat2(y1 + y2, 1 / x1, -(y1 * y2) * x1, 0j),
+        Mat2(0j, -r / (y1 * y2 * x1 * x2), r, z1 + z2),
+    )
+
+
 def reference_oracle(g, tol):
     matrices = list(g)
     candidates = None
     for m in matrices:
-        report = eigen_directions(m, tol)
+        report = ref_eigen_directions(m, tol)
         if report.kind != SCALAR:
             candidates = report.directions
             break
@@ -68,23 +85,20 @@ def reference_oracle(g, tol):
         return REDUCIBLE, (1.0 + 0.0j, 0.0 + 0.0j)
     for v in candidates:
         if all(parallel(m.apply(v), v, tol) for m in matrices):
-            return REDUCIBLE, normalize_direction(v)
+            return REDUCIBLE, ref_normalize_direction(v)
     return IRREDUCIBLE, None
 
 
 def reference_verdict(p, r_sign, tol=VERDICT_TOL):
-    reg, theorem, flags = theorem_verdict(p, tol)
-    expected_flags = []
-    for flag in flags:
-        lhs_fn, rhs_fn = CONDITION_SIDES[flag.name]
+    flags = []
+    for name, (lhs_fn, rhs_fn) in CONDITION_SIDES.items():
         lhs, rhs = lhs_fn(p), rhs_fn(p)
-        expected_flags.append(ConditionFlag(flag.name, lhs, rhs, approx_eq(lhs, rhs, tol)))
-    assert [flag.name for flag in flags] == list(CONDITION_SIDES)
-    assert flags == tuple(expected_flags)
-    oracle, witness = reference_oracle(build_general(p, r_sign), tol)
+        flags.append(ConditionFlag(name, lhs, rhs, approx_eq(lhs, rhs, tol)))
+    theorem = REDUCIBLE if any(flag.equal for flag in flags) else IRREDUCIBLE
+    oracle, witness = reference_oracle(reference_triple(p, r_sign), tol)
     diagnosis = None
     if oracle != theorem:
-        oracle2, witness2 = reference_oracle(build_general(p, -r_sign), tol)
+        oracle2, witness2 = reference_oracle(reference_triple(p, -r_sign), tol)
         # only a criteria-reducible disagreement can be a branch effect
         resolved = oracle2 == theorem == REDUCIBLE
         diagnosis = BranchDiagnosis(
@@ -93,11 +107,11 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
             flipped_invariant_vector=witness2,
         )
     return Verdict(
-        regime=reg,
+        regime=EQUAL_X if approx_eq(p.x1, p.x2, tol) else DISTINCT_X,
         r_sign=r_sign,
         tolerance=tol,
         theorem_decision=theorem,
-        conditions=flags,
+        conditions=tuple(flags),
         oracle_decision=oracle,
         invariant_vector=witness,
         agreement=oracle == theorem,
@@ -124,9 +138,10 @@ def test_decide_matches_reference_on_both_branches(cfg):
         for r_sign in (1, -1):
             triples = {}
             v = decide(p, r_sign, triples=triples)
-            assert v == reference_verdict(p, r_sign), (case_id, p, r_sign)
+            assert bits(v) == bits(reference_verdict(p, r_sign)), (case_id, p, r_sign)
             expected_signs = {r_sign} if v.agreement else {r_sign, -r_sign}
-            assert triples == {s: build_general(p, s) for s in expected_signs}
+            expected = {s: reference_triple(p, s) for s in expected_signs}
+            assert bits(triples) == bits(expected), (case_id, p, r_sign)
 
 
 def invariant_on_fresh_triple(p, direction, sign, tol):

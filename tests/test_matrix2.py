@@ -19,6 +19,7 @@ from heckeg7.matrix2 import (
     vec_maxmod,
 )
 from heckeg7.numerics import VERDICT_TOL, approx_eq
+from oracle_reference import bits, ref_eigen_directions, ref_normalize_direction
 
 entries = st.complex_numbers(
     min_magnitude=0, max_magnitude=1e3, allow_nan=False, allow_infinity=False
@@ -80,6 +81,15 @@ class TestVectors:
         w = normalize_direction((1, -4))
         assert w[1] == 1
         assert cmath.isclose(w[0], -0.25)
+
+    @given(entries, entries)
+    @settings(max_examples=300, derandomize=True)
+    def test_normalize_direction_matches_reference(self, v0, v1):
+        if v0 == 0 and v1 == 0:
+            with pytest.raises(ValueError, match="zero vector"):
+                normalize_direction((v0, v1))
+            return
+        assert bits(normalize_direction((v0, v1))) == bits(ref_normalize_direction((v0, v1)))
 
     def test_vec_maxmod(self):
         assert vec_maxmod((3, -4j)) == 4.0
@@ -188,18 +198,19 @@ class TestCommonEigenvector:
 
 # ---------------------------------------------------------------------------
 # common_eigenvector against a reference that tests every candidate against
-# the matrices in list order
+# the matrices in list order, with the eigen-classification kept verbatim in
+# oracle_reference
 
 def reference_common_eigenvector(matrices, tol):
     for m in matrices:
-        report = eigen_directions(m, tol)
+        report = ref_eigen_directions(m, tol)
         if report.kind != SCALAR:
             break
     else:
         return (1.0 + 0.0j, 0.0 + 0.0j)
     for v in report.directions:
         if all(parallel(m.apply(v), v, tol) for m in matrices):
-            return normalize_direction(v)
+            return ref_normalize_direction(v)
     return None
 
 
@@ -267,9 +278,13 @@ class TestCommonEigenvectorMatchesReference:
     @given(families())
     @settings(max_examples=400, derandomize=True)
     def test_hypothesis_families(self, family):
-        expected = reference_common_eigenvector(family, VERDICT_TOL)
-        assert common_eigenvector(family, VERDICT_TOL) == expected
-        assert common_eigenvector(tuple(family), VERDICT_TOL) == expected
+        expected = bits(reference_common_eigenvector(family, VERDICT_TOL))
+        assert bits(common_eigenvector(family, VERDICT_TOL)) == expected
+        assert bits(common_eigenvector(tuple(family), VERDICT_TOL)) == expected
+        for m in family:
+            assert bits(eigen_directions(m, VERDICT_TOL)) == bits(
+                ref_eigen_directions(m, VERDICT_TOL)
+            )
 
     I2, I3 = Mat2(2, 0, 0, 2), Mat2(3, 0, 0, 3)
     UPPER = Mat2(1, 1, 0, 2)  # candidates (1, 1), then (1, 0)
@@ -298,7 +313,7 @@ class TestCommonEigenvectorMatchesReference:
     def test_named_families(self, family, first, expected):
         assert first_non_scalar(family) == first
         found = common_eigenvector(family, VERDICT_TOL)
-        assert found == reference_common_eigenvector(family, VERDICT_TOL)
+        assert bits(found) == bits(reference_common_eigenvector(family, VERDICT_TOL))
         assert found == expected
 
     def test_near_jordan_candidates_pass_every_matrix(self):

@@ -50,6 +50,12 @@ class TestConfigValidation:
             {"inject_reducible_rate": -0.1},
             {"inject_reducible_rate": 1.5},
             {"log10_modulus_min": 2.0, "log10_modulus_max": 1.0},
+            {"log10_modulus_min": math.nan},
+            {"log10_modulus_max": math.nan},
+            {"log10_modulus_max": math.inf},
+            {"log10_modulus_min": -math.inf},
+            {"log10_modulus_min": 350.0, "log10_modulus_max": 400.0},
+            {"log10_modulus_max": 309.0},
             {"r_sign": 0},
             {"tolerance": 0.0},
             {"regime_filter": "nope"},
