@@ -25,6 +25,7 @@ identity failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -178,14 +179,13 @@ def _check_text(doc: dict) -> list[str]:
     return lines
 
 
-def _relations_doc(
-    p: Params, r_sign: int, tolerance: float, triple: GeneratorTriple | None = None
-) -> dict:
-    """Relation residuals of p's triple at r_sign; a triple passed in must
-    be that one, already built."""
-    g = build_general(p, r_sign) if triple is None else triple
-    braid = braid_residual(g)
-    hecke = hecke_residuals(g, p)
+def _residuals(p: Params, g: GeneratorTriple) -> tuple[float, dict]:
+    """The braid residual and the Hecke relation residuals of p's triple g."""
+    return braid_residual(g), hecke_residuals(g, p)
+
+
+def _relations_doc(p: Params, r_sign: int, tolerance: float) -> dict:
+    braid, hecke = _residuals(p, build_general(p, r_sign))
     worst = max([braid, *hecke.values()])
     return {
         "schema_version": SCHEMA_VERSION,
@@ -259,16 +259,13 @@ def cmd_check(args) -> int:
         tol=args.tolerance,
         triples=triples,
     )
-    relations = _relations_doc(p, args.r_sign, args.tolerance, triples[args.r_sign])
+    braid, hecke = _residuals(p, triples[args.r_sign])
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check-verdict",
         "params": params_as_dict(p),
         "verdict": verdict_as_dict(verdict),
-        "relations": {
-            "braid-residual": relations["braid-residual"],
-            "hecke-residuals": relations["hecke-residuals"],
-        },
+        "relations": {"braid-residual": braid, "hecke-residuals": hecke},
     }
     _emit(doc, args.output, _check_text)
     return OK if verdict.agreement else MATH_FAILURE
@@ -446,10 +443,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # through the module global, so that a wrapper set on cli.build_parser
+    # (perfbench/tracing.py) sees the one build
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The parser is built on the first call, not at import, and every later
+    call in the process reuses it.  That is safe because parse_args does
+    not mutate the parser, _Parser.error raises InputError instead of
+    exiting, prog is fixed, and each subcommand's handler is bound when
+    the parser is built (so patching a cmd_* function after the first call
+    would not reach it; nothing does).
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if not args.tolerance > 0:
             raise InputError("--tolerance must be positive")
         return args.handler(args)

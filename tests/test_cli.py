@@ -407,6 +407,64 @@ class TestSweep:
         assert err == "error: parameter magnitudes overflow the matrix entries\n"
 
 
+class TestOneProcess:
+    # main() builds its parser on the first call and reuses it, so a warm
+    # process must answer every later request exactly as a fresh one would
+    def test_repeated_requests_repeat_their_output_with_one_parser(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from heckeg7 import cli
+
+        path = write_params(tmp_path, WRONG_BRANCH)
+        requests = [
+            ["check", path],
+            ["check", path, "--output", "text"],
+            ["check", path, "--r-sign", "-1"],
+            ["check", path, "--r-sign", "-1", "--output", "text"],
+            ["relations", path],
+            ["sweep", "--samples", "50"],
+            ["identities", "--only", "w-factorization"],
+            ["check", path, "--r-sign", "2"],
+            ["frobnicate"],
+            ["check", path, "--tolerance", "0"],
+            ["check", str(tmp_path / "missing.json")],
+            ["--help"],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        builds = []
+        build_parser = cli.build_parser
+        cli._parser.cache_clear()
+        monkeypatch.setattr(
+            cli, "build_parser", lambda: builds.append(1) or build_parser()
+        )
+        first = [run(argv) for argv in requests]
+        second = [run(argv) for argv in requests]
+        assert len(builds) == 1
+        assert [code for code, _, _ in first] == [
+            MATH_FAILURE, MATH_FAILURE, OK, OK, OK, OK, OK,
+            INPUT_ERROR, INPUT_ERROR, INPUT_ERROR, INPUT_ERROR, ("SystemExit", 0),
+        ]
+        assert "usage: heckeg7" in first[-1][1]
+        assert second == first
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        fresh = subprocess.run(
+            [sys.executable, "-m", "heckeg7", *requests[0]],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == first[0]
+
+
 # What the wrapper script written by an install does with the declared
 # "module:attribute" target: import it and hand its result to sys.exit.
 RUN_ENTRY_POINT = """
@@ -476,6 +534,38 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter (setup_s, one-shot runs) pays for the import
+        # alone; the first main() call builds the parser and later calls
+        # reuse it
+        script = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+counts = [len(built)]
+import heckeg7.cli as cli
+counts.append(len(built))
+for _ in range(2):
+    cli.main(["identities", "--only", "bogus"])
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, imported, first, second = json.loads(proc.stdout)
+        assert before == imported == 0
+        assert first == second > 0
 
     def test_module_invocation(self):
         proc = subprocess.run(
