@@ -11,7 +11,6 @@ from .exact import (
     Poly,
     RatElem,
     eval_numeric,
-    rat_equals,
     substitute,
 )
 from .identities import (
@@ -102,7 +101,6 @@ __all__ = [
     "oracle_verdict",
     "parallel",
     "principal_sqrt",
-    "rat_equals",
     "regime",
     "report_as_dict",
     "run_all",

@@ -179,13 +179,9 @@ def _check_text(doc: dict) -> list[str]:
     return lines
 
 
-def _residuals(p: Params, g: GeneratorTriple) -> tuple[float, dict]:
-    """The braid residual and the Hecke relation residuals of p's triple g."""
-    return braid_residual(g), hecke_residuals(g, p)
-
-
 def _relations_doc(p: Params, r_sign: int, tolerance: float) -> dict:
-    braid, hecke = _residuals(p, build_general(p, r_sign))
+    g = build_general(p, r_sign)
+    braid, hecke = braid_residual(g), hecke_residuals(g, p)
     worst = max([braid, *hecke.values()])
     return {
         "schema_version": SCHEMA_VERSION,
@@ -259,7 +255,8 @@ def cmd_check(args) -> int:
         tol=args.tolerance,
         triples=triples,
     )
-    braid, hecke = _residuals(p, triples[args.r_sign])
+    g = triples[args.r_sign]
+    braid, hecke = braid_residual(g), hecke_residuals(g, p)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check-verdict",
@@ -335,6 +332,15 @@ def cmd_relations(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_output_flag(sub) -> None:
+    sub.add_argument(
+        "--output",
+        choices=("json", "text"),
+        default="json",
+        help="output format (default json)",
+    )
+
+
 def _add_common_flags(sub) -> None:
     sub.add_argument(
         "--tolerance",
@@ -350,12 +356,7 @@ def _add_common_flags(sub) -> None:
         metavar="{+1,-1}",
         help="sign of the square root r used in the matrices (default +1)",
     )
-    sub.add_argument(
-        "--output",
-        choices=("json", "text"),
-        default="json",
-        help="output format (default json)",
-    )
+    _add_output_flag(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help=f"run a single identity; one of: {', '.join(REGISTRY)}",
     )
-    _add_common_flags(identities)
+    _add_output_flag(identities)
     identities.set_defaults(handler=cmd_identities)
 
     relations = subs.add_parser(
@@ -462,13 +463,11 @@ def main(argv: list[str] | None = None) -> int:
     """
     try:
         args = _parser().parse_args(argv)
-        if not args.tolerance > 0:
+        # identities takes no --tolerance
+        if "tolerance" in args and not args.tolerance > 0:
             raise InputError("--tolerance must be positive")
         return args.handler(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except InvalidParams as exc:
+    except (InputError, InvalidParams) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

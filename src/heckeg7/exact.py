@@ -87,6 +87,20 @@ def _mono_str(m: Mono) -> str:
     return "*".join(parts)
 
 
+def _power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply, from the unit one.  Every
+    product goes through *, so a wrapper on the class's __mul__ sees it; the
+    base is not squared past the top bit of n."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class Poly:
     """Sparse integer polynomial; terms maps exponent vectors to nonzero
     coefficients."""
@@ -199,14 +213,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.const(1))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -331,14 +338,7 @@ class ExtElem:
     def __pow__(self, n: int) -> "ExtElem":
         if n < 0:
             raise ValueError("negative power of an extension element")
-        result = ExtElem(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, ExtElem(1, 0))
 
     def conjugate(self) -> "ExtElem":
         return ExtElem._trusted(self.p, -self.q)
@@ -477,14 +477,7 @@ class RatElem:
     def __pow__(self, n: int) -> "RatElem":
         if n < 0:
             return self.inv() ** (-n)
-        result = RatElem(1, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, RatElem(1, 1))
 
     def __str__(self) -> str:
         if _is_one(self.den):
@@ -647,10 +640,3 @@ def eval_numeric(
     if den == 0:
         raise DenominatorVanishes("denominator evaluates to zero")
     return ext_eval(val.num, values, r_value) / den
-
-
-def rat_equals(a: RatLike, b: RatLike) -> bool:
-    ra, rb = _as_rat(a), _as_rat(b)
-    if ra is None or rb is None:
-        raise TypeError("operands must be RatElem, ExtElem, Poly or int")
-    return ra.equals(rb)

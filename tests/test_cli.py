@@ -235,11 +235,20 @@ class TestInputErrors:
         assert code == INPUT_ERROR
         assert "nonzero" in err
 
-    def test_nonpositive_tolerance_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["check", "sweep", "relations"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_nonpositive_tolerance_rejected(self, tmp_path, capsys, command, value):
         path = write_params(tmp_path, ALL_ONES)
-        code, _, err = run_cli(capsys, "check", path, "--tolerance", "-1")
-        assert code == INPUT_ERROR
-        assert "tolerance" in err
+        argv = [command] if command == "sweep" else [command, path]
+        code, out, err = run_cli(capsys, *argv, "--tolerance", value)
+        assert (code, out) == (INPUT_ERROR, "")
+        assert err == "error: --tolerance must be positive\n"
+
+    @pytest.mark.parametrize("flag", [["--r-sign", "-1"], ["--tolerance", "1e-9"]])
+    def test_identities_takes_no_sign_or_tolerance(self, capsys, flag):
+        code, out, err = run_cli(capsys, "identities", *flag)
+        assert (code, out) == (INPUT_ERROR, "")
+        assert f"unrecognized arguments: {flag[0]}" in err
 
     def test_bad_flag_value_reported_as_input_error(self, tmp_path, capsys):
         path = write_params(tmp_path, ALL_ONES)

@@ -19,7 +19,6 @@ from heckeg7.exact import (
     eval_numeric,
     ext_eval,
     poly_eval,
-    rat_equals,
     substitute,
 )
 from heckeg7.numerics import approx_eq
@@ -76,6 +75,22 @@ class TestPoly:
     def test_power(self):
         assert (X1 + 1) ** 2 == X1 * X1 + 2 * X1 + 1
         assert (X1 + 1) ** 0 == Poly.const(1)
+
+    @pytest.mark.parametrize("cls", [Poly, ExtElem, RatElem])
+    def test_power_multiplies_through_the_class_operator(self, cls, monkeypatch):
+        # perfbench/tracing.py counts products by wrapping each class's __mul__
+        base = cls.var("x1")
+        expected = base * base * base * base * base
+        original, calls = cls.__mul__, []
+
+        def counting(a, b):
+            calls.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        assert base**5 == expected
+        # x^5 = x * (x^2)^2: one square per bit below the top, one product per set bit
+        assert len(calls) == 4
 
     @given(polys(), polys(), polys())
     @settings(max_examples=150, derandomize=True)
@@ -154,10 +169,18 @@ class TestRatElem:
     def test_equality_by_cross_multiplication(self):
         half = RatElem(ExtElem(X1), ExtElem(X1 * 2))
         assert half.equals(RatElem(ExtElem(Poly.const(1)), ExtElem(Poly.const(2))))
-        assert rat_equals(
-            RatElem.var("x1") / RatElem.var("x2"),
-            RatElem(ExtElem(X1 * Y1), ExtElem(X2 * Y1)),
+        assert (RatElem.var("x1") / RatElem.var("x2")).equals(
+            RatElem(ExtElem(X1 * Y1), ExtElem(X2 * Y1))
         )
+
+    def test_equals_coerces_its_argument(self):
+        double = RatElem(ExtElem(X1 * 2), ExtElem(Poly.const(2)))
+        assert double.equals(X1)
+        assert double.equals(ExtElem(X1))
+        assert RatElem(4, 2).equals(2)
+        assert not double.equals(2)
+        with pytest.raises(TypeError):
+            double.equals(2.0)
 
     def test_unhashable_because_equality_is_structural_on_values(self):
         with pytest.raises(TypeError):

@@ -15,7 +15,6 @@ from heckeg7.exact import (
     Substitution,
     eval_numeric,
     ext_eval,
-    rat_equals,
     substitute,
 )
 from heckeg7 import identities
@@ -26,7 +25,6 @@ from heckeg7.identities import (
     VERIFIED,
     case_substitution,
     conjugated_upper_right_numerator,
-    entries,
     report_as_dict,
     run_all,
     sym_generators,
@@ -156,8 +154,7 @@ class TestSymbolicGenerators:
             for e1, e2 in zip(m1, m2):
                 assert e1.equals(e2)
         for values, r_value in seeded_points(3):
-            for pos, entry in entries(p123):
-                other = dict(entries(p231))[pos]
+            for entry, other in zip(p123, p231):
                 lhs = eval_numeric(entry, values, r_value)
                 rhs = eval_numeric(other, values, r_value)
                 assert approx_eq(lhs, rhs, NUMERIC_TOL)
@@ -166,11 +163,6 @@ class TestSymbolicGenerators:
         report = verify_conjugation_formulas()
         assert report.status == VERIFIED
         assert len(report.checks) == 36
-
-    def test_entries_label_positions_row_major(self):
-        m = Mat2(*(RatElem(k) for k in range(4)))
-        assert [pos for pos, _ in entries(m)] == ["(1,1)", "(1,2)", "(2,1)", "(2,2)"]
-        assert [e for _, e in entries(m)] == list(m)
 
     def test_generator_entries_stay_in_the_field(self):
         # the zero entries are r - r, not the int 0, so .is_zero() works on
@@ -214,7 +206,7 @@ class TestCaseSubstitutions:
 
     def test_first_distinct_case_square(self):
         assignment, root = case_substitution("distinct-x-1")
-        assert rat_equals(root, RatElem(ExtElem(X2 * Y1 * Z1)))
+        assert root.equals(ExtElem(X2 * Y1 * Z1))
         image = substitute(RatElem(ExtElem(DELTA_POLY)), assignment, root)
         assert image.equals(RatElem(ExtElem((X2 * Y1 * Z1) ** 2)))
 
@@ -240,39 +232,64 @@ class TestCaseSubstitutions:
 
 
 class TestCheckHelpers:
-    """The shared checks behind the reports: a pass carries no residual, a
+    """The one check behind every report: a pass carries no residual, a
     failure names what differs."""
 
     RX1, RX2 = RatElem.var("x1"), RatElem.var("x2")
     UPPER = Mat2(RX1, RatElem(1), RatElem(0), RX2)
+    ONE, ZERO = RatElem(1), RatElem(0)
 
-    def test_mat_check_passes_without_residual(self):
-        check = identities._mat_check("m = m", self.UPPER, self.UPPER, "note")
+    def test_check_passes_without_residual(self):
+        check = identities._check("m = m", self.UPPER, self.UPPER, "note")
         assert check == ("m = m", True, "note", None)
 
-    def test_mat_check_lists_each_unequal_entry(self):
+    def test_check_lists_each_unequal_entry(self):
         m = self.UPPER
         other = Mat2(m.a, m.b + self.RX1, m.c, m.d + RatElem(2))
-        check = identities._mat_check("m = other", m, other)
+        check = identities._check("m = other", m, other)
         assert not check.ok
         assert check.residual == "(1,2): -x1; (2,2): -2"
 
-    def test_eigvec_check_accepts_an_eigenvector(self):
-        one, zero = RatElem(1), RatElem(0)
-        check = identities._eigvec_check("s*e1", self.UPPER, self.RX1, (one, zero), "n")
+    def test_check_labels_matrix_positions_row_major(self):
+        m = Mat2(*(RatElem(k) for k in range(4)))
+        check = identities._check("m = m + 1", m, Mat2(*(e + 1 for e in m)))
+        assert check.residual == "(1,1): -1; (1,2): -1; (2,1): -1; (2,2): -1"
+
+    def test_check_accepts_an_eigenvector(self):
+        image = self.UPPER.apply((self.ONE, self.ZERO))
+        check = identities._check("s*e1", image, (self.RX1, self.ZERO), "n")
         assert check.ok and check.residual is None
 
-    def test_eigvec_check_rejects_a_non_eigenvector(self):
-        one, zero = RatElem(1), RatElem(0)
-        check = identities._eigvec_check("s*e2", self.UPPER, self.RX2, (zero, one), "n")
+    def test_check_rejects_a_non_eigenvector(self):
+        image = self.UPPER.apply((self.ZERO, self.ONE))
+        check = identities._check("s*e2", image, (self.ZERO, self.RX2), "n")
         assert not check.ok
-        assert check.residual is not None
+        assert check.residual == "(1): 1"
+
+    def test_residual_names_an_unequal_second_entry(self):
+        # only the second component differs: (x1, 1) against (x1, 0)
+        lower = Mat2(self.RX1, self.ZERO, self.ONE, self.RX2)
+        image = lower.apply((self.ONE, self.ZERO))
+        check = identities._check("s*e1", image, (self.RX1, self.ZERO), "n")
+        assert not check.ok
+        assert check.residual == "(2): 1"
+        m = self.UPPER
+        check = identities._check("m = other", m, Mat2(m.a, m.b / self.RX2, m.c, m.d))
+        assert check.residual == "(1,2): x2 - 1"
 
     def test_zero_check_reports_the_numerator(self):
-        assert identities._zero_check("0", self.RX1 - self.RX1).residual is None
-        check = identities._zero_check("x1/x2", self.RX1 / self.RX2)
+        assert identities._check("0", self.RX1 - self.RX1, self.ZERO).residual is None
+        check = identities._check("x1/x2", self.RX1 / self.RX2, self.ZERO)
         assert not check.ok
         assert check.residual == "x1"
+
+    def test_differs_passes_on_unequal_sides_and_fails_without_residual(self):
+        assert identities._differs("x1 != x2", self.RX1, self.RX2, "n") == (
+            "x1 != x2", True, "n", None
+        )
+        same = self.RX1 * self.RX2 / self.RX2
+        check = identities._differs("x1 != x1*x2/x2", self.RX1, same, "n")
+        assert check == ("x1 != x1*x2/x2", False, "n", None)
 
 
 class TestPlantedFailures:
@@ -349,7 +366,7 @@ class TestPlantedFailures:
         )
         assert failures["invariant-line-eigenrelations"][
             "equal-x-2: s2*v = y2*v with the complementary direction v = (-1/(x2*y1), 1)"
-        ] == "x2^5*y1^3"
+        ] == "(1): x2^4*y1^2"
 
 
 def _items(value: RatElem) -> list:
