@@ -45,7 +45,7 @@ from .representation import (
 )
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .representation import build_equal_x  # noqa: F401
-from .sweep import DOMAINS, SCHEMA_VERSION, SweepConfig, run_sweep
+from .sweep import DOMAINS, SCHEMA_VERSION, DrawFailed, SweepConfig, run_sweep
 
 OK = 0
 INPUT_ERROR = 1
@@ -288,7 +288,10 @@ def cmd_sweep(args) -> int:
         cfg.validate()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    result = run_sweep(cfg)
+    try:
+        result = run_sweep(cfg)
+    except DrawFailed as exc:  # the band leaves no sane tuple to draw
+        raise InputError(str(exc)) from exc
     doc = result.as_dict()
     _emit(doc, args.output, _sweep_text)
     if args.fixtures_out:

@@ -16,23 +16,33 @@ checked here, and equality never depends on reduced form.
 
 The operators skip work whose result is known without doing it:
 
+  - +, -, * and RatElem's / test type(other) against their own class
+    first; only other operands go through coercion, which maps the ints
+    0, 1 and -1 (not a bool) to shared constants instead of building them;
   - a Poly product with a zero operand returns that operand, and one with
-    the constant 1 returns the other operand; a sum with zero, or a
+    the constant 1 returns the other operand; a product of two single-term
+    polynomials writes its one monomial directly; a sum with zero, or a
     difference with a zero subtrahend, returns the other operand;
-  - an ExtElem product of two r-free elements forms only p1*p2, and the
-    DELTA term of any other product raises every exponent of q1*q2 by one
-    instead of multiplying by DELTA_POLY;
+  - an ExtElem product with an r-free side forms only p1*p2 and the one
+    cross term that can be nonzero (p1*q2 or q1*p2; neither when both are
+    r-free), and the DELTA term of any other product raises every exponent
+    of q1*q2 by one instead of multiplying by DELTA_POLY;
   - RatElem +, -, * and equals skip each multiplication by a denominator
-    that is exactly 1, and equals compares the two cross products term by
-    term instead of forming their difference;
+    that is exactly 1, * forms the product of two r-free numerators itself
+    as ExtElem's r-free product does, and equals compares the two cross
+    products term by term instead of forming their difference;
   - dicts that already hold only nonzero coefficients are wrapped without
-    being copied or filtered again.
+    being copied or filtered again, and a Substitution builds each term of
+    a polynomial's image from these trusted constructors.
 
-Invariant: every shortcut yields the same terms dict -- same monomials,
-coefficients and insertion order -- as the full computation it replaces, so
-the stored num/den/terms, and the residual strings printed from them, do not
-depend on which path ran.  Results may share an operand or its terms dict,
-so nothing may mutate .terms, .p, .q, .num or .den after construction.
+Invariant: every shortcut -- the type tests, the shared constants, the
+single-term product, the one-sided and r-free products, the unit
+denominators and the trusted substitution terms -- yields the same terms
+dict (same monomials, coefficients and insertion order) as the full
+computation it replaces, so the stored num/den/terms, and the residual
+strings printed from them, do not depend on which path ran.  Results may
+share an operand, a shared constant or its terms dict, so nothing may
+mutate .terms, .p, .q, .num or .den after construction.
 
 A Substitution maps variables to RatElems; each call must be told the image
 of r.  One object is meant to serve many values under one assignment:
@@ -152,7 +162,7 @@ class Poly:
         return Poly._trusted({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
+        if type(other) is not Poly and isinstance(other, int):
             other = Poly.const(other)
         if not other.terms:
             return self
@@ -170,7 +180,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
+        if type(other) is not Poly and isinstance(other, int):
             other = Poly.const(other)
         if not other.terms:
             return self
@@ -187,7 +197,7 @@ class Poly:
         return Poly.const(other) - self
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
-        if isinstance(other, int):
+        if type(other) is not Poly and isinstance(other, int):
             other = Poly.const(other)
         t1, t2 = self.terms, other.terms
         if not t1:
@@ -196,12 +206,18 @@ class Poly:
             return other
         if t2 == _ONE_TERMS:
             return self
+        if len(t1) == 1 and len(t2) == 1:
+            ((a0, a1, a2, a3, a4, a5), c1), = t1.items()
+            ((b0, b1, b2, b3, b4, b5), c2), = t2.items()
+            return Poly._trusted({
+                (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5): c1 * c2
+            })
         out: dict[Mono, int] = {}
-        get = out.get
+        items2 = t2.items()
         for (a0, a1, a2, a3, a4, a5), c1 in t1.items():
-            for (b0, b1, b2, b3, b4, b5), c2 in t2.items():
+            for (b0, b1, b2, b3, b4, b5), c2 in items2:
                 mono = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
-                s = get(mono, 0) + c1 * c2
+                s = out[mono] + c1 * c2 if mono in out else c1 * c2
                 if s:
                     out[mono] = s
                 else:
@@ -302,17 +318,19 @@ class ExtElem:
         return ExtElem._trusted(-self.p, -self.q)
 
     def __add__(self, other) -> "ExtElem":
-        other = _as_ext(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not ExtElem:
+            other = _as_ext(other)
+            if other is None:
+                return NotImplemented
         return ExtElem._trusted(self.p + other.p, self.q + other.q)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExtElem":
-        other = _as_ext(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not ExtElem:
+            other = _as_ext(other)
+            if other is None:
+                return NotImplemented
         return ExtElem._trusted(self.p - other.p, self.q - other.q)
 
     def __rsub__(self, other) -> "ExtElem":
@@ -322,12 +340,16 @@ class ExtElem:
         return other - self
 
     def __mul__(self, other) -> "ExtElem":
-        other = _as_ext(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not ExtElem:
+            other = _as_ext(other)
+            if other is None:
+                return NotImplemented
         p1, q1, p2, q2 = self.p, self.q, other.p, other.q
-        if not q1.terms and not q2.terms:
-            return ExtElem._trusted(p1 * p2, q1)
+        # an r-free side zeroes q1*q2 and one cross term: neither is formed
+        if not q1.terms:
+            return ExtElem._trusted(p1 * p2, p1 * q2 if q2.terms else q1)
+        if not q2.terms:
+            return ExtElem._trusted(p1 * p2, q1 * p2)
         return ExtElem._trusted(
             p1 * p2 + _times_delta(q1 * q2),
             p1 * q2 + q1 * p2,
@@ -354,6 +376,8 @@ class ExtElem:
 
 
 def _as_ext(x) -> ExtElem | None:
+    if type(x) is int and x in _EXT_CONSTS:
+        return _EXT_CONSTS[x]
     if isinstance(x, ExtElem):
         return x
     if isinstance(x, Poly):
@@ -363,7 +387,9 @@ def _as_ext(x) -> ExtElem | None:
     return None
 
 
-_ONE_EXT = ExtElem(1, 0)
+# shared by every operand they stand for: nothing mutates a result
+_EXT_CONSTS = {c: ExtElem._trusted(Poly.const(c), Poly()) for c in (0, 1, -1)}
+_ONE_EXT = _EXT_CONSTS[1]
 
 
 def _is_one(e: ExtElem) -> bool:
@@ -411,7 +437,8 @@ class RatElem:
         other = _as_rat(other)
         if other is None:
             raise TypeError("cannot compare RatElem with this type")
-        lhs, rhs = _cross(self, other)
+        lhs = self.num if _is_one(other.den) else self.num * other.den
+        rhs = other.num if _is_one(self.den) else other.num * self.den
         return lhs.p.terms == rhs.p.terms and lhs.q.terms == rhs.q.terms
 
     def __eq__(self, other: object) -> bool:
@@ -426,20 +453,32 @@ class RatElem:
         return RatElem._trusted(-self.num, self.den)
 
     def __add__(self, other) -> "RatElem":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        lhs, rhs = _cross(self, other)
-        return RatElem._trusted(lhs + rhs, _den_product(self.den, other.den))
+        if type(other) is not RatElem:
+            other = _as_rat(other)
+            if other is None:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
+        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
+        return RatElem._trusted(
+            (n1 if one2 else n1 * d2) + (n2 if one1 else n2 * d1),
+            d2 if one1 else d1 if one2 else d1 * d2,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "RatElem":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        lhs, rhs = _cross(self, other)
-        return RatElem._trusted(lhs - rhs, _den_product(self.den, other.den))
+        if type(other) is not RatElem:
+            other = _as_rat(other)
+            if other is None:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
+        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
+        return RatElem._trusted(
+            (n1 if one2 else n1 * d2) - (n2 if one1 else n2 * d1),
+            d2 if one1 else d1 if one2 else d1 * d2,
+        )
 
     def __rsub__(self, other) -> "RatElem":
         other = _as_rat(other)
@@ -448,12 +487,18 @@ class RatElem:
         return other - self
 
     def __mul__(self, other) -> "RatElem":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        return RatElem._trusted(
-            self.num * other.num, _den_product(self.den, other.den)
-        )
+        if type(other) is not RatElem:
+            other = _as_rat(other)
+            if other is None:
+                return NotImplemented
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if n1.q.terms or n2.q.terms:
+            num = n1 * n2
+        else:  # ExtElem.__mul__'s r-free product, without the call
+            num = ExtElem._trusted(n1.p * n2.p, n1.q)
+        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
+        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
+        return RatElem._trusted(num, d2 if one1 else d1 if one2 else d1 * d2)
 
     __rmul__ = __mul__
 
@@ -463,9 +508,10 @@ class RatElem:
         return RatElem._trusted(self.den, self.num)
 
     def __truediv__(self, other) -> "RatElem":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not RatElem:
+            other = _as_rat(other)
+            if other is None:
+                return NotImplemented
         return self * other.inv()
 
     def __rtruediv__(self, other) -> "RatElem":
@@ -496,22 +542,7 @@ def _as_rat(x) -> RatElem | None:
     return RatElem._trusted(e, _ONE_EXT)
 
 
-def _cross(a: RatElem, b: RatElem) -> tuple[ExtElem, ExtElem]:
-    """(a.num * b.den, b.num * a.den), each product skipped when its
-    denominator is the unit 1."""
-    lhs = a.num if _is_one(b.den) else a.num * b.den
-    rhs = b.num if _is_one(a.den) else b.num * a.den
-    return lhs, rhs
-
-
-def _den_product(d1: ExtElem, d2: ExtElem) -> ExtElem:
-    """d1 * d2, skipping the product when either factor is the unit 1.  Both
-    are nonzero and the ring is an integral domain, so the result is too."""
-    if _is_one(d1):
-        return d2
-    if _is_one(d2):
-        return d1
-    return d1 * d2
+_ZERO_RAT = RatElem._trusted(_EXT_CONSTS[0], _ONE_EXT)
 
 
 RatLike = Union[RatElem, ExtElem, Poly, int]
@@ -548,9 +579,9 @@ class Substitution:
         if hit is not None:
             return hit[1]
         powers = self._powers
-        out = RatElem(0, 1)
+        out = _ZERO_RAT
         for mono, coeff in p.terms.items():
-            term = RatElem(coeff, 1)
+            term = RatElem._trusted(_as_ext(coeff), _ONE_EXT)
             for name, e in zip(VARS, mono):
                 if e:
                     key = (name, e)

@@ -151,6 +151,10 @@ class SweepResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # sampling
 
+class DrawFailed(RuntimeError):
+    """No draw out of _MAX_REDRAWS met the sanity bounds within the band."""
+
+
 def _draw_base(rng: random.Random, cfg: SweepConfig) -> Params:
     """Six values, each bit-for-bit from_polar(modulus, argument) with the
     modulus 10 ** rng.uniform(lo, hi) (1.0 on the unit circle) drawn before
@@ -191,7 +195,7 @@ def _draw_random_sample(rng: random.Random, cfg: SweepConfig) -> Params:
         if cfg.regime_filter == DISTINCT_X and not _separated(base.x1, base.x2):
             continue
         return base
-    raise RuntimeError("could not draw a sample satisfying the regime filter")
+    raise DrawFailed("could not draw a sample satisfying the regime filter")
 
 
 def _draw_injected_sample(
@@ -214,7 +218,7 @@ def _draw_injected_sample(
         elif not (_solved_sane(q.x1) and _separated(q.x1, q.x2)):
             continue
         return q
-    raise RuntimeError(f"could not construct a sane tuple for case {case_id}")
+    raise DrawFailed(f"could not construct a sane tuple for case {case_id}")
 
 
 def _injection_case(cfg: SweepConfig, injection_index: int) -> str:

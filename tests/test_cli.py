@@ -415,6 +415,26 @@ class TestSweep:
         assert out == ""
         assert err == "error: parameter magnitudes overflow the matrix entries\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # every solved z1 of equal-x-1 leaves [1e-6, 1e6] in this band
+            (("--samples", "200", "--log10-modulus-min", "-10",
+              "--log10-modulus-max", "-5"),
+             "could not construct a sane tuple for case equal-x-1"),
+            # every modulus is 1, so x1 and x2 are never separated
+            (("--samples", "5", "--domain", "positive-real",
+              "--log10-modulus-min", "0", "--log10-modulus-max", "0",
+              "--regime-filter", "distinct", "--inject-reducible-rate", "0"),
+             "could not draw a sample satisfying the regime filter"),
+        ],
+    )
+    def test_band_without_a_sane_draw_exits_one(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == INPUT_ERROR
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestOneProcess:
     # main() builds its parser on the first call and reuses it, so a warm

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeg7 import exact
 from heckeg7.exact import (
     DELTA_POLY,
     VARS,
@@ -21,6 +22,7 @@ from heckeg7.exact import (
     poly_eval,
     substitute,
 )
+from heckeg7.identities import run_all
 from heckeg7.numerics import approx_eq
 
 X1, X2, Y1, Y2, Z1, Z2 = (Poly.var(name) for name in VARS)
@@ -395,19 +397,34 @@ def items(value) -> list:
     return [list(value.items())]
 
 
+single_term_polys = st.builds(
+    lambda mono, coeff: Poly({mono: coeff}), monomials, small_ints.filter(bool)
+)
 shortcut_polys = st.one_of(
     st.just(Poly()),
     st.just(Poly.const(1)),
     small_ints.map(Poly.const),
+    single_term_polys,
     polys(),
 )
 r_free_elems = shortcut_polys.map(ExtElem)
+# elements whose r-part is nonzero
+r_elems = st.builds(
+    ExtElem, shortcut_polys, st.one_of(single_term_polys, polys().filter(bool))
+)
 shortcut_elems = st.one_of(r_free_elems, st.builds(ExtElem, shortcut_polys, polys()))
 denominators = st.one_of(
     st.just(ExtElem(1)),
     shortcut_elems.filter(lambda e: not e.is_zero()),
 )
 rat_elems = st.builds(RatElem, shortcut_elems, denominators)
+r_free_rats = st.builds(RatElem, r_free_elems, denominators)
+INT_OPERANDS = (0, 1, -1, 2, -3)
+UNIT = ({ONE_MONO: 1}, {})
+
+
+def ref_int(c: int) -> tuple[dict, dict]:
+    return ({ONE_MONO: c} if c else {}), {}
 
 
 class TestShortcuts:
@@ -470,6 +487,92 @@ class TestShortcuts:
         assert items(-a) == items((ref_ext_neg(ra[0]), ra[1]))
         assert a.equals(b) == ref_rat_equals(ra, rb)
         assert items((a, b)) == before
+
+    @given(single_term_polys, single_term_polys)
+    @settings(max_examples=200, derandomize=True)
+    def test_single_term_products_write_one_monomial(self, a, b):
+        before = items((a, b))
+        product = a * b
+        assert len(product.terms) == 1
+        assert items(product) == items(ref_mul(dict(a.terms), dict(b.terms)))
+        assert items((a, b)) == before
+
+    @given(r_free_elems, r_elems)
+    @settings(max_examples=200, derandomize=True)
+    def test_one_sided_r_free_products_match_the_four_product_formula(self, a, b):
+        before = items((a, b))
+        ra, rb = ref_ext(a), ref_ext(b)
+        assert items(a * b) == items(ref_ext_mul(ra, rb))
+        assert items(b * a) == items(ref_ext_mul(rb, ra))
+        assert items((a, b)) == before
+
+    @given(r_free_rats, r_free_rats)
+    @settings(max_examples=200, derandomize=True)
+    def test_r_free_numerator_products_match_schoolbook(self, a, b):
+        before = items((a, b))
+        ra, rb = ref_rat(a), ref_rat(b)
+        product = a * b
+        assert product.num.q.is_zero()
+        assert items(product) == items(ref_rat_mul(ra, rb))
+        if not b.is_zero():
+            assert items(a / b) == items(ref_rat_mul(ra, (rb[1], rb[0])))
+        assert items((a, b)) == before
+
+    @given(shortcut_elems, rat_elems)
+    @settings(max_examples=100, derandomize=True)
+    def test_int_operands_match_schoolbook(self, e, f):
+        before = items((e, f))
+        re, rf = ref_ext(e), ref_rat(f)
+        # __radd__ and __rmul__ are __add__ and __mul__: c + e is e + c
+        for c in INT_OPERANDS:
+            ce = ref_int(c)
+            cf = (ce, UNIT)
+            assert items(e * c) == items(ref_ext_mul(re, ce))
+            assert items(c * e) == items(ref_ext_mul(re, ce))
+            assert items(e + c) == items(ref_ext_add(re, ce))
+            assert items(c + e) == items(ref_ext_add(re, ce))
+            assert items(e - c) == items(ref_ext_add(re, ref_ext_neg(ce)))
+            assert items(c - e) == items(ref_ext_add(ce, ref_ext_neg(re)))
+            assert items(f * c) == items(ref_rat_mul(rf, cf))
+            assert items(c * f) == items(ref_rat_mul(rf, cf))
+            assert items(f + c) == items(ref_rat_add(rf, cf))
+            assert items(c + f) == items(ref_rat_add(rf, cf))
+            assert items(f - c) == items(ref_rat_sub(rf, cf))
+            assert items(c - f) == items(ref_rat_sub(cf, rf))
+            if c:
+                assert items(f / c) == items(ref_rat_mul(rf, (UNIT, ce)))
+            if not f.is_zero():
+                assert items(c / f) == items(ref_rat_mul(cf, (rf[1], rf[0])))
+        assert items((e, f)) == before
+
+    @given(shortcut_polys, shortcut_elems, rat_elems)
+    @settings(max_examples=100, derandomize=True)
+    def test_bool_operands_match_their_ints(self, p, e, f):
+        before = items((p, e, f))
+        for b in (False, True):
+            c = int(b)
+            for x in (p, e, f):
+                assert items(x * b) == items(x * c)
+                assert items(b * x) == items(c * x)
+                assert items(x + b) == items(x + c)
+                assert items(b + x) == items(c + x)
+                assert items(x - b) == items(x - c)
+                assert items(b - x) == items(c - x)
+        assert items((p, e, f)) == before
+
+    def test_run_all_leaves_the_shared_constants_alone(self):
+        # a bool keeps its own coercion; the ints 0, 1, -1 get the shared
+        # constants, which every identity report then uses as operands
+        assert exact._as_ext(True) is not exact._EXT_CONSTS[1]
+        for c, shared in exact._EXT_CONSTS.items():
+            assert exact._as_ext(c) is shared
+        run_all()
+        assert {c: items(shared) for c, shared in exact._EXT_CONSTS.items()} == {
+            c: items(ref_int(c)) for c in (0, 1, -1)
+        }
+        assert exact._ONE_EXT is exact._EXT_CONSTS[1]
+        assert items(exact._ZERO_RAT) == items((ref_int(0), UNIT))
+        assert exact._ONE_TERMS == {ONE_MONO: 1}
 
     @given(rat_elems, denominators)
     @settings(max_examples=200, derandomize=True)
