@@ -51,9 +51,6 @@ OK = 0
 INPUT_ERROR = 1
 MATH_FAILURE = 2
 
-_REQUIRED_FIELDS = ("x1", "x2", "y1", "y2", "z1", "z2")
-_OPTIONAL_FIELDS = ("y3", "z3")
-
 
 class InputError(ValueError):
     """Any problem with files, flags, or parameter values (exit code 1)."""
@@ -101,7 +98,7 @@ def load_params(path: str) -> Params:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read parameter file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
@@ -109,19 +106,18 @@ def load_params(path: str) -> Params:
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(doc) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS))
+    unknown = sorted(set(doc) - set(Params._fields))
     if unknown:
         raise InputError(f"{path}: unknown field(s) {', '.join(unknown)}")
-    missing = [name for name in _REQUIRED_FIELDS if name not in doc]
+    missing = [
+        name for name in Params._fields
+        if name not in doc and name not in Params._field_defaults
+    ]
     if missing:
         raise InputError(f"{path}: missing required field(s) {', '.join(missing)}")
     values = {name: parse_complex_value(name, doc[name]) for name in doc}
     try:
-        return Params(
-            *(values[name] for name in _REQUIRED_FIELDS),
-            y3=values.get("y3"),
-            z3=values.get("z3"),
-        )
+        return Params(**values)
     except InvalidParams as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -269,21 +265,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        samples=args.samples,
-        seed=args.seed,
-        domain=args.domain,
-        tolerance=args.tolerance,
-        r_sign=args.r_sign,
-        inject_reducible_rate=args.inject_reducible_rate,
-        log10_modulus_min=args.log10_modulus_min,
-        log10_modulus_max=args.log10_modulus_max,
-        regime_filter=(
-            None
-            if args.regime_filter is None
-            else {"equal": EQUAL_X, "distinct": DISTINCT_X}[args.regime_filter]
-        ),
-    )
+    values = {name: getattr(args, name) for name in SweepConfig._fields}
+    if args.regime_filter is not None:
+        regimes = {"equal": EQUAL_X, "distinct": DISTINCT_X}
+        values["regime_filter"] = regimes[args.regime_filter]
+    cfg = SweepConfig(**values)
     try:
         cfg.validate()
     except ValueError as exc:

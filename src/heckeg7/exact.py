@@ -14,6 +14,11 @@ and fraction equality by cross-multiplication (n1*d2 == n2*d1) is sound.  No
 gcd normalization is ever performed; degrees stay small for every identity
 checked here, and equality never depends on reduced form.
 
+Operands are the three classes and int; an operator given anything else
+(a float, say) returns NotImplemented, so a higher layer's reflected
+operator answers (x1 + r is r + x1) or Python raises TypeError, and the
+ExtElem and RatElem constructors raise TypeError.
+
 The operators skip work whose result is known without doing it:
 
   - +, -, * and RatElem's / test type(other) against their own class
@@ -162,7 +167,9 @@ class Poly:
         return Poly._trusted({m: -c for m, c in self.terms.items()})
 
     def __add__(self, other: Union["Poly", int]) -> "Poly":
-        if type(other) is not Poly and isinstance(other, int):
+        if type(other) is not Poly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Poly.const(other)
         if not other.terms:
             return self
@@ -180,7 +187,9 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
-        if type(other) is not Poly and isinstance(other, int):
+        if type(other) is not Poly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Poly.const(other)
         if not other.terms:
             return self
@@ -194,10 +203,14 @@ class Poly:
         return Poly._trusted(out)
 
     def __rsub__(self, other: int) -> "Poly":
+        if not isinstance(other, int):
+            return NotImplemented
         return Poly.const(other) - self
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
-        if type(other) is not Poly and isinstance(other, int):
+        if type(other) is not Poly:
+            if not isinstance(other, int):
+                return NotImplemented
             other = Poly.const(other)
         t1, t2 = self.terms, other.terms
         if not t1:
@@ -272,7 +285,11 @@ PolyLike = Union[Poly, int]
 
 
 def _as_poly(x: PolyLike) -> Poly:
-    return Poly.const(x) if isinstance(x, int) else x
+    if isinstance(x, int):
+        return Poly.const(x)
+    if isinstance(x, Poly):
+        return x
+    raise TypeError("ExtElem parts must be Poly or int")
 
 
 class ExtElem:

@@ -127,15 +127,7 @@ class SweepResult(NamedTuple):
             "schema_version": SCHEMA_VERSION,
             "kind": "sweep-summary",
             "config": {
-                "samples": cfg.samples,
-                "seed": cfg.seed,
-                "domain": cfg.domain,
-                "tolerance": cfg.tolerance,
-                "r-sign": cfg.r_sign,
-                "inject-reducible-rate": cfg.inject_reducible_rate,
-                "log10-modulus-min": cfg.log10_modulus_min,
-                "log10-modulus-max": cfg.log10_modulus_max,
-                "regime-filter": cfg.regime_filter,
+                name.replace("_", "-"): value for name, value in cfg._asdict().items()
             },
             "counts": dict(self.counts),
             "injected": {

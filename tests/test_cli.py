@@ -214,6 +214,15 @@ class TestInputErrors:
         assert code == INPUT_ERROR
         assert "cannot read" in err
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        # a UTF-16 file with its byte-order mark ff fe
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(ALL_ONES).encode("utf-16-le"))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (INPUT_ERROR, "")
+        assert err.startswith(f"error: cannot read parameter file {path}: ")
+        assert err.count("\n") == 1
+
     def test_argument_out_of_range_is_named(self, tmp_path, capsys):
         doc = dict(ALL_ONES, x1={"modulus": 1, "argument": 4.0})
         path = write_params(tmp_path, doc)
@@ -547,7 +556,9 @@ class TestEntryPoints:
 
     def test_cold_import_leaves_out_dataclasses_and_inspect(self):
         # dataclasses (and the inspect it imports) were most of the import
-        # time of heckeg7.cli; -S keeps site from importing anything first
+        # time of heckeg7.cli; -S keeps site from importing anything first.
+        # The package __init__ imports nothing, so heckeg7.cli's own imports
+        # must load the modules perfbench/worker.py reads from sys.modules.
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [
@@ -555,14 +566,21 @@ class TestEntryPoints:
                 "-S",
                 "-c",
                 "import sys; from heckeg7.cli import build_parser; build_parser(); "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+                "print(' '.join(m for m in sys.modules if m.startswith('heckeg7.')))",
             ],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        heavy, loaded = proc.stdout.splitlines()
+        assert heavy == "[]"
+        worker_modules = {
+            "cli", "sweep", "irreducibility", "representation", "matrix2",
+            "identities", "exact",
+        }
+        assert {f"heckeg7.{name}" for name in worker_modules} <= set(loaded.split())
 
     def test_import_builds_no_parser(self):
         # a fresh interpreter (setup_s, one-shot runs) pays for the import

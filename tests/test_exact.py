@@ -217,6 +217,33 @@ class TestRatElem:
         assert (q * q.inv()).equals(RatElem(1))
 
 
+class TestOperands:
+    def test_a_poly_defers_to_the_higher_layer(self):
+        r, one = ExtElem.r(), RatElem(1)
+        assert (X1 + r) == ExtElem(X1, 1) and type(X1 + r) is ExtElem
+        assert (X1 - r) == ExtElem(X1, -1) and type(X1 - r) is ExtElem
+        assert (X1 * r) == ExtElem(0, X1)
+        product = X1 * one
+        assert type(product) is RatElem and product.equals(X1)
+        assert (X1 - one).equals(RatElem(ExtElem(X1 - 1)))
+
+    @pytest.mark.parametrize("operand", [1.5, 2.0, 1j, "1", None])
+    def test_non_ring_operands_are_refused(self, operand):
+        for op in (
+            lambda: X1 + operand,
+            lambda: operand + X1,
+            lambda: X1 - operand,
+            lambda: operand - X1,
+            lambda: X1 * operand,
+            lambda: operand * X1,
+            lambda: ExtElem(operand),
+            lambda: ExtElem(X1, operand),
+            lambda: RatElem(operand),
+        ):
+            with pytest.raises(TypeError):
+                op()
+
+
 class TestSubstitute:
     def test_delta_image_matches_squared_root_image(self):
         # Setting x1 to x2*y1*z1/(y2*z2) turns the six-variable product into
