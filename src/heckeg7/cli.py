@@ -67,7 +67,10 @@ class _Parser(argparse.ArgumentParser):
 def _as_number(field: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{field}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{field}: {exc}") from exc
 
 
 def parse_complex_value(field: str, obj) -> complex:
@@ -102,7 +105,7 @@ def load_params(path: str) -> Params:
         raise InputError(f"cannot read parameter file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")

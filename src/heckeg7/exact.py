@@ -126,6 +126,8 @@ class Poly:
         self.terms: dict[Mono, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                if not isinstance(coeff, int):
+                    raise TypeError(f"coefficient {coeff!r} is not an int")
                 if coeff != 0:
                     self.terms[mono] = coeff
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import ExtElem, Poly, RatElem, Substitution, substitute
-from .irreducibility import _EQUAL_CASES, equal_x_lines, root_image, solved_value
+from .irreducibility import EQUAL_X_CASES, equal_x_lines, root_image, solved_value
 from .matrix2 import Mat2
 from .representation import GeneratorTriple, _check_sign, conjugator, generators
 
@@ -136,7 +136,7 @@ def case_substitution(case_id: str) -> tuple[dict[str, RatElem], RatElem]:
     are legal root images)."""
     value = solved_value(case_id, X2, Y1, Y2, Z1, Z2)
     root = root_image(case_id, X2, Y1, Y2, Z1, Z2)
-    if case_id in _EQUAL_CASES:
+    if case_id in EQUAL_X_CASES:
         return {"x1": X2, "z1": value}, root
     return {"x1": value}, root
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .matrix2 import Vec2, _record, common_eigenvector, normalize_direction
-from .numerics import VERDICT_TOL, approx_eq, principal_sqrt
-from .representation import GeneratorTriple, Params, _check_sign, build_general, delta
+from .matrix2 import Vec2, _record, common_eigenvector
+from .numerics import VERDICT_TOL, approx_eq
+from .representation import GeneratorTriple, Params, build_general
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .representation import build_equal_x  # noqa: F401
 
@@ -32,14 +32,6 @@ EQUAL_X = "equal_x"
 DISTINCT_X = "distinct_x"
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
-
-
-class ConditionNotSatisfied(ValueError):
-    pass
-
-
-class ContradictoryCase(RuntimeError):
-    pass
 
 
 class ConditionFlag(NamedTuple):
@@ -70,57 +62,44 @@ class Verdict(NamedTuple):
     branch_diagnosis: BranchDiagnosis | None
 
 
-# Reducibility cases: case id -> the condition that makes the point
-# reducible.  theorem_verdict computes both sides of each distinct-x
-# condition, in this order; solved_value gives the parameter that makes a
-# case's condition hold.
-_EQUAL_CASES = {
-    "equal-x-1": "z1*y2 = y1*z2",
-    "equal-x-2": "z1*y1 = y2*z2",
+# Reducibility cases: case id -> (condition, j, k).  Each condition says
+# x1*y_j'*z_k' = x2*y_j*z_k, with j' = 3 - j and k' = 3 - k (at x1 = x2 for
+# the equal-x cases, which all have k = 2), and x2*y_j*z_k is the case's root
+# image.  The two sides multiply to DELTA, so the image squares to DELTA
+# where the condition holds.  theorem_verdict computes both sides of each
+# distinct-x condition, in this order.
+EQUAL_X_CASES = {
+    "equal-x-1": ("z1*y2 = y1*z2", 1, 2),
+    "equal-x-2": ("z1*y1 = y2*z2", 2, 2),
 }
 
-_DISTINCT_CASES = {
-    "distinct-x-1": "x1*y2*z2 = x2*y1*z1",
-    "distinct-x-2": "x1*y1*z2 = x2*y2*z1",
-    "distinct-x-3": "x1*y2*z1 = x2*y1*z2",
-    "distinct-x-4": "x1*y1*z1 = x2*y2*z2",
+DISTINCT_X_CASES = {
+    "distinct-x-1": ("x1*y2*z2 = x2*y1*z1", 1, 1),
+    "distinct-x-2": ("x1*y1*z2 = x2*y2*z1", 2, 1),
+    "distinct-x-3": ("x1*y2*z1 = x2*y1*z2", 1, 2),
+    "distinct-x-4": ("x1*y1*z1 = x2*y2*z2", 2, 2),
 }
 
-ALL_CASES = {**_EQUAL_CASES, **_DISTINCT_CASES}
+ALL_CASES = {**EQUAL_X_CASES, **DISTINCT_X_CASES}
 
-
-def solved_value(case_id: str, x2, y1, y2, z1, z2):
-    """The value that makes the case condition an identity over any field:
-    z1 (with x1 = x2) for the equal-x cases, x1 for the distinct-x cases."""
-    if case_id == "equal-x-1":
-        return y1 * z2 / y2
-    if case_id == "equal-x-2":
-        return y2 * z2 / y1
-    if case_id == "distinct-x-1":
-        return x2 * y1 * z1 / (y2 * z2)
-    if case_id == "distinct-x-2":
-        return x2 * y2 * z1 / (y1 * z2)
-    if case_id == "distinct-x-3":
-        return x2 * y1 * z2 / (y2 * z1)
-    if case_id == "distinct-x-4":
-        return x2 * y2 * z2 / (y1 * z1)
-    raise KeyError(f"unknown case id {case_id!r}")
-
-
-# Case id -> (j, k) of its root image x2*y_j*z_k.  Each condition says
-# x1*y_j'*z_k' = x2*y_j*z_k (at x1 = x2 for the equal-x cases); DELTA is the
-# product of the two sides, so the image squares to DELTA where it holds.
-_ROOT_IMAGE_INDICES = {
-    "equal-x-1": (1, 2), "equal-x-2": (2, 2),
-    "distinct-x-1": (1, 1), "distinct-x-2": (2, 1),
-    "distinct-x-3": (1, 2), "distinct-x-4": (2, 2),
-}
+_CONDITIONS = tuple(condition for condition, _, _ in DISTINCT_X_CASES.values())
 
 
 def root_image(case_id: str, x2, y1, y2, z1, z2):
     """The case's root image x2*y_j*z_k over any field."""
-    j, k = _ROOT_IMAGE_INDICES[case_id]
+    _, j, k = ALL_CASES[case_id]
     return x2 * (y1, y2)[j - 1] * (z1, z2)[k - 1]
+
+
+def solved_value(case_id: str, x2, y1, y2, z1, z2):
+    """The value that makes the case condition an identity over any field:
+    z1 = y_j*z_k/y_j' (with x1 = x2) for the equal-x cases and
+    x1 = x2*y_j*z_k/(y_j'*z_k') for the distinct-x cases."""
+    _, j, k = ALL_CASES[case_id]
+    ys, zs = (y1, y2), (z1, z2)
+    if case_id in EQUAL_X_CASES:
+        return ys[j - 1] * zs[k - 1] / ys[2 - j]
+    return x2 * ys[j - 1] * zs[k - 1] / (ys[2 - j] * zs[2 - k])
 
 
 def equal_x_lines(x, y1, y2):
@@ -136,7 +115,7 @@ def solve_case(case_id: str, p: Params) -> Params:
     the distinct-x cases."""
     _, x2, y1, y2, z1, z2, y3, z3 = p
     value = solved_value(case_id, x2, y1, y2, z1, z2)
-    if case_id in _EQUAL_CASES:
+    if case_id in EQUAL_X_CASES:
         return Params(x2, x2, y1, y2, value, z2, y3, z3)
     return Params(value, x2, y1, y2, z1, z2, y3, z3)
 
@@ -170,7 +149,7 @@ def theorem_verdict(
     e2 = abs(l2 - r2) <= tol * max(1.0, abs(l2), abs(r2))
     e3 = abs(l3 - r3) <= tol * max(1.0, abs(l3), abs(r3))
     e4 = abs(l4 - r4) <= tol * max(1.0, abs(l4), abs(r4))
-    n1, n2, n3, n4 = _DISTINCT_CASES.values()
+    n1, n2, n3, n4 = _CONDITIONS
     flags = (
         _record(ConditionFlag, (n1, l1, r1, e1)),
         _record(ConditionFlag, (n2, l2, r2, e2)),
@@ -213,38 +192,3 @@ def decide(
     return _record(
         Verdict, (reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
     )
-
-
-def _close(a: complex, b: complex, tol: float) -> bool:
-    return abs(a - b) <= tol * max(abs(a), abs(b))
-
-
-def invariant_vector_predicted(
-    p: Params, case_id: str, r_sign: int = 1, tol: float = VERDICT_TOL
-) -> Vec2:
-    """The invariant direction the case predicts at the branch r_sign.
-
-    An invariant line is never (1, 0), since s2(2,1) = -y1*y2*x1 != 0, so
-    s1 acts on it by x2, and s1*s2*s3 = r*I makes r = x2*y_j*z_k for the
-    eigenvalues y_j of s2 and z_k of s3 on it.  So when the case's root
-    image equals r the line is s2's y_j eigenline; when it equals -r,
-    ContradictoryCase is raised (the flipped branch has the line); otherwise
-    ConditionNotSatisfied.  Compared purely relatively: |a-b| <= tol*max(|a|,|b|).
-    """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    if case_id not in ALL_CASES:
-        raise KeyError(f"unknown case id {case_id!r}")
-    x1, x2, y1, y2, z1, z2, _, _ = p
-    r = _check_sign(r_sign) * principal_sqrt(delta(p))
-    image = root_image(case_id, x2, y1, y2, z1, z2)
-    if _close(image, r, tol):
-        j = _ROOT_IMAGE_INDICES[case_id][0]
-        return normalize_direction(equal_x_lines(x1, y1, y2)[j - 1])
-    name = ALL_CASES[case_id]
-    if _close(image, -r, tol):
-        raise ContradictoryCase(
-            f"{name} holds with root image {image!r} = -r at r_sign {r_sign:+d}; "
-            "no invariant line exists on this branch (the flipped branch carries one)"
-        )
-    raise ConditionNotSatisfied(f"{case_id}: root image {image!r} is not +-r = {r!r}")

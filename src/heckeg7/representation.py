@@ -99,10 +99,6 @@ class GeneratorTriple(NamedTuple):
     s3: Mat2
 
 
-def delta(p: Params) -> complex:
-    return p.x1 * p.x2 * p.y1 * p.y2 * p.z1 * p.z2
-
-
 def _check_sign(r_sign: int) -> int:
     if r_sign not in (1, -1):
         raise InvalidParams(f"r_sign must be +1 or -1, got {r_sign!r}")

@@ -29,10 +29,10 @@ import random
 from typing import NamedTuple
 
 from .irreducibility import (
-    _EQUAL_CASES,
-    _DISTINCT_CASES,
-    EQUAL_X,
     DISTINCT_X,
+    DISTINCT_X_CASES,
+    EQUAL_X,
+    EQUAL_X_CASES,
     REDUCIBLE,
     Verdict,
     decide,
@@ -58,8 +58,8 @@ AGREE_REDUCIBLE = "agree-reducible"
 DISAGREE_RESOLVED = "disagree-resolved-by-branch"
 DISAGREE_UNRESOLVED = "disagree-unresolved"
 
-_EQUAL_CASE_IDS = tuple(_EQUAL_CASES)
-_DISTINCT_CASE_IDS = tuple(_DISTINCT_CASES)
+_EQUAL_CASE_IDS = tuple(EQUAL_X_CASES)
+_DISTINCT_CASE_IDS = tuple(DISTINCT_X_CASES)
 
 # Injected tuples are redrawn until they are robustly inside their intended
 # case: the solved parameter must have sane modulus, distinct-x tuples must

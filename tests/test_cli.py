@@ -209,6 +209,20 @@ class TestInputErrors:
         assert code == INPUT_ERROR
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_number_too_large_for_a_float_is_one_error_line(self, tmp_path, capsys, digits):
+        # 401 digits overflow float(); 5000 exceed the int digit limit that
+        # json.loads enforces on Python versions that have one
+        path = tmp_path / "huge.json"
+        text = json.dumps(dict(ALL_ONES, x1={"re": 0, "im": 0}))
+        path.write_text(text.replace('"re": 0', '"re": 1' + "0" * (digits - 1), 1))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (INPUT_ERROR, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        if digits == 401:
+            assert err.startswith("error: x1.re: ")
+
     def test_nonexistent_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.json"))
         assert code == INPUT_ERROR

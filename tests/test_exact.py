@@ -1,6 +1,7 @@
 """Exact sparse-polynomial, root-extension, and rational arithmetic."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,17 @@ class TestOperands:
         ):
             with pytest.raises(TypeError):
                 op()
+
+    @pytest.mark.parametrize("coeff", [1.5, 2.0, Fraction(1, 2), 1j, "1", None])
+    def test_a_poly_takes_only_int_coefficients(self, coeff):
+        with pytest.raises(TypeError):
+            Poly({exact.ZERO_MONO: coeff})
+        with pytest.raises(TypeError):
+            Poly.const(coeff)
+
+    def test_a_bool_coefficient_is_accepted_as_an_int(self):
+        assert Poly.const(True) == 1
+        assert Poly.const(False).is_zero()
 
 
 class TestSubstitute:

@@ -8,25 +8,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heckeg7.identities import X2, Y1, Y2, Z1, Z2
 from heckeg7.irreducibility import (
     ALL_CASES,
     DISTINCT_X,
     EQUAL_X,
     IRREDUCIBLE,
     REDUCIBLE,
-    ConditionNotSatisfied,
-    ContradictoryCase,
     decide,
-    invariant_vector_predicted,
+    equal_x_lines,
     oracle_verdict,
     regime,
+    root_image,
     solve_case,
+    solved_value,
     theorem_verdict,
 )
-from heckeg7.matrix2 import normalize_direction, parallel
+from heckeg7.matrix2 import Vec2, normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
 from heckeg7.render import diagnosis_as_dict
-from heckeg7.representation import InvalidParams, Params, build_general, delta
+from heckeg7.representation import InvalidParams, Params, build_general
 
 WRONG_BRANCH_POINT = Params(
     1, 1, cmath.exp(0.9j * math.pi), 1, cmath.exp(0.9j * math.pi), 1
@@ -49,6 +50,24 @@ FALSE_WITNESS_POINT = Params(
 
 def positive_params(rng: random.Random) -> Params:
     return Params(*(complex(10.0 ** rng.uniform(-1, 1)) for _ in range(6)))
+
+
+def root_of(p: Params) -> complex:
+    return principal_sqrt(p.x1 * p.x2 * p.y1 * p.y2 * p.z1 * p.z2)
+
+
+def predicted_line(p: Params, case_id: str) -> tuple[int, Vec2]:
+    """The r sign at which the case's root image x2*y_j*z_k equals r, and
+    the line predicted invariant there: the y_j eigenline of s2.
+
+    An invariant line is never (1, 0), since s2(2,1) = -y1*y2*x1 != 0, so s1
+    acts on it by x2, and s1*s2*s3 = r*I makes r = x2*y_j*z_k for the
+    eigenvalues y_j of s2 and z_k of s3 on it."""
+    _, j, _ = ALL_CASES[case_id]
+    image = root_image(case_id, p.x2, p.y1, p.y2, p.z1, p.z2)
+    sign = 1 if approx_eq(image, root_of(p)) else -1
+    assert approx_eq(image, sign * root_of(p)), "the case's root image is not +-r"
+    return sign, normalize_direction(equal_x_lines(p.x1, p.y1, p.y2)[j - 1])
 
 
 def generator_invariance(g, direction, tol=1e-9) -> bool:
@@ -189,6 +208,49 @@ class TestSolveCase:
             solve_case("equal-x-9", Params(1, 1, 1, 1, 1, 1))
 
 
+# Each case's solved value written out: the reference that solved_value,
+# which reads (j, k) from the case table, must match bit for bit.
+LITERAL_SOLVED_VALUES = {
+    "equal-x-1": lambda x2, y1, y2, z1, z2: y1 * z2 / y2,
+    "equal-x-2": lambda x2, y1, y2, z1, z2: y2 * z2 / y1,
+    "distinct-x-1": lambda x2, y1, y2, z1, z2: x2 * y1 * z1 / (y2 * z2),
+    "distinct-x-2": lambda x2, y1, y2, z1, z2: x2 * y2 * z1 / (y1 * z2),
+    "distinct-x-3": lambda x2, y1, y2, z1, z2: x2 * y1 * z2 / (y2 * z1),
+    "distinct-x-4": lambda x2, y1, y2, z1, z2: x2 * y2 * z2 / (y1 * z1),
+}
+
+
+def rat_terms(f) -> list:
+    """Every terms dict of an exact fraction, in insertion order."""
+    return [list(poly.terms.items()) for e in (f.num, f.den) for poly in (e.p, e.q)]
+
+
+class TestSolvedValue:
+    def test_every_case_has_a_literal_reference(self):
+        assert ALL_CASES.keys() == LITERAL_SOLVED_VALUES.keys()
+
+    @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
+    def test_floats_keep_their_bits(self, case_id):
+        # complex values of both signs in each part, moduli over 16 decades
+        rng = random.Random(f"solved-value:{case_id}")
+
+        def draw():
+            return complex(*(
+                rng.choice((1, -1)) * 10.0 ** rng.uniform(-8, 8) for _ in range(2)
+            ))
+
+        literal = LITERAL_SOLVED_VALUES[case_id]
+        for _ in range(2000):
+            args = [draw() for _ in range(5)]
+            assert repr(solved_value(case_id, *args)) == repr(literal(*args)), args
+
+    @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
+    def test_exact_values_keep_their_terms(self, case_id):
+        args = (X2, Y1, Y2, Z1, Z2)
+        value = solved_value(case_id, *args)
+        assert rat_terms(value) == rat_terms(LITERAL_SOLVED_VALUES[case_id](*args))
+
+
 class TestOracle:
     def test_all_ones_point_has_invariant_direction(self):
         g = build_general(Params(1, 1, 1, 1, 1, 1))
@@ -215,11 +277,15 @@ class TestOracle:
 
 
 class TestPredictedDirection:
+    """On the branch where the case's root image equals r, the y_j
+    eigenline of s2 is invariant; the other branch has no invariant line."""
+
     def test_distinct_case_reference_point(self):
         # x = (16, 4), y = (1, 1), z = (2, 0.5): the root is 8 and the first
         # distinct-x condition holds (16*1*0.5 = 4*1*2).
         p = Params(16, 4, 1, 1, 2, 0.5)
-        direction = invariant_vector_predicted(p, "distinct-x-1")
+        sign, direction = predicted_line(p, "distinct-x-1")
+        assert sign == 1
         assert parallel(direction, (-0.0625, 1), 1e-12)
         verdict = decide(p)
         assert verdict.agreement and verdict.oracle_decision == REDUCIBLE
@@ -230,7 +296,8 @@ class TestPredictedDirection:
         for case_id in ("equal-x-1", "equal-x-2"):
             for _ in range(10):
                 p = solve_case(case_id, positive_params(rng))
-                direction = invariant_vector_predicted(p, case_id)
+                sign, direction = predicted_line(p, case_id)
+                assert sign == 1
                 g = build_general(p)
                 assert generator_invariance(g, direction)
 
@@ -253,33 +320,34 @@ class TestPredictedDirection:
         complementary = normalize_direction((-1 / (p_big_y2.x2 * p_big_y2.y1), 1))
         assert parallel(witness2, complementary, 1e-9)
 
-    def test_condition_must_hold(self):
-        with pytest.raises(ConditionNotSatisfied):
-            invariant_vector_predicted(Params(2, 3, 5, 7, 11, 13), "distinct-x-1")
-
     def test_distinct_case_at_an_equal_point(self):
         # x1*y2*z2 = x2*y1*z1 holds (both 4) with x1 = x2; the root image
         # x2*y1*z1 = 4 is r, so the y1 eigenline of s2 is invariant.
         p = Params(2, 2, 1, 2, 2, 1)
-        direction = invariant_vector_predicted(p, "distinct-x-1")
+        sign, direction = predicted_line(p, "distinct-x-1")
+        assert sign == 1
         assert parallel(direction, (-0.25, 1), 1e-12)
         assert generator_invariance(build_general(p), direction)
 
     def test_equal_case_at_a_distinct_point_needs_its_root_image(self):
         # y = z = (1, 2) satisfies z1*y2 = y1*z2, but with x = (2, 3) the
         # root image x2*y1*z2 = 6 is not +-r = +-sqrt(24): the point is
-        # irreducible.
+        # irreducible on both branches.
         p = Params(2, 3, 1, 2, 1, 2)
         assert decide(p).theorem_decision == IRREDUCIBLE
-        with pytest.raises(ConditionNotSatisfied, match="is not"):
-            invariant_vector_predicted(p, "equal-x-1")
+        image = root_image("equal-x-1", p.x2, p.y1, p.y2, p.z1, p.z2)
+        assert image == 6
+        assert not approx_eq(image, root_of(p)) and not approx_eq(image, -root_of(p))
+        for sign in (1, -1):
+            assert oracle_verdict(build_general(p, sign)) == (IRREDUCIBLE, None)
 
     @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
     def test_solved_point_gets_an_invariant_direction(self, case_id):
         rng = random.Random(f"predicted:{case_id}")
         for _ in range(5):
             p = solve_case(case_id, positive_params(rng))
-            direction = invariant_vector_predicted(p, case_id)
+            sign, direction = predicted_line(p, case_id)
+            assert sign == 1
             assert generator_invariance(build_general(p, 1), direction)
 
     @pytest.mark.parametrize("case_id", sorted(ALL_CASES))
@@ -293,30 +361,36 @@ class TestPredictedDirection:
             "distinct-x-1": x2 * y1 * z1, "distinct-x-2": x2 * y2 * z1,
             "distinct-x-3": x2 * y1 * z2, "distinct-x-4": x2 * y2 * z2,
         }[case_id]
-        root = principal_sqrt(delta(p))
+        assert root_image(case_id, x2, y1, y2, z1, z2) == image
+        root = principal_sqrt(x1 * x2 * y1 * y2 * z1 * z2)
         right = 1 if approx_eq(image, root) else -1
         assert approx_eq(image, right * root)
-        direction = invariant_vector_predicted(p, case_id, r_sign=right)
-        assert generator_invariance(build_general(p, right), direction)
-        assert oracle_verdict(build_general(p, -right))[0] == IRREDUCIBLE
-        with pytest.raises(ContradictoryCase):
-            invariant_vector_predicted(p, case_id, r_sign=-right)
+        sign, direction = predicted_line(p, case_id)
+        assert sign == right
+        g = build_general(p, right)
+        assert generator_invariance(g, direction)
+        decision, witness = oracle_verdict(g)
+        assert decision == REDUCIBLE and generator_invariance(g, witness)
+        if case_id.startswith("distinct"):  # the equal-x cases have two lines
+            assert parallel(witness, direction, 1e-9)
+        assert oracle_verdict(build_general(p, -right)) == (IRREDUCIBLE, None)
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9])
-    def test_nonpositive_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError, match="^tolerance must be positive$"):
-            invariant_vector_predicted(Params(16, 4, 1, 1, 2, 0.5), "distinct-x-1", tol=tol)
-
-    def test_contradictory_point_raises_on_primary_branch(self):
+    def test_root_image_is_minus_r_on_the_primary_branch(self):
         # The second distinct-x condition holds, yet on the +1 branch the
         # first generator is already diagonal with distinct eigenvalues:
-        # no single invariant line exists there.
-        with pytest.raises(ContradictoryCase):
-            invariant_vector_predicted(DIAGONAL_S1_POINT, "distinct-x-2")
-        direction = invariant_vector_predicted(
-            DIAGONAL_S1_POINT, "distinct-x-2", r_sign=-1
-        )
+        # the root image x2*y2*z1 = -1 is -r, and no invariant line exists
+        # there.  On the -1 branch the y2 eigenline (1, 1) carries the
+        # oracle's witness.
+        p = DIAGONAL_S1_POINT
+        assert root_image("distinct-x-2", p.x2, p.y1, p.y2, p.z1, p.z2) == -1
+        assert root_of(p) == 1
+        sign, direction = predicted_line(p, "distinct-x-2")
+        assert sign == -1
         assert direction == (1 + 0j, 1 + 0j)
+        assert oracle_verdict(build_general(p, 1)) == (IRREDUCIBLE, None)
+        decision, witness = oracle_verdict(build_general(p, -1))
+        assert decision == REDUCIBLE
+        assert parallel(witness, direction, 1e-9)
 
 
 class TestBranchDiagnosis:

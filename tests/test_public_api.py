@@ -17,19 +17,14 @@ import heckeg7
 
 PACKAGE = Path(heckeg7.__file__).resolve().parent
 
-# Public without a caller in the package, pending decisions on the roadmap:
-#   eval_numeric -- item 6 (exact ground truth for the float deciders)
-#       either calls it or deletes it;
-#   invariant_vector_predicted -- the closed-form line of a reducibility
-#       case (the s2 eigenline its root image names).  Item 1 reduces it
-#       to a read of the condition flags or deletes it; the sweep does not
-#       check every injected case through it yet, because at wide modulus
-#       bands that check flags false witnesses the oracle accepts (it
-#       waits for items 7 and 2);
+# Public without a caller in the package:
+#   eval_numeric -- the tests' numeric reference for the exact ring; item 6
+#       of the roadmap (exact ground truth for the float deciders) either
+#       calls it or deletes it;
 #   build_equal_x -- cli, sweep and irreducibility only import it, because
 #       perfbench/tracing.py looks the name up with vars(owner)[attr] on
 #       those modules (item 9), and acceptance 8 calls it.
-UNCALLED_ALLOWED = {"eval_numeric", "invariant_vector_predicted", "build_equal_x"}
+UNCALLED_ALLOWED = {"eval_numeric", "build_equal_x"}
 
 
 def modules() -> dict[str, ast.Module]:

@@ -19,7 +19,6 @@ from heckeg7.representation import (
     build_equal_x,
     build_general,
     conjugator,
-    delta,
     generators,
     hecke_residuals,
 )
@@ -74,9 +73,6 @@ class TestParams:
         assert d["x1"] == 1 and d["z2"] == 6
         assert "y3" not in d
 
-    def test_delta_is_the_parameter_product(self):
-        assert delta(Params(1, 2, 3, 4, 5, 6)) == 720
-
 
 class TestGeneratorEntries:
     def test_all_ones_triple(self):
@@ -123,7 +119,7 @@ class TestGeneratorEntries:
     def test_general_uses_principal_root_of_full_product(self):
         p = Params(2, 3, 5, 7, 11, 13)
         g = build_general(p)
-        assert approx_eq(g.s3.c, principal_sqrt(delta(p)), 1e-15)
+        assert approx_eq(g.s3.c, principal_sqrt(2 * 3 * 5 * 7 * 11 * 13), 1e-15)
         assert g.s1.a == 2 and g.s1.d == 3 and g.s1.c == 0
 
     def test_equal_x_matches_general_when_x1_equals_x2(self):
@@ -138,7 +134,7 @@ class TestGeneratorEntries:
 
     def test_build_general_is_generators_at_the_principal_root(self):
         p = Params(1, 2, 3, 4, 5, 6)
-        r = principal_sqrt(delta(p))
+        r = principal_sqrt(720)
         assert build_general(p) == generators(*p[:6], r)
         assert build_general(p, -1) == generators(*p[:6], -r)
         assert list(build_general(p)) == [*generators(*p[:6], r)]

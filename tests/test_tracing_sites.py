@@ -4,7 +4,9 @@ names one decide actually goes through.
 The tracer replaces module attributes by name, so a module that stops
 importing a traced name makes install_all raise, and a function that stops
 calling a wrapped name through its module global leaves that layer's
-per-layer metric at 0.  Both are checked here, in a plain checkout.
+per-layer metric at 0.  Both are checked here, in a plain checkout, along
+with what perfbench/workloads.py reads from the package to write the
+check-corpus workload.
 """
 
 import importlib.util
@@ -12,11 +14,12 @@ import math
 from pathlib import Path
 
 from heckeg7 import cli, exact, identities, irreducibility, matrix2, representation, sweep
-from heckeg7.irreducibility import decide
+from heckeg7.irreducibility import ALL_CASES, decide
 from heckeg7.numerics import from_polar
 from heckeg7.representation import Params
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = {
     "cli": cli,
     "sweep": sweep,
@@ -117,3 +120,22 @@ def test_a_disagreement_builds_and_asks_the_oracle_again(monkeypatch):
             v = decide(p, r_sign)
         assert v.agreement == (times == 1)
         assert counts == dict.fromkeys(sites, times)
+
+
+def test_the_check_corpus_is_written_from_the_cases_in_their_order(tmp_path, monkeypatch):
+    # write_corpus injects tuple(ALL_CASES) in turn through solve_case and
+    # writes each point with Params.as_dict, so a removed or reordered case
+    # changes the benchmark's corpus
+    assert tuple(ALL_CASES) == (
+        "equal-x-1", "equal-x-2",
+        "distinct-x-1", "distinct-x-2", "distinct-x-3", "distinct-x-4",
+    )
+    # imported by name, not loaded by path: its @dataclass looks its module
+    # up in sys.modules
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    requests, mix = workloads.write_corpus(str(tmp_path), 1)
+    assert len(requests) == len(list(tmp_path.iterdir())) == 1024
+    assert sum(request.expect["injected"] for request in requests) == 512
+    assert mix["injected"] == mix["random"] == 0.5
