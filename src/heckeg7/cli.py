@@ -105,7 +105,7 @@ def load_params(path: str) -> Params:
         raise InputError(f"cannot read parameter file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an int with too many digits
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge int, too deep
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")

@@ -23,31 +23,36 @@ The operators skip work whose result is known without doing it:
 
   - +, -, * and RatElem's / test type(other) against their own class
     first; only other operands go through coercion, which maps the ints
-    0, 1 and -1 (not a bool) to shared constants instead of building them;
+    0, 1 and -1 (not a bool) to shared ExtElem or RatElem constants;
   - a Poly product with a zero operand returns that operand, and one with
     the constant 1 returns the other operand; a product of two single-term
     polynomials writes its one monomial directly; a sum with zero, or a
     difference with a zero subtrahend, returns the other operand;
   - an ExtElem product with an r-free side forms only p1*p2 and the one
     cross term that can be nonzero (p1*q2 or q1*p2; neither when both are
-    r-free), and the DELTA term of any other product raises every exponent
-    of q1*q2 by one instead of multiplying by DELTA_POLY;
+    r-free); one whose sides both carry r, one of them with p = 0, forms
+    only the DELTA term and that one cross term; the DELTA term raises
+    every exponent of q1*q2 by one instead of multiplying by DELTA_POLY;
   - RatElem +, -, * and equals skip each multiplication by a denominator
     that is exactly 1, * forms the product of two r-free numerators itself
     as ExtElem's r-free product does, and equals compares the two cross
     products term by term instead of forming their difference;
+  - a RatElem product with the fraction 1/1 on one side returns the other
+    operand; a zero numerator on either side of +, - or * skips that side's
+    numerator products and the sum, but not the denominators' product;
   - dicts that already hold only nonzero coefficients are wrapped without
     being copied or filtered again, and a Substitution builds each term of
     a polynomial's image from these trusted constructors.
 
 Invariant: every shortcut -- the type tests, the shared constants, the
 single-term product, the one-sided and r-free products, the unit
-denominators and the trusted substitution terms -- yields the same terms
-dict (same monomials, coefficients and insertion order) as the full
-computation it replaces, so the stored num/den/terms, and the residual
-strings printed from them, do not depend on which path ran.  Results may
-share an operand, a shared constant or its terms dict, so nothing may
-mutate .terms, .p, .q, .num or .den after construction.
+denominators and fractions, the zero numerators and the trusted
+substitution terms -- yields the same terms dict (same monomials,
+coefficients and insertion order) as the full computation it replaces, so
+the stored num/den/terms, and the residual strings printed from them, do
+not depend on which path ran.  Results may share an operand, a shared
+constant or its terms dict, so nothing may mutate .terms, .p, .q, .num or
+.den after construction.
 
 A Substitution maps variables to RatElems; each call must be told the image
 of r.  One object is meant to serve many values under one assignment:
@@ -58,8 +63,8 @@ of r.  One object is meant to serve many values under one assignment:
     object's identity (and holding the object, so its id stays unique), not
     by equality: two equal Polys may store their terms in a different order,
     and each must get the terms its own substitution yields;
-  - every call still checks that its r image squares to the image of DELTA,
-    exactly; only that image of DELTA is shared.
+  - it checks each r-image object once, exactly, to square to the image
+    of DELTA, and remembers it by identity (holding it) only if it passed.
 
 Numeric evaluation takes one complex value per variable plus a value for r,
 required to square to DELTA's value within tolerance.
@@ -369,6 +374,11 @@ class ExtElem:
             return ExtElem._trusted(p1 * p2, p1 * q2 if q2.terms else q1)
         if not q2.terms:
             return ExtElem._trusted(p1 * p2, q1 * p2)
+        # both carry r: an empty p-part zeroes p1*p2 and one cross term
+        if not p1.terms:
+            return ExtElem._trusted(_times_delta(q1 * q2), q1 * p2)
+        if not p2.terms:
+            return ExtElem._trusted(_times_delta(q1 * q2), p1 * q2)
         return ExtElem._trusted(
             p1 * p2 + _times_delta(q1 * q2),
             p1 * q2 + q1 * p2,
@@ -479,10 +489,13 @@ class RatElem:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
         one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
-        return RatElem._trusted(
-            (n1 if one2 else n1 * d2) + (n2 if one1 else n2 * d1),
-            d2 if one1 else d1 if one2 else d1 * d2,
-        )
+        den = d2 if one1 else d1 if one2 else d1 * d2
+        if not (n2.p.terms or n2.q.terms):
+            return RatElem._trusted(n1 if one2 else n1 * d2, den)
+        num = n2 if one1 else n2 * d1
+        if n1.p.terms or n1.q.terms:
+            num = (n1 if one2 else n1 * d2) + num
+        return RatElem._trusted(num, den)
 
     __radd__ = __add__
 
@@ -494,10 +507,13 @@ class RatElem:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
         one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
-        return RatElem._trusted(
-            (n1 if one2 else n1 * d2) - (n2 if one1 else n2 * d1),
-            d2 if one1 else d1 if one2 else d1 * d2,
-        )
+        den = d2 if one1 else d1 if one2 else d1 * d2
+        if not (n2.p.terms or n2.q.terms):
+            return RatElem._trusted(n1 if one2 else n1 * d2, den)
+        num = n2 if one1 else n2 * d1
+        if n1.p.terms or n1.q.terms:
+            return RatElem._trusted((n1 if one2 else n1 * d2) - num, den)
+        return RatElem._trusted(-num, den)
 
     def __rsub__(self, other) -> "RatElem":
         other = _as_rat(other)
@@ -511,12 +527,20 @@ class RatElem:
             if other is None:
                 return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if n1.q.terms or n2.q.terms:
+        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
+        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
+        if one1 and not n1.q.terms and n1.p.terms == _ONE_TERMS:
+            return other
+        if one2 and not n2.q.terms and n2.p.terms == _ONE_TERMS:
+            return self
+        if not (n1.p.terms or n1.q.terms):
+            num = n1
+        elif not (n2.p.terms or n2.q.terms):
+            num = n2
+        elif n1.q.terms or n2.q.terms:
             num = n1 * n2
         else:  # ExtElem.__mul__'s r-free product, without the call
             num = ExtElem._trusted(n1.p * n2.p, n1.q)
-        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
-        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
         return RatElem._trusted(num, d2 if one1 else d1 if one2 else d1 * d2)
 
     __rmul__ = __mul__
@@ -555,13 +579,16 @@ class RatElem:
 def _as_rat(x) -> RatElem | None:
     if isinstance(x, RatElem):
         return x
+    if type(x) is int and x in _RAT_CONSTS:
+        return _RAT_CONSTS[x]
     e = _as_ext(x)
     if e is None:
         return None
     return RatElem._trusted(e, _ONE_EXT)
 
 
-_ZERO_RAT = RatElem._trusted(_EXT_CONSTS[0], _ONE_EXT)
+_RAT_CONSTS = {c: RatElem._trusted(e, _ONE_EXT) for c, e in _EXT_CONSTS.items()}
+_ZERO_RAT = _RAT_CONSTS[0]
 
 
 RatLike = Union[RatElem, ExtElem, Poly, int]
@@ -574,7 +601,7 @@ class Substitution:
     """The images of the six variables (unassigned ones map to themselves),
     prepared once; calling it substitutes one value, as substitute does."""
 
-    __slots__ = ("_images", "_powers", "_memo")
+    __slots__ = ("_images", "_powers", "_memo", "_roots")
 
     def __init__(self, assignment: Mapping[str, RatLike]):
         unknown = set(assignment) - set(VARS)
@@ -592,6 +619,8 @@ class Substitution:
         self._powers: dict[tuple[str, int], RatElem] = {}
         # id(p) -> (p, image of p); holding p keeps its id from being reused
         self._memo: dict[int, tuple[Poly, RatElem]] = {}
+        # id(r_image) -> each r image that passed the check, held likewise
+        self._roots: dict[int, RatLike] = {}
 
     def _poly(self, p: Poly) -> RatElem:
         hit = self._memo.get(id(p))
@@ -600,7 +629,7 @@ class Substitution:
         powers = self._powers
         out = _ZERO_RAT
         for mono, coeff in p.terms.items():
-            term = RatElem._trusted(_as_ext(coeff), _ONE_EXT)
+            term = _as_rat(coeff)
             for name, e in zip(VARS, mono):
                 if e:
                     key = (name, e)
@@ -615,10 +644,12 @@ class Substitution:
         r_img = _as_rat(r_image)
         if r_img is None:
             raise TypeError("r_image must be a RatElem, ExtElem, Poly or int")
-        if not (r_img * r_img).equals(self._poly(DELTA_POLY)):
-            raise InconsistentRootImage(
-                "r_image squared does not equal the image of x1*x2*y1*y2*z1*z2"
-            )
+        if id(r_image) not in self._roots:
+            if not (r_img * r_img).equals(self._poly(DELTA_POLY)):
+                raise InconsistentRootImage(
+                    "r_image squared does not equal the image of x1*x2*y1*y2*z1*z2"
+                )
+            self._roots[id(r_image)] = r_image
         val = _as_rat(value)
         if val is None:
             raise TypeError("value must be a RatElem, ExtElem, Poly or int")
@@ -640,7 +671,7 @@ def substitute(
     Substitution to share its powers and polynomial images with other calls.
     Raises TypeError naming a variable whose image is not a RatElem, ExtElem,
     Poly or int; InconsistentRootImage unless r_image squared equals the
-    image of DELTA (checked by cross-multiplication, on every call); and
+    image of DELTA (checked by cross-multiplication, once per r_image object); and
     DenominatorVanishes when a denominator collapses to zero under the
     assignment.
     """

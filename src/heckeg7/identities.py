@@ -11,6 +11,9 @@ generators of representation.generators, the conjugator of
 representation.conjugator, the solved cases of irreducibility.solved_value
 and the lines of irreducibility.equal_x_lines, with matrix2.Mat2 as the
 matrix type.  So each proof is about the formula the float code runs.
+sym_generators, w_alpha_beta and conjugated_upper_right_numerator are built
+once per process, on first call, and shared, never mutated, by every report;
+each report calls them through this module's globals.
 
 The suite covers six identity groups:
 
@@ -47,6 +50,7 @@ The suite covers six identity groups:
 
 from __future__ import annotations
 
+from functools import cache
 from typing import NamedTuple
 
 from .exact import ExtElem, Poly, RatElem, Substitution, substitute
@@ -92,12 +96,14 @@ def det(m: Mat2) -> RatElem:
     return m.a * m.d - m.b * m.c
 
 
+@cache
 def sym_generators(r_sign: int = 1) -> GeneratorTriple:
     """representation.generators over the fraction field, with r kept formal
     (r_sign = -1 replaces r by its conjugate root throughout)."""
     return generators(X1, X2, Y1, Y2, Z1, Z2, RatElem.r(_check_sign(r_sign)))
 
 
+@cache
 def w_alpha_beta() -> tuple[ExtElem, ExtElem, ExtElem]:
     """(w, alpha, beta) as extension elements (formal positive r)."""
     r = ExtElem.r()
@@ -110,6 +116,7 @@ def w_alpha_beta() -> tuple[ExtElem, ExtElem, ExtElem]:
     return w, alpha, beta
 
 
+@cache
 def conjugated_upper_right_numerator() -> ExtElem:
     """The upper-right entry of T^-1 s3 T cleared of its nonvanishing
     prefactor x1*x2*z1*z2 / ((x1-x2)^2 r^3)."""

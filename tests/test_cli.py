@@ -223,6 +223,25 @@ class TestInputErrors:
         if digits == 401:
             assert err.startswith("error: x1.re: ")
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            pytest.param("check", "[" * 100_000 + "]" * 100_000, id="check-arrays"),
+            pytest.param(
+                "relations", '{"a": ' * 50_000 + "1" + "}" * 50_000, id="relations-objects"
+            ),
+        ],
+    )
+    def test_nesting_too_deep_is_one_error_line(self, tmp_path, capsys, command, text):
+        # json.loads raises RecursionError, not ValueError, past its depth limit
+        path = tmp_path / "nested.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (INPUT_ERROR, "")
+        assert err.startswith(f"error: {path}: invalid JSON (maximum recursion depth")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_nonexistent_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.json"))
         assert code == INPUT_ERROR

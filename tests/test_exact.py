@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckeg7 import exact
@@ -23,6 +23,7 @@ from heckeg7.exact import (
     poly_eval,
     substitute,
 )
+from heckeg7 import identities
 from heckeg7.identities import run_all
 from heckeg7.numerics import approx_eq
 
@@ -466,6 +467,17 @@ def ref_int(c: int) -> tuple[dict, dict]:
     return ({ONE_MONO: c} if c else {}), {}
 
 
+# Operands that reach each shortcut on every run, whatever the strategies
+# draw.  Multi-term parts make a product's insertion order observable.
+TWO_TERMS = X1 + 2 * Y1
+THREE_TERMS = X2 - Y2 * Z1 + 3
+R_ELEM = ExtElem(THREE_TERMS, TWO_TERMS)
+R_ONLY = ExtElem(0, Z2 - 2 * X1 * Y1)
+NON_UNIT_DEN = ExtElem(THREE_TERMS, Z2)
+ZERO_OVER_NON_UNIT = RatElem(0, NON_UNIT_DEN)
+R_FRACTION = RatElem(R_ELEM, ExtElem(Z1 + X1, Y2))
+
+
 class TestShortcuts:
     @given(shortcut_polys, shortcut_polys)
     @settings(max_examples=300, derandomize=True)
@@ -495,6 +507,10 @@ class TestShortcuts:
 
     @given(shortcut_elems, shortcut_elems)
     @settings(max_examples=200, derandomize=True)
+    # both sides carry r and one (or each) has an empty polynomial part
+    @example(R_ONLY, R_ELEM)
+    @example(R_ELEM, R_ONLY)
+    @example(R_ONLY, ExtElem(0, THREE_TERMS))
     def test_ext_operators_match_schoolbook(self, a, b):
         before = items((a, b))
         ra, rb = ref_ext(a), ref_ext(b)
@@ -517,6 +533,17 @@ class TestShortcuts:
 
     @given(rat_elems, rat_elems)
     @settings(max_examples=200, derandomize=True)
+    # a zero numerator over a non-unit denominator, on each side and on both
+    @example(ZERO_OVER_NON_UNIT, R_FRACTION)
+    @example(R_FRACTION, ZERO_OVER_NON_UNIT)
+    @example(ZERO_OVER_NON_UNIT, RatElem(0, ExtElem(TWO_TERMS, 1)))
+    @example(ZERO_OVER_NON_UNIT, RatElem(R_ELEM))
+    @example(RatElem(R_ELEM), ZERO_OVER_NON_UNIT)
+    # the fraction 1/1 on each side, against operands that carry r
+    @example(RatElem(1), R_FRACTION)
+    @example(R_FRACTION, RatElem(1))
+    @example(RatElem(1), RatElem(R_ONLY))
+    @example(RatElem(R_ONLY), RatElem(1))
     def test_rat_operators_match_schoolbook(self, a, b):
         before = items((a, b))
         ra, rb = ref_rat(a), ref_rat(b)
@@ -559,6 +586,10 @@ class TestShortcuts:
 
     @given(shortcut_elems, rat_elems)
     @settings(max_examples=100, derandomize=True)
+    # 0, 1 and -1 against operands that carry r, and against zero over a
+    # non-unit denominator
+    @example(R_ELEM, R_FRACTION)
+    @example(R_ONLY, ZERO_OVER_NON_UNIT)
     def test_int_operands_match_schoolbook(self, e, f):
         before = items((e, f))
         re, rf = ref_ext(e), ref_rat(f)
@@ -603,15 +634,35 @@ class TestShortcuts:
         # a bool keeps its own coercion; the ints 0, 1, -1 get the shared
         # constants, which every identity report then uses as operands
         assert exact._as_ext(True) is not exact._EXT_CONSTS[1]
+        assert exact._as_rat(True) is not exact._RAT_CONSTS[1]
         for c, shared in exact._EXT_CONSTS.items():
             assert exact._as_ext(c) is shared
+        for c, shared in exact._RAT_CONSTS.items():
+            assert exact._as_rat(c) is shared
+        # the symbolic objects every report shares, built once per process
+        cached = (
+            identities.sym_generators(1),
+            identities.sym_generators(-1),
+            identities.w_alpha_beta(),
+            identities.conjugated_upper_right_numerator(),
+        )
+        before = items(cached)
         run_all()
         assert {c: items(shared) for c, shared in exact._EXT_CONSTS.items()} == {
             c: items(ref_int(c)) for c in (0, 1, -1)
         }
+        assert {c: items(shared) for c, shared in exact._RAT_CONSTS.items()} == {
+            c: items((ref_int(c), UNIT)) for c in (0, 1, -1)
+        }
         assert exact._ONE_EXT is exact._EXT_CONSTS[1]
+        assert exact._ZERO_RAT is exact._RAT_CONSTS[0]
         assert items(exact._ZERO_RAT) == items((ref_int(0), UNIT))
         assert exact._ONE_TERMS == {ONE_MONO: 1}
+        assert identities.sym_generators(1) is cached[0]
+        assert identities.sym_generators(-1) is cached[1]
+        assert identities.w_alpha_beta() is cached[2]
+        assert identities.conjugated_upper_right_numerator() is cached[3]
+        assert items(cached) == before
 
     @given(rat_elems, denominators)
     @settings(max_examples=200, derandomize=True)
@@ -665,6 +716,30 @@ class TestSharedSubstitution:
             with pytest.raises(InconsistentRootImage):
                 sub(value, wrong)
         assert items(substitute(value, sub, SHARED_ROOT)) == items(consistent)
+
+    def test_a_wrong_root_image_is_rejected_each_time_it_is_passed(self):
+        sub = Substitution(SHARED_ASSIGNMENT)
+        wrong = SHARED_ROOT * 2
+        for _ in range(2):
+            with pytest.raises(InconsistentRootImage):
+                sub(X1, wrong)
+
+    def test_each_root_image_object_is_squared_once(self, monkeypatch):
+        squared = []
+        original = RatElem.__mul__
+
+        def recording(a, b):
+            if a is b:
+                squared.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(RatElem, "__mul__", recording)
+        sub = Substitution(SHARED_ASSIGNMENT)
+        # an equal root image in a new object is checked again
+        equal = RatElem(ExtElem(X2 * Y1 * Z1))
+        for r_image in (SHARED_ROOT, SHARED_ROOT, equal, SHARED_ROOT, equal):
+            sub(X1, r_image)
+        assert [id(a) for a in squared] == [id(SHARED_ROOT), id(equal)]
 
     def test_equal_polys_in_different_term_orders_keep_their_own_order(self):
         x1, x2 = (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)

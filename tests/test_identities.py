@@ -426,6 +426,74 @@ class TestSharedSubstitution:
         assert all(len({id(a) for a in group}) == 1 for group in per_case)
 
 
+# built once per process, on first call, and shared by every report
+ONCE_PER_PROCESS = (sym_generators, w_alpha_beta, conjugated_upper_right_numerator)
+
+
+class TestRepeatedWork:
+    """The suite's saving, counted rather than timed."""
+
+    def test_each_symbolic_object_is_built_once(self, monkeypatch):
+        for fn in ONCE_PER_PROCESS:
+            fn.cache_clear()
+        roots = []
+        original = identities.generators
+
+        def recording(*args):
+            roots.append(str(args[-1]))
+            return original(*args)
+
+        monkeypatch.setattr(identities, "generators", recording)
+        first = run_all()
+        assert sorted(roots) == ["(-1)*r", "(1)*r"]
+        assert [fn.cache_info().misses for fn in ONCE_PER_PROCESS] == [2, 1, 1]
+        second = run_all()
+        assert len(roots) == 2
+        assert [fn.cache_info().misses for fn in ONCE_PER_PROCESS] == [2, 1, 1]
+        assert second == first
+
+    def test_each_root_image_object_is_squared_once(self, monkeypatch):
+        roots, squared = [], []
+        original_substitute = identities.substitute
+        original_mul = RatElem.__mul__
+
+        def recording_substitute(value, assignment, r_image):
+            roots.append(r_image)
+            return original_substitute(value, assignment, r_image)
+
+        def recording_mul(a, b):
+            if a is b:
+                squared.append(a)
+            return original_mul(a, b)
+
+        monkeypatch.setattr(identities, "substitute", recording_substitute)
+        monkeypatch.setattr(RatElem, "__mul__", recording_mul)
+        run_all()
+        distinct = {id(r): r for r in roots}
+        assert (len(roots), len(distinct)) == (34, 12)
+        assert sorted(id(a) for a in squared if id(a) in distinct) == sorted(distinct)
+
+    def test_cold_run_all_stays_within_its_product_budget(self, monkeypatch):
+        # Poly and ExtElem products of one run_all() with nothing cached,
+        # counted as perfbench/tracing.py counts them (on __mul__ alone).
+        # Building each object on every use and forming every zero and unit
+        # product made 2,731 and 902.  A new identity report may raise these
+        # bounds on purpose.
+        for fn in ONCE_PER_PROCESS:
+            fn.cache_clear()
+        calls = {Poly: 0, ExtElem: 0}
+        for cls in calls:
+
+            def counting(a, b, _cls=cls, _mul=cls.__mul__):
+                calls[_cls] += 1
+                return _mul(a, b)
+
+            monkeypatch.setattr(cls, "__mul__", counting)
+        run_all()
+        assert calls[Poly] <= 1750
+        assert calls[ExtElem] <= 720
+
+
 class TestBudget:
     def test_full_suite_runs_quickly(self):
         start = time.perf_counter()
