@@ -19,7 +19,9 @@ All JSON output carries schema_version, is rendered by render.dumps, and
 is deterministic: identical inputs, flags, and seeds produce byte-identical
 documents.  Exit codes:
 0 success/agreement, 1 input error, 2 mathematical disagreement or
-identity failure.
+identity failure.  Every input error, here or in the library, is a
+representation.InvalidParams; main alone turns it into exit code 1 with
+one "error:" line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -45,20 +47,16 @@ from .representation import (
 )
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .representation import build_equal_x  # noqa: F401
-from .sweep import DOMAINS, SCHEMA_VERSION, DrawFailed, SweepConfig, run_sweep
+from .sweep import DOMAINS, SCHEMA_VERSION, SweepConfig, run_sweep
 
 OK = 0
 INPUT_ERROR = 1
 MATH_FAILURE = 2
 
 
-class InputError(ValueError):
-    """Any problem with files, flags, or parameter values (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route usage errors through exit code 1
-        raise InputError(f"{self.prog}: {message}")
+        raise InvalidParams(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -66,16 +64,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _as_number(field: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{field}: expected a number, got {type(value).__name__}")
+        raise InvalidParams(f"{field}: expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise InputError(f"{field}: {exc}") from exc
+        raise InvalidParams(f"{field}: {exc}") from exc
 
 
 def parse_complex_value(field: str, obj) -> complex:
     if not isinstance(obj, dict):
-        raise InputError(
+        raise InvalidParams(
             f"{field}: expected an object with re/im or modulus/argument keys"
         )
     keys = set(obj)
@@ -87,11 +85,11 @@ def parse_complex_value(field: str, obj) -> complex:
         modulus = _as_number(f"{field}.modulus", obj["modulus"])
         argument = _as_number(f"{field}.argument", obj["argument"])
         if modulus < 0:
-            raise InputError(f"{field}.modulus: must be >= 0")
+            raise InvalidParams(f"{field}.modulus: must be >= 0")
         if not -math.pi < argument <= math.pi:
-            raise InputError(f"{field}.argument: must lie in (-pi, pi]")
+            raise InvalidParams(f"{field}.argument: must lie in (-pi, pi]")
         return from_polar(modulus, argument)
-    raise InputError(
+    raise InvalidParams(
         f"{field}: keys must be exactly {{re, im}} or {{modulus, argument}}, "
         f"got {sorted(keys)}"
     )
@@ -102,27 +100,27 @@ def load_params(path: str) -> Params:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read parameter file {path}: {exc}") from exc
+        raise InvalidParams(f"cannot read parameter file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, huge int, too deep
-        raise InputError(f"{path}: invalid JSON ({exc})") from exc
+        raise InvalidParams(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: top level must be a JSON object")
+        raise InvalidParams(f"{path}: top level must be a JSON object")
     unknown = sorted(set(doc) - set(Params._fields))
     if unknown:
-        raise InputError(f"{path}: unknown field(s) {', '.join(unknown)}")
+        raise InvalidParams(f"{path}: unknown field(s) {', '.join(unknown)}")
     missing = [
         name for name in Params._fields
         if name not in doc and name not in Params._field_defaults
     ]
     if missing:
-        raise InputError(f"{path}: missing required field(s) {', '.join(missing)}")
+        raise InvalidParams(f"{path}: missing required field(s) {', '.join(missing)}")
     values = {name: parse_complex_value(name, doc[name]) for name in doc}
     try:
         return Params(**values)
     except InvalidParams as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InvalidParams(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +270,8 @@ def cmd_sweep(args) -> int:
     if args.regime_filter is not None:
         regimes = {"equal": EQUAL_X, "distinct": DISTINCT_X}
         values["regime_filter"] = regimes[args.regime_filter]
-    cfg = SweepConfig(**values)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    try:
-        result = run_sweep(cfg)
-    except DrawFailed as exc:  # the band leaves no sane tuple to draw
-        raise InputError(str(exc)) from exc
+    result = run_sweep(SweepConfig(**values))
     doc = result.as_dict()
-    _emit(doc, args.output, _sweep_text)
     if args.fixtures_out:
         fixtures = {
             "schema_version": SCHEMA_VERSION,
@@ -294,7 +283,8 @@ def cmd_sweep(args) -> int:
             with open(args.fixtures_out, "w", encoding="utf-8") as fh:
                 fh.write(render.dumps(fixtures) + "\n")
         except OSError as exc:
-            raise InputError(f"cannot write {args.fixtures_out}: {exc}") from exc
+            raise InvalidParams(f"cannot write {args.fixtures_out}: {exc}") from exc
+    _emit(doc, args.output, _sweep_text)
     return MATH_FAILURE if result.unresolved() > 0 else OK
 
 
@@ -302,7 +292,7 @@ def cmd_identities(args) -> int:
     try:
         reports = run_all(args.only)
     except KeyError as exc:
-        raise InputError(exc.args[0]) from exc
+        raise InvalidParams(exc.args[0]) from exc
     failed = sum(1 for rep in reports if rep.failed())
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -448,18 +438,19 @@ def main(argv: list[str] | None = None) -> int:
 
     The parser is built on the first call, not at import, and every later
     call in the process reuses it.  That is safe because parse_args does
-    not mutate the parser, _Parser.error raises InputError instead of
+    not mutate the parser, _Parser.error raises InvalidParams instead of
     exiting, prog is fixed, and each subcommand's handler is bound when
     the parser is built (so patching a cmd_* function after the first call
-    would not reach it; nothing does).
+    would not reach it; nothing does).  InvalidParams from anywhere below
+    is the one exception mapped to INPUT_ERROR, here and nowhere else.
     """
     try:
         args = _parser().parse_args(argv)
         # identities takes no --tolerance
         if "tolerance" in args and not args.tolerance > 0:
-            raise InputError("--tolerance must be positive")
+            raise InvalidParams("--tolerance must be positive")
         return args.handler(args)
-    except (InputError, InvalidParams) as exc:
+    except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .matrix2 import Vec2, _record, common_eigenvector
 from .numerics import VERDICT_TOL, approx_eq
-from .representation import GeneratorTriple, Params, build_general
+from .representation import GeneratorTriple, InvalidParams, Params, build_general
 # Not called here: perfbench/tracing.py wraps this name on this module.
 from .representation import build_equal_x  # noqa: F401
 
@@ -176,19 +176,23 @@ def decide(
 ) -> Verdict:
     """Full pipeline: criteria, oracle at r_sign, agreement, and (only on
     disagreement) the oracle on the flipped branch.  Each branch's triple is
-    built once; a dict passed as triples receives them keyed by r sign."""
-    reg, theorem, flags = theorem_verdict(p, tol)
-    if triples is None:
-        triples = {}
-    g = triples[r_sign] = build_general(p, r_sign)
-    oracle, witness = oracle_verdict(g, tol)
-    agreement = oracle == theorem
-    diagnosis = None
-    if not agreement:
-        flipped = -r_sign
-        g = triples[flipped] = build_general(p, flipped)
-        oracle2, witness2 = oracle_verdict(g, tol)
-        diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem == REDUCIBLE, witness2)
+    built once; a dict passed as triples receives them keyed by r sign.
+    A float overflow in the criteria or the oracle raises InvalidParams."""
+    try:
+        reg, theorem, flags = theorem_verdict(p, tol)
+        if triples is None:
+            triples = {}
+        g = triples[r_sign] = build_general(p, r_sign)
+        oracle, witness = oracle_verdict(g, tol)
+        agreement = oracle == theorem
+        diagnosis = None
+        if not agreement:
+            flipped = -r_sign
+            g = triples[flipped] = build_general(p, flipped)
+            oracle2, witness2 = oracle_verdict(g, tol)
+            diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem == REDUCIBLE, witness2)
+    except OverflowError:
+        raise InvalidParams("parameter magnitudes overflow the criteria or the oracle") from None
     return _record(
         Verdict, (reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
     )

@@ -101,8 +101,8 @@ def _kernel_direction(a, b, c, d, mod_b: float, mod_c: float, lam: complex) -> V
         # m is exactly lam*I on this eigenvalue; any direction works
         return (1.0 + 0.0j, 0.0 + 0.0j)
     pivot = v0 if mod0 >= mod1 else v1
-    if pivot == 0:
-        raise ValueError("zero vector has no direction")
+    if pivot == 0:  # only a NaN modulus gets here: lam overflowed
+        raise OverflowError("eigenvalue is not finite")
     return (v0 / pivot, v1 / pivot)
 
 

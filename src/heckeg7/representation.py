@@ -32,7 +32,8 @@ from .numerics import is_finite, principal_sqrt
 
 
 class InvalidParams(ValueError):
-    pass
+    """Any problem with files, flags or parameter values, including a point
+    whose float arithmetic overflows or underflows (exit code 1)."""
 
 
 _REQUIRED = ("x1", "x2", "y1", "y2", "z1", "z2")
@@ -127,7 +128,10 @@ def build_general(p: Params, r_sign: int = 1) -> GeneratorTriple:
     r = r_sign * principal_sqrt(x1 * x2 * y1 * y2 * z1 * z2)
     if r == 0:
         raise InvalidParams("parameter product underflows to zero")
-    g = generators(x1, x2, y1, y2, z1, z2, r)
+    try:
+        g = generators(x1, x2, y1, y2, z1, z2, r)
+    except ZeroDivisionError:  # a denominator such as y1*y2 underflows to 0
+        raise InvalidParams("parameter magnitudes underflow a denominator to zero") from None
     (a1, b1, c1, d1), (a2, b2, c2, d2), (a3, b3, c3, d3) = g
     if not (
         is_finite(a1) and is_finite(b1) and is_finite(c1) and is_finite(d1)

@@ -84,29 +84,29 @@ class SweepConfig(NamedTuple):
 
     def validate(self) -> None:
         if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+            raise InvalidParams("samples must be >= 1")
         if self.domain not in DOMAINS:
-            raise ValueError(f"domain must be one of {DOMAINS}")
+            raise InvalidParams(f"domain must be one of {DOMAINS}")
         if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+            raise InvalidParams("tolerance must be positive")
         if self.r_sign not in (1, -1):
-            raise ValueError("r_sign must be +1 or -1")
+            raise InvalidParams("r_sign must be +1 or -1")
         if not 0.0 <= self.inject_reducible_rate <= 1.0:
-            raise ValueError("inject_reducible_rate must lie in [0, 1]")
+            raise InvalidParams("inject_reducible_rate must lie in [0, 1]")
         for bound in (self.log10_modulus_min, self.log10_modulus_max):
             if not math.isfinite(bound):
-                raise ValueError(f"log10 modulus bound {bound} is not finite")
+                raise InvalidParams(f"log10 modulus bound {bound} is not finite")
             try:
                 10.0 ** bound
             except OverflowError:
-                raise ValueError(
+                raise InvalidParams(
                     f"log10 modulus bound {bound:g} overflows: "
                     f"10 ** {bound:g} exceeds the largest float"
                 ) from None
         if self.log10_modulus_min > self.log10_modulus_max:
-            raise ValueError("log10 modulus band is empty")
+            raise InvalidParams("log10 modulus band is empty")
         if self.regime_filter not in (None, EQUAL_X, DISTINCT_X):
-            raise ValueError(f"regime_filter must be {EQUAL_X!r}, {DISTINCT_X!r} or None")
+            raise InvalidParams(f"regime_filter must be {EQUAL_X!r}, {DISTINCT_X!r} or None")
 
 
 class SweepResult(NamedTuple):
@@ -142,10 +142,6 @@ class SweepResult(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # sampling
-
-class DrawFailed(RuntimeError):
-    """No draw out of _MAX_REDRAWS met the sanity bounds within the band."""
-
 
 def _draw_base(rng: random.Random, cfg: SweepConfig) -> Params:
     """Six values, each bit-for-bit from_polar(modulus, argument) with the
@@ -187,7 +183,7 @@ def _draw_random_sample(rng: random.Random, cfg: SweepConfig) -> Params:
         if cfg.regime_filter == DISTINCT_X and not _separated(base.x1, base.x2):
             continue
         return base
-    raise DrawFailed("could not draw a sample satisfying the regime filter")
+    raise InvalidParams("could not draw a sample satisfying the regime filter")
 
 
 def _draw_injected_sample(
@@ -210,7 +206,7 @@ def _draw_injected_sample(
         elif not (_solved_sane(q.x1) and _separated(q.x1, q.x2)):
             continue
         return q
-    raise DrawFailed(f"could not construct a sane tuple for case {case_id}")
+    raise InvalidParams(f"could not construct a sane tuple for case {case_id}")
 
 
 def _injection_case(cfg: SweepConfig, injection_index: int) -> str:

@@ -6,9 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckeg7.cli import INPUT_ERROR, MATH_FAILURE, OK, main
 
@@ -303,6 +307,77 @@ class TestInputErrors:
         assert code == INPUT_ERROR
 
 
+def assert_one_error_line(code, out, err, message=None):
+    assert (code, out) == (INPUT_ERROR, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    if message is not None:
+        assert err == f"error: {message}\n"
+
+
+# Each field {"modulus": 10 ** e, "argument": a} with e in [-160, 160] and
+# a in [-3.14, 3.14]: finite, nonzero, and often far beyond what the float
+# arithmetic of the matrices, the criteria or the oracle can carry.
+extreme_points = st.fixed_dictionaries({
+    name: st.builds(
+        lambda e, a: {"modulus": 10.0 ** e, "argument": a},
+        st.floats(-160.0, 160.0),
+        st.floats(-3.14, 3.14),
+    )
+    for name in ALL_ONES
+})
+
+
+class TestExtremePoints:
+    """Every finite, nonzero point ends in a verdict or in one error line."""
+
+    @given(doc=extreme_points)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_no_point_escapes_main(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "extreme.json"
+        path.write_text(json.dumps(doc))
+        for command in ("check", "relations"):
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (OK, INPUT_ERROR, MATH_FAILURE)
+            if code == INPUT_ERROR:
+                assert_one_error_line(code, out.getvalue(), err.getvalue())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # s1 = [[1e200, b], [0, 1e-200]]: (a - d) ** 2 raises OverflowError
+            pytest.param(
+                {"x1": {"re": 1e200, "im": 0}, "x2": {"re": 1e-200, "im": 0}},
+                id="gap-squared",
+            ),
+            # a = 1e160 + 1e160i: (a - d) ** 2 is NaN, so is the eigenvalue,
+            # and its kernel direction has no nonzero pivot
+            pytest.param({"x1": {"re": 1e160, "im": 1e160}}, id="nan-eigenvalue"),
+        ],
+    )
+    def test_oracle_overflow_is_one_error_line(self, tmp_path, capsys, fields):
+        doc = dict(ALL_ONES, **fields)
+        code, out, err = run_cli(capsys, "check", write_params(tmp_path, doc))
+        assert_one_error_line(
+            code, out, err, "parameter magnitudes overflow the criteria or the oracle"
+        )
+
+    @pytest.mark.parametrize("command", ["check", "relations"])
+    def test_underflowing_denominator_is_one_error_line(self, tmp_path, capsys, command):
+        # y1*y2 underflows to 0, though r = sqrt(1e300 * 1e-400) does not
+        doc = dict(
+            ALL_ONES,
+            x1={"re": 1e150, "im": 0}, x2={"re": 1e150, "im": 0},
+            y1={"re": 1e-200, "im": 0}, y2={"re": 1e-200, "im": 0},
+        )
+        code, out, err = run_cli(capsys, command, write_params(tmp_path, doc))
+        assert_one_error_line(
+            code, out, err, "parameter magnitudes underflow a denominator to zero"
+        )
+
+
 class TestIdentities:
     def test_full_suite(self, capsys):
         code, out, _ = run_cli(capsys, "identities")
@@ -476,6 +551,24 @@ class TestSweep:
         assert code == INPUT_ERROR
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_overflowing_oracle_arithmetic_exits_one(self, capsys):
+        # every built triple is finite, but a later sample overflows decide
+        code, out, err = run_cli(
+            capsys, "sweep", "--samples", "300", "--domain", "general-complex",
+            "--log10-modulus-min", "-100", "--log10-modulus-max", "100",
+        )
+        assert_one_error_line(
+            code, out, err, "parameter magnitudes overflow the criteria or the oracle"
+        )
+
+    def test_failed_fixtures_write_leaves_stdout_empty(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "fx.json"
+        code, out, err = run_cli(
+            capsys, "sweep", "--samples", "50", "--fixtures-out", str(target)
+        )
+        assert_one_error_line(code, out, err)
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 class TestOneProcess:

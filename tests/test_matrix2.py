@@ -143,6 +143,13 @@ class TestEigenDirections:
             (1 + 0j, -1 - 7.532915547238733e-17j),
         )
 
+    def test_overflowing_eigenvalue_raises_overflow_error(self):
+        # every entry is finite, but (a - d) ** 2 is NaN: the kernel
+        # candidates carry a NaN modulus and no usable pivot
+        m = Mat2(1e160 + 1e160j, 2, 0, 1)
+        with pytest.raises(OverflowError, match="^eigenvalue is not finite$"):
+            eigen_directions(m, VERDICT_TOL)
+
     @given(matrices)
     @settings(max_examples=300, derandomize=True)
     def test_every_reported_pair_satisfies_definition(self, m):

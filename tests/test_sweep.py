@@ -65,6 +65,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(**overrides).validate()
 
+    def test_bad_values_are_invalid_params(self):
+        with pytest.raises(InvalidParams, match="^samples must be >= 1$"):
+            SweepConfig(samples=0).validate()
+
 
 class TestDeterminism:
     def test_identical_configs_produce_identical_documents(self):
@@ -181,6 +185,14 @@ class TestInjectedDraws:
             solved = q.z1 if case_id.startswith("equal") else q.x1
             assert 1e-6 <= abs(solved) <= 1e6
         assert rejected
+
+    def test_band_without_a_sane_draw_is_invalid_params(self):
+        # every solved z1 of equal-x-1 leaves [1e-6, 1e6] in this band
+        cfg = small_config(log10_modulus_min=-10, log10_modulus_max=-5)
+        with pytest.raises(
+            InvalidParams, match="^could not construct a sane tuple for case equal-x-1$"
+        ):
+            run_sweep(cfg)
 
 
 class TestDomains:
