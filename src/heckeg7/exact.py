@@ -1,29 +1,36 @@
 """Exact arithmetic for the identity suite.
 
-Three layers, all over arbitrary-precision integers:
+Two layers, both over arbitrary-precision integers:
 
-  Poly     sparse polynomials in Z[x1, x2, y1, y2, z1, z2], terms stored as
-           a map from exponent vectors to nonzero int coefficients;
-  ExtElem  elements p + q*r of the quadratic extension by a formal square
-           root r of DELTA = x1*x2*y1*y2*z1*z2, with the rewrite
-           r*r -> DELTA applied on every product (r-degree never exceeds 1);
-  RatElem  fractions num/den of extension elements.
+  Poly     sparse Laurent polynomials in x1, x2, y1, y2, z1, z2, terms stored
+           as a map from exponent vectors (of either sign) to nonzero int
+           coefficients;
+  ExtElem  elements p + q*r of the ring extension by a formal square root r
+           of DELTA = x1*x2*y1*y2*z1*z2, with the rewrite r*r -> DELTA
+           applied on every product (r-degree never exceeds 1).
 
-DELTA is squarefree and not a square, so the extension is an integral domain
-and fraction equality by cross-multiplication (n1*d2 == n2*d1) is sound.  No
-gcd normalization is ever performed; degrees stay small for every identity
-checked here, and equality never depends on reduced form.
+The extension Z[x1^±1, ..., z2^±1][r]/(r^2 - DELTA) is free over the Laurent
+polynomials with basis {1, r}, so an element is zero exactly when both of its
+terms dicts are empty, and two elements are equal exactly when their terms
+dicts are: no cross-multiplication and no normal form.  DELTA is a monomial,
+so r is a unit (r^-1 = r * DELTA^-1), and the units of the ring are exactly
++-m and +-m*r for a Laurent monomial m.  inv() and / take these; any other
+divisor raises NotAUnit (DivisionByZero for zero), since the ring has no
+fractions.  str prints an element with a negative exponent as one fraction,
+(num) / (den): den is the least monomial that clears every negative
+exponent and num the element times den, so y1*y2^-1*z2 prints as
+(y1*z2) / (y2).
 
-Operands are the three classes and int; an operator given anything else
-(a float, say) returns NotImplemented, so a higher layer's reflected
-operator answers (x1 + r is r + x1) or Python raises TypeError, and the
-ExtElem and RatElem constructors raise TypeError.
+Operands are the two classes and int; an operator given anything else (a
+float, say) returns NotImplemented, so a higher layer's reflected operator
+answers (x1 + r is r + x1) or Python raises TypeError, and the ExtElem
+constructor raises TypeError.
 
 The operators skip work whose result is known without doing it:
 
-  - +, -, * and RatElem's / test type(other) against their own class
-    first; only other operands go through coercion, which maps the ints
-    0, 1 and -1 (not a bool) to shared ExtElem or RatElem constants;
+  - +, -, * and / test type(other) against their own class first; only
+    other operands go through coercion, which maps the ints 0, 1 and -1
+    (not a bool) to shared ExtElem constants;
   - a Poly product with a zero operand returns that operand, and one with
     the constant 1 returns the other operand; a product of two single-term
     polynomials writes its one monomial directly; a sum with zero, or a
@@ -33,32 +40,22 @@ The operators skip work whose result is known without doing it:
     r-free); one whose sides both carry r, one of them with p = 0, forms
     only the DELTA term and that one cross term; the DELTA term raises
     every exponent of q1*q2 by one instead of multiplying by DELTA_POLY;
-  - RatElem +, -, * and equals skip each multiplication by a denominator
-    that is exactly 1, * forms the product of two r-free numerators itself
-    as ExtElem's r-free product does, and equals compares the two cross
-    products term by term instead of forming their difference;
-  - a RatElem product with the fraction 1/1 on one side returns the other
-    operand; a zero numerator on either side of +, - or * skips that side's
-    numerator products and the sum, but not the denominators' product;
   - dicts that already hold only nonzero coefficients are wrapped without
-    being copied or filtered again, and a Substitution builds each term of
-    a polynomial's image from these trusted constructors.
+    being copied or filtered again.
 
 Invariant: every shortcut -- the type tests, the shared constants, the
-single-term product, the one-sided and r-free products, the unit
-denominators and fractions, the zero numerators and the trusted
-substitution terms -- yields the same terms dict (same monomials,
-coefficients and insertion order) as the full computation it replaces, so
-the stored num/den/terms, and the residual strings printed from them, do
-not depend on which path ran.  Results may share an operand, a shared
-constant or its terms dict, so nothing may mutate .terms, .p, .q, .num or
-.den after construction.
+single-term product and the one-sided and r-free products -- yields the same
+terms dict (same monomials, coefficients and insertion order) as the full
+computation it replaces, so the stored terms, and the residual strings
+printed from them, do not depend on which path ran.  Results may share an
+operand, a shared constant or its terms dict, so nothing may mutate .terms,
+.p or .q after construction.
 
-A Substitution maps variables to RatElems; each call must be told the image
-of r.  One object is meant to serve many values under one assignment:
+A Substitution maps each variable to a unit of the ring; each call must be
+told the image of r.  A unit image sends each term to exactly one term, so a
+polynomial's image is built term by term with no products.  One object is
+meant to serve many values under one assignment:
 
-  - it converts and checks the variable images once, and builds each
-    power images[name] ** e once;
   - it remembers the image of each Poly it has substituted, keyed by the
     object's identity (and holding the object, so its id stays unique), not
     by equality: two equal Polys may store their terms in a different order,
@@ -89,6 +86,10 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
+class NotAUnit(ArithmeticError):
+    """A divisor, or a substitution image, that is not +-m or +-m*r."""
+
+
 class InconsistentRootImage(ValueError):
     pass
 
@@ -107,6 +108,47 @@ def _mono_str(m: Mono) -> str:
     return "*".join(parts)
 
 
+def _poly_str(terms: dict[Mono, int]) -> str:
+    """The terms of a polynomial with no negative exponent."""
+    if not terms:
+        return "0"
+    # descending lexicographic order on exponent vectors: deterministic
+    pieces = []
+    for mono in sorted(terms, reverse=True):
+        coeff = terms[mono]
+        body = _mono_str(mono)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not pieces:
+            pieces.append(text if coeff > 0 else f"-{text}")
+        else:
+            pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(pieces)
+
+
+def _laurent_str(p: dict[Mono, int], q: dict[Mono, int]) -> str:
+    """p + q*r, over the least monomial that clears its negative exponents."""
+    den = [0] * NVARS
+    for mono in (*p, *q):
+        for i, e in enumerate(mono):
+            if e < -den[i]:
+                den[i] = -e
+    if any(den):
+        p, q = ({tuple(map(int.__add__, m, den)): c for m, c in t.items()} for t in (p, q))
+    if not q:
+        text = _poly_str(p)
+    elif not p:
+        text = f"({_poly_str(q)})*r"
+    else:
+        text = f"({_poly_str(p)}) + ({_poly_str(q)})*r"
+    return f"({text}) / ({_mono_str(tuple(den))})" if any(den) else text
+
+
 def _power(base, n: int, one):
     """base**n for n >= 0 by square-and-multiply, from the unit one.  Every
     product goes through *, so a wrapper on the class's __mul__ sees it; the
@@ -122,8 +164,8 @@ def _power(base, n: int, one):
 
 
 class Poly:
-    """Sparse integer polynomial; terms maps exponent vectors to nonzero
-    coefficients."""
+    """Sparse integer Laurent polynomial; terms maps exponent vectors to
+    nonzero coefficients."""
 
     __slots__ = ("terms",)
 
@@ -198,16 +240,7 @@ class Poly:
             if not isinstance(other, int):
                 return NotImplemented
             other = Poly.const(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, 0) - coeff
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return Poly._trusted(out)
+        return self + -other
 
     def __rsub__(self, other: int) -> "Poly":
         if not isinstance(other, int):
@@ -252,25 +285,7 @@ class Poly:
         return _power(self, n, Poly.const(1))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        # descending lexicographic order on exponent vectors: deterministic
-        pieces = []
-        for mono in sorted(self.terms, reverse=True):
-            coeff = self.terms[mono]
-            body = _mono_str(mono)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(pieces)
+        return _laurent_str(self.terms, {})
 
     __repr__ = __str__
 
@@ -300,11 +315,14 @@ def _as_poly(x: PolyLike) -> Poly:
 
 
 class ExtElem:
-    """p + q*r with r*r rewritten to DELTA."""
+    """p + q*r with r*r rewritten to DELTA; ExtElem(e, q) for an ExtElem e
+    is e + q*r."""
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: PolyLike = 0, q: PolyLike = 0):
+    def __init__(self, p: Union["ExtElem", PolyLike] = 0, q: PolyLike = 0):
+        if isinstance(p, ExtElem):
+            p, q = p.p, p.q + _as_poly(q)
         self.p = _as_poly(p)
         self.q = _as_poly(q)
 
@@ -386,20 +404,40 @@ class ExtElem:
 
     __rmul__ = __mul__
 
+    def inv(self) -> "ExtElem":
+        """The inverse of a unit +-m or +-m*r: (m*r)^-1 = m^-1 * DELTA^-1 * r."""
+        unit = _unit(self)
+        if unit is None:
+            if self.is_zero():
+                raise DivisionByZero("inverse of zero")
+            raise NotAUnit(f"{self} is not a unit +-m or +-m*r of the ring")
+        sign, mono, k = unit
+        inverse = Poly._trusted({tuple(-e - k for e in mono): sign})
+        return ExtElem._trusted(Poly(), inverse) if k else ExtElem._trusted(inverse, Poly())
+
+    def __truediv__(self, other) -> "ExtElem":
+        if type(other) is not ExtElem:
+            other = _as_ext(other)
+            if other is None:
+                return NotImplemented
+        return self * other.inv()
+
+    def __rtruediv__(self, other) -> "ExtElem":
+        other = _as_ext(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inv()
+
     def __pow__(self, n: int) -> "ExtElem":
         if n < 0:
-            raise ValueError("negative power of an extension element")
+            return _power(self.inv(), -n, ExtElem(1, 0))
         return _power(self, n, ExtElem(1, 0))
 
     def conjugate(self) -> "ExtElem":
         return ExtElem._trusted(self.p, -self.q)
 
     def __str__(self) -> str:
-        if self.q.is_zero():
-            return str(self.p)
-        if self.p.is_zero():
-            return f"({self.q})*r"
-        return f"({self.p}) + ({self.q})*r"
+        return _laurent_str(self.p.terms, self.q.terms)
 
     __repr__ = __str__
 
@@ -418,262 +456,118 @@ def _as_ext(x) -> ExtElem | None:
 
 # shared by every operand they stand for: nothing mutates a result
 _EXT_CONSTS = {c: ExtElem._trusted(Poly.const(c), Poly()) for c in (0, 1, -1)}
-_ONE_EXT = _EXT_CONSTS[1]
 
 
-def _is_one(e: ExtElem) -> bool:
-    return not e.q.terms and e.p.terms == _ONE_TERMS
+def _unit(e: ExtElem) -> tuple[int, Mono, int] | None:
+    """(sign, m, k) when e = sign * m * r^k with k in {0, 1}, else None."""
+    p, q = e.p.terms, e.q.terms
+    if len(p) + len(q) != 1:
+        return None
+    ((mono, c),) = (p or q).items()
+    if c != 1 and c != -1:
+        return None
+    return c, mono, 0 if p else 1
 
 
 ExtLike = Union[ExtElem, Poly, int]
 
-
-class RatElem:
-    """Fraction of extension elements; equality by cross-multiplication."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: ExtLike = 0, den: ExtLike = 1):
-        n = _as_ext(num)
-        d = _as_ext(den)
-        if n is None or d is None:
-            raise TypeError("numerator/denominator must be ExtElem, Poly or int")
-        if d.is_zero():
-            raise DivisionByZero("zero denominator")
-        self.num = n
-        self.den = d
-
-    @staticmethod
-    def _trusted(num: ExtElem, den: ExtElem) -> "RatElem":
-        """Wrap extension elements as they are; den must be nonzero."""
-        f = object.__new__(RatElem)
-        f.num = num
-        f.den = den
-        return f
-
-    @staticmethod
-    def var(name: str) -> "RatElem":
-        return RatElem(ExtElem.var(name), 1)
-
-    @staticmethod
-    def r(sign: int = 1) -> "RatElem":
-        return RatElem(ExtElem.r(sign), 1)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def equals(self, other) -> bool:
-        other = _as_rat(other)
-        if other is None:
-            raise TypeError("cannot compare RatElem with this type")
-        lhs = self.num if _is_one(other.den) else self.num * other.den
-        rhs = other.num if _is_one(self.den) else other.num * self.den
-        return lhs.p.terms == rhs.p.terms and lhs.q.terms == rhs.q.terms
-
-    def __eq__(self, other: object) -> bool:
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        return self.equals(other)
-
-    __hash__ = None  # semantic equality is not hash-compatible
-
-    def __neg__(self) -> "RatElem":
-        return RatElem._trusted(-self.num, self.den)
-
-    def __add__(self, other) -> "RatElem":
-        if type(other) is not RatElem:
-            other = _as_rat(other)
-            if other is None:
-                return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
-        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
-        den = d2 if one1 else d1 if one2 else d1 * d2
-        if not (n2.p.terms or n2.q.terms):
-            return RatElem._trusted(n1 if one2 else n1 * d2, den)
-        num = n2 if one1 else n2 * d1
-        if n1.p.terms or n1.q.terms:
-            num = (n1 if one2 else n1 * d2) + num
-        return RatElem._trusted(num, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatElem":
-        if type(other) is not RatElem:
-            other = _as_rat(other)
-            if other is None:
-                return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
-        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
-        den = d2 if one1 else d1 if one2 else d1 * d2
-        if not (n2.p.terms or n2.q.terms):
-            return RatElem._trusted(n1 if one2 else n1 * d2, den)
-        num = n2 if one1 else n2 * d1
-        if n1.p.terms or n1.q.terms:
-            return RatElem._trusted((n1 if one2 else n1 * d2) - num, den)
-        return RatElem._trusted(-num, den)
-
-    def __rsub__(self, other) -> "RatElem":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> "RatElem":
-        if type(other) is not RatElem:
-            other = _as_rat(other)
-            if other is None:
-                return NotImplemented
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        one1 = not d1.q.terms and d1.p.terms == _ONE_TERMS
-        one2 = not d2.q.terms and d2.p.terms == _ONE_TERMS
-        if one1 and not n1.q.terms and n1.p.terms == _ONE_TERMS:
-            return other
-        if one2 and not n2.q.terms and n2.p.terms == _ONE_TERMS:
-            return self
-        if not (n1.p.terms or n1.q.terms):
-            num = n1
-        elif not (n2.p.terms or n2.q.terms):
-            num = n2
-        elif n1.q.terms or n2.q.terms:
-            num = n1 * n2
-        else:  # ExtElem.__mul__'s r-free product, without the call
-            num = ExtElem._trusted(n1.p * n2.p, n1.q)
-        return RatElem._trusted(num, d2 if one1 else d1 if one2 else d1 * d2)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "RatElem":
-        if self.num.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return RatElem._trusted(self.den, self.num)
-
-    def __truediv__(self, other) -> "RatElem":
-        if type(other) is not RatElem:
-            other = _as_rat(other)
-            if other is None:
-                return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other) -> "RatElem":
-        other = _as_rat(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inv()
-
-    def __pow__(self, n: int) -> "RatElem":
-        if n < 0:
-            return self.inv() ** (-n)
-        return _power(self, n, RatElem(1, 1))
-
-    def __str__(self) -> str:
-        if _is_one(self.den):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
-
-
-def _as_rat(x) -> RatElem | None:
-    if isinstance(x, RatElem):
-        return x
-    if type(x) is int and x in _RAT_CONSTS:
-        return _RAT_CONSTS[x]
-    e = _as_ext(x)
-    if e is None:
-        return None
-    return RatElem._trusted(e, _ONE_EXT)
-
-
-_RAT_CONSTS = {c: RatElem._trusted(e, _ONE_EXT) for c, e in _EXT_CONSTS.items()}
-_ZERO_RAT = _RAT_CONSTS[0]
-
-
-RatLike = Union[RatElem, ExtElem, Poly, int]
+# The fraction class's former name, now ExtElem: perfbench/tracing.py looks
+# up each class it wraps on exact by name, and this name is one of them.
+RatElem = ExtElem
 
 
 # ---------------------------------------------------------------------------
 # substitution (exact) and evaluation (numeric)
 
 class Substitution:
-    """The images of the six variables (unassigned ones map to themselves),
-    prepared once; calling it substitutes one value, as substitute does."""
+    """The images of the six variables, each a unit +-m or +-m*r of the ring
+    (unassigned ones map to themselves), prepared once; calling it
+    substitutes one value, as substitute does."""
 
-    __slots__ = ("_images", "_powers", "_memo", "_roots")
+    __slots__ = ("_units", "_memo", "_roots")
 
-    def __init__(self, assignment: Mapping[str, RatLike]):
+    def __init__(self, assignment: Mapping[str, ExtLike]):
         unknown = set(assignment) - set(VARS)
         if unknown:
             raise KeyError(f"unknown variables in assignment: {sorted(unknown)}")
-        self._images: dict[str, RatElem] = {}
+        # per variable, (sign, m, k) with image sign * m * r^k
+        self._units: list[tuple[int, Mono, int]] = []
         for name in VARS:
-            img = _as_rat(assignment[name]) if name in assignment else RatElem.var(name)
+            if name not in assignment:
+                self._units.append(_unit(ExtElem.var(name)))
+                continue
+            img = _as_ext(assignment[name])
             if img is None:
                 raise TypeError(
-                    f"image of {name} must be a RatElem, ExtElem, Poly or int, "
+                    f"image of {name} must be an ExtElem, Poly or int, "
                     f"not {type(assignment[name]).__name__}"
                 )
-            self._images[name] = img
-        self._powers: dict[tuple[str, int], RatElem] = {}
+            unit = _unit(img)
+            if unit is None:
+                raise NotAUnit(f"image of {name} must be a unit +-m or +-m*r, not {img}")
+            self._units.append(unit)
         # id(p) -> (p, image of p); holding p keeps its id from being reused
-        self._memo: dict[int, tuple[Poly, RatElem]] = {}
+        self._memo: dict[int, tuple[Poly, ExtElem]] = {}
         # id(r_image) -> each r image that passed the check, held likewise
-        self._roots: dict[int, RatLike] = {}
+        self._roots: dict[int, ExtLike] = {}
 
-    def _poly(self, p: Poly) -> RatElem:
+    def _poly(self, p: Poly) -> ExtElem:
+        """The image of p: with x_i -> sign_i * m_i * r^k_i, the term c * x^e
+        goes to the one term c * prod(sign_i^e_i * m_i^e_i) * r^k, where
+        k = sum(e_i * k_i) and r^k = DELTA^(k // 2) * r^(k % 2)."""
         hit = self._memo.get(id(p))
         if hit is not None:
             return hit[1]
-        powers = self._powers
-        out = _ZERO_RAT
+        units = self._units
+        parts: tuple[dict[Mono, int], dict[Mono, int]] = ({}, {})
         for mono, coeff in p.terms.items():
-            term = _as_rat(coeff)
-            for name, e in zip(VARS, mono):
+            image, k = [0] * NVARS, 0
+            for e, (sign, m, k_i) in zip(mono, units):
                 if e:
-                    key = (name, e)
-                    if key not in powers:
-                        powers[key] = self._images[name] ** e
-                    term = term * powers[key]
-            out = out + term
+                    if sign < 0 and e & 1:
+                        coeff = -coeff
+                    k += e * k_i
+                    image = [a + e * b for a, b in zip(image, m)]
+            key = tuple(a + (k >> 1) for a in image)
+            terms = parts[k & 1]
+            s = terms.get(key, 0) + coeff
+            if s:
+                terms[key] = s
+            else:
+                del terms[key]
+        out = ExtElem._trusted(Poly._trusted(parts[0]), Poly._trusted(parts[1]))
         self._memo[id(p)] = (p, out)
         return out
 
-    def __call__(self, value: RatLike, r_image: RatLike) -> RatElem:
-        r_img = _as_rat(r_image)
+    def __call__(self, value: ExtLike, r_image: ExtLike) -> ExtElem:
+        r_img = _as_ext(r_image)
         if r_img is None:
-            raise TypeError("r_image must be a RatElem, ExtElem, Poly or int")
+            raise TypeError("r_image must be an ExtElem, Poly or int")
         if id(r_image) not in self._roots:
-            if not (r_img * r_img).equals(self._poly(DELTA_POLY)):
+            if r_img * r_img != self._poly(DELTA_POLY):
                 raise InconsistentRootImage(
                     "r_image squared does not equal the image of x1*x2*y1*y2*z1*z2"
                 )
             self._roots[id(r_image)] = r_image
-        val = _as_rat(value)
+        val = _as_ext(value)
         if val is None:
-            raise TypeError("value must be a RatElem, ExtElem, Poly or int")
-        num = self._poly(val.num.p) + self._poly(val.num.q) * r_img
-        den = self._poly(val.den.p) + self._poly(val.den.q) * r_img
-        if den.is_zero():
-            raise DenominatorVanishes("denominator vanishes under the assignment")
-        return num / den
+            raise TypeError("value must be an ExtElem, Poly or int")
+        return self._poly(val.p) + self._poly(val.q) * r_img
 
 
 def substitute(
-    value: RatLike,
-    assignment: Mapping[str, RatLike] | Substitution,
-    r_image: RatLike,
-) -> RatElem:
+    value: ExtLike,
+    assignment: Mapping[str, ExtLike] | Substitution,
+    r_image: ExtLike,
+) -> ExtElem:
     """Apply variable images and the stated image of r, exactly.
 
     assignment is a mapping from variable names to images, or a prepared
-    Substitution to share its powers and polynomial images with other calls.
-    Raises TypeError naming a variable whose image is not a RatElem, ExtElem,
-    Poly or int; InconsistentRootImage unless r_image squared equals the
-    image of DELTA (checked by cross-multiplication, once per r_image object); and
-    DenominatorVanishes when a denominator collapses to zero under the
-    assignment.
+    Substitution to share its polynomial images with other calls.  Raises
+    TypeError naming a variable whose image is not an ExtElem, Poly or int;
+    NotAUnit naming one whose image is not a unit +-m or +-m*r; and
+    InconsistentRootImage unless r_image squared equals the image of DELTA
+    (checked once per r_image object).
     """
     if not isinstance(assignment, Substitution):
         assignment = Substitution(assignment)
@@ -681,12 +575,17 @@ def substitute(
 
 
 def poly_eval(p: Poly, values: Mapping[str, complex]) -> complex:
+    """p at the given values; a variable that carries a negative exponent
+    and evaluates to 0 raises DenominatorVanishes."""
     out = 0j
     for mono, coeff in p.terms.items():
         term = complex(coeff)
         for name, e in zip(VARS, mono):
             if e:
-                term *= values[name] ** e
+                v = values[name]
+                if e < 0 and v == 0:
+                    raise DenominatorVanishes(f"{name} = 0 under a negative exponent")
+                term *= v ** e
         out += term
     return out
 
@@ -696,7 +595,7 @@ def ext_eval(e: ExtElem, values: Mapping[str, complex], r_value: complex) -> com
 
 
 def eval_numeric(
-    value: RatLike,
+    value: ExtLike,
     values: Mapping[str, complex],
     r_value: complex,
     root_tol: float = 1e-9,
@@ -704,7 +603,8 @@ def eval_numeric(
     """Evaluate at complex parameter values with an explicit value for r.
 
     r_value must square to DELTA's value within root_tol (relative); a
-    vanishing denominator raises DenominatorVanishes.
+    variable with a negative exponent that evaluates to 0 raises
+    DenominatorVanishes.
     """
     missing = [name for name in VARS if name not in values]
     if missing:
@@ -714,10 +614,7 @@ def eval_numeric(
         raise InconsistentRootImage(
             f"r_value^2 = {r_value * r_value!r} but x1*x2*y1*y2*z1*z2 = {delta_val!r}"
         )
-    val = _as_rat(value)
+    val = _as_ext(value)
     if val is None:
-        raise TypeError("value must be a RatElem, ExtElem, Poly or int")
-    den = ext_eval(val.den, values, r_value)
-    if den == 0:
-        raise DenominatorVanishes("denominator evaluates to zero")
-    return ext_eval(val.num, values, r_value) / den
+        raise TypeError("value must be an ExtElem, Poly or int")
+    return ext_eval(val, values, r_value)

@@ -1,12 +1,13 @@
 """Exact symbolic verification of the algebra behind the irreducibility
 criteria.
 
-Everything here runs over Z[x1,x2,y1,y2,z1,z2] adjoined a formal square root
-r of DELTA = x1*x2*y1*y2*z1*z2 (see exact).  A check counts as "verified"
-only when the difference of the two sides reduces to the literal zero
-element -- never "small", always exactly zero.
+Everything here runs over the Laurent polynomials Z[x1^±1, ..., z2^±1]
+adjoined a formal square root r of DELTA = x1*x2*y1*y2*z1*z2 (see exact).
+Every divisor the checks need is a monomial or r, a unit of that ring, so no
+fraction is ever formed.  A check counts as "verified" only when the two
+sides have the same terms -- never "close", always exactly equal.
 
-The checks run the package's own closed forms over this field: the
+The checks run the package's own closed forms over this ring: the
 generators of representation.generators, the conjugator of
 representation.conjugator, the solved cases of irreducibility.solved_value
 and the lines of irreducibility.equal_x_lines, with matrix2.Mat2 as the
@@ -37,7 +38,8 @@ The suite covers six identity groups:
       the entries of T^-1 s_i T for the upper-triangular T that
       diagonalizes s1 when x1 != x2, including two corrected entry
       normalizations forced by trace/determinant preservation (see
-      verify_conjugation_formulas).
+      verify_conjugation_formulas).  Each is stated times det(T) =
+      (x2-x1)^2, as adj(T) s_i T, so that nothing divides by x2 - x1.
   conjugated-upper-right-vanishing
       the numerator of the upper-right entry of T^-1 s3 T vanishes under
       each of the four distinct-x reducibility substitutions -- at exactly
@@ -53,7 +55,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .exact import ExtElem, Poly, RatElem, Substitution, substitute
+from .exact import ExtElem, Poly, Substitution, substitute
 from .irreducibility import EQUAL_X_CASES, equal_x_lines, root_image, solved_value
 from .matrix2 import Mat2
 from .representation import GeneratorTriple, _check_sign, conjugator, generators
@@ -62,12 +64,12 @@ VERIFIED = "verified"
 FAILED = "failed"
 SIGN_DEPENDENT = "sign-dependent"
 
-# Symbolic generators of the coefficient ring and its fraction field.
+# The variables as polynomials and as elements of the extension ring.
 _PX1, _PX2, _PY1, _PY2, _PZ1, _PZ2 = (
     Poly.var(n) for n in ("x1", "x2", "y1", "y2", "z1", "z2")
 )
 X1, X2, Y1, Y2, Z1, Z2 = (
-    RatElem.var(n) for n in ("x1", "x2", "y1", "y2", "z1", "z2")
+    ExtElem.var(n) for n in ("x1", "x2", "y1", "y2", "z1", "z2")
 )
 
 
@@ -88,19 +90,19 @@ class IdentityReport(NamedTuple):
         return self.status == FAILED
 
 
-def trace(m: Mat2) -> RatElem:
+def trace(m: Mat2) -> ExtElem:
     return m.a + m.d
 
 
-def det(m: Mat2) -> RatElem:
+def det(m: Mat2) -> ExtElem:
     return m.a * m.d - m.b * m.c
 
 
 @cache
 def sym_generators(r_sign: int = 1) -> GeneratorTriple:
-    """representation.generators over the fraction field, with r kept formal
+    """representation.generators over the extension ring, with r kept formal
     (r_sign = -1 replaces r by its conjugate root throughout)."""
-    return generators(X1, X2, Y1, Y2, Z1, Z2, RatElem.r(_check_sign(r_sign)))
+    return generators(X1, X2, Y1, Y2, Z1, Z2, ExtElem.r(_check_sign(r_sign)))
 
 
 @cache
@@ -135,7 +137,7 @@ def conjugated_upper_right_numerator() -> ExtElem:
     return ExtElem(poly_part, r_part)
 
 
-def case_substitution(case_id: str) -> tuple[dict[str, RatElem], RatElem]:
+def case_substitution(case_id: str) -> tuple[dict[str, ExtElem], ExtElem]:
     """The assignment that makes the case condition an identity -- the
     solved value of irreducibility.solved_value, with x1 = x2 in the
     equal-x cases -- and the induced root, irreducibility.root_image over
@@ -148,7 +150,7 @@ def case_substitution(case_id: str) -> tuple[dict[str, RatElem], RatElem]:
     return {"x1": value}, root
 
 
-# the residual's prefix for each entry of a field element, a vector and a
+# the residual's prefix for each entry of a ring element, a vector and a
 # Mat2 (row-major)
 _LABELS = {
     1: ("",),
@@ -158,24 +160,23 @@ _LABELS = {
 
 
 def _check(name: str, lhs, rhs, note: str = "") -> CheckResult:
-    """lhs = rhs exactly, for two field elements, two vectors or two
-    matrices.  A failure's residual is the cross-multiplied numerator of
-    lhs - rhs; for a vector or matrix, that of each unequal entry, labelled
-    with its position."""
-    if isinstance(lhs, RatElem):
+    """lhs = rhs exactly, for two ring elements, two vectors or two
+    matrices.  A failure's residual is lhs - rhs; for a vector or matrix,
+    that of each unequal entry, labelled with its position."""
+    if isinstance(lhs, ExtElem):
         lhs, rhs = (lhs,), (rhs,)
     bad = [
-        f"{label}{(e1 - e2).num}"
+        f"{label}{e1 - e2}"
         for label, e1, e2 in zip(_LABELS[len(lhs)], lhs, rhs)
-        if not e1.equals(e2)
+        if e1 != e2
     ]
     return CheckResult(name, not bad, note, "; ".join(bad) or None)
 
 
-def _differs(name: str, lhs: RatElem, rhs, note: str) -> CheckResult:
+def _differs(name: str, lhs: ExtElem, rhs, note: str) -> CheckResult:
     """lhs != rhs: a statement that must not hold.  A failure has no
     residual to show, since the two sides are equal."""
-    return CheckResult(name, not lhs.equals(rhs), note)
+    return CheckResult(name, lhs != rhs, note)
 
 
 def _report(
@@ -191,8 +192,8 @@ def verify_reducibility_condition_factorization() -> IdentityReport:
     rhs = -((_PY1 * _PZ1 - _PY2 * _PZ2) * (_PY2 * _PZ1 - _PY1 * _PZ2))
     check = _check(
         "(y1+y2)^2*z1*z2 - (z1+z2)^2*y1*y2 = -(y1*z1 - y2*z2)*(y2*z1 - y1*z2)",
-        RatElem(lhs),
-        RatElem(rhs),
+        ExtElem(lhs),
+        ExtElem(rhs),
         "polynomial identity behind the two equal-x reducibility conditions",
     )
     return _report(
@@ -222,20 +223,20 @@ def verify_w_factorization() -> IdentityReport:
     checks = [
         _check(
             "w = alpha*beta",
-            RatElem(w),
-            RatElem(alpha * beta),
+            w,
+            alpha * beta,
             "exact in the extension ring",
         ),
         _check(
             "alpha*conj(alpha) = y1*y2*(x1*y1*z2 - x2*y2*z1)*(x1*y2*z2 - x2*y1*z1)",
-            RatElem(alpha * alpha.conjugate()),
-            RatElem(alpha_rhs),
+            alpha * alpha.conjugate(),
+            ExtElem(alpha_rhs),
             "links the vanishing of alpha to two of the four cross-product conditions",
         ),
         _check(
             "beta*conj(beta) = y1*y2*(x1*y2*z1 - x2*y1*z2)*(x1*y1*z1 - x2*y2*z2)",
-            RatElem(beta * beta.conjugate()),
-            RatElem(beta_rhs),
+            beta * beta.conjugate(),
+            ExtElem(beta_rhs),
             "links the vanishing of beta to the other two cross-product conditions",
         ),
     ]
@@ -263,7 +264,7 @@ def _relation_checks(sign: int) -> list[CheckResult]:
         (f"(s2 - y1)(s2 - y2) = 0 {tag}", s2, Y1, Y2),
         (f"(s3 - z1)(s3 - z2) = 0 {tag}", s3, Z1, Z2),
     )
-    zero = Mat2(*[RatElem(0)] * 4)
+    zero = Mat2(0, 0, 0, 0)
     for label, m, e1, e2 in quads:
         prod = m.minus_scalar(e1) * m.minus_scalar(e2)
         checks.append(_check(label, prod, zero, "quadratic eigenvalue relation"))
@@ -280,53 +281,57 @@ def verify_braid_hecke_relations() -> IdentityReport:
 
 
 def _conjugation_checks(sign: int) -> list[CheckResult]:
-    rr = RatElem.r(sign)
+    rr = ExtElem.r(sign)
     tag = f"[r sign {sign:+d}]"
     s1, s2, s3 = sym_generators(sign)
     t_mat = conjugator(s1, X1, X2)
-    t_inv = Mat2(1, -t_mat.b, 0, 1)
-    b1 = t_inv * (s1 * t_mat)
-    b2 = t_inv * (s2 * t_mat)
-    b3 = t_inv * (s3 * t_mat)
+    # adj(T)*s*T = det(T) * T^-1*s*T with det(T) = (x2-x1)^2, so each check
+    # states its closed form times det(T): a (x1-x2)^2 in a denominator
+    # cancels, and (x2-x1)^2/(x1-x2) is x1 - x2
+    t_adj = Mat2(t_mat.d, -t_mat.b, -t_mat.c, t_mat.a)
+    b1 = t_adj * (s1 * t_mat)
+    b2 = t_adj * (s2 * t_mat)
+    b3 = t_adj * (s3 * t_mat)
 
     diff = X1 - X2
+    det_t = diff * diff
     ysum, yprod, zsum = Y1 + Y2, Y1 * Y2, Z1 + Z2
-    m_entry = -X2 * (-(X1 * yprod * Z1) - X1 * yprod * Z2 + Y1 * rr + Y2 * rr) / (diff * rr)
-    p_corrected = -X1 * (X2 * yprod * Z1 + X2 * yprod * Z2 - Y1 * rr - Y2 * rr) / (diff * rr)
-    p_variant = -X1 * (-(X2 * yprod * Z1) - X2 * yprod * Z2 - Y1 * rr - Y2 * rr) / (diff * rr)
-    a_entry = (ysum * rr - X2 * yprod * zsum) / (diff * yprod)
-    c_entry = (-(rr * ysum) + X1 * yprod * zsum) / (diff * yprod)
+    m_entry = -X2 * (-(X1 * yprod * Z1) - X1 * yprod * Z2 + Y1 * rr + Y2 * rr) * diff / rr
+    p_corrected = -X1 * (X2 * yprod * Z1 + X2 * yprod * Z2 - Y1 * rr - Y2 * rr) * diff / rr
+    p_variant = -X1 * (-(X2 * yprod * Z1) - X2 * yprod * Z2 - Y1 * rr - Y2 * rr) * diff / rr
+    a_entry = (ysum * rr - X2 * yprod * zsum) * diff / yprod
+    c_entry = (-(rr * ysum) + X1 * yprod * zsum) * diff / yprod
     # w and the upper-right numerator are stated at the positive root
     w = w_alpha_beta()[0]
     nb = conjugated_upper_right_numerator()
     if sign == -1:
         w, nb = w.conjugate(), nb.conjugate()
-    w_scale = X1 * Y1**2 * Y2**2 * Z1 * Z2 * diff**2
-    b_entry = (X1 * X2 * Z1 * Z2 * RatElem(nb)) / (diff**2 * rr**3)
+    w_scale = X1 * Y1**2 * Y2**2 * Z1 * Z2
+    b_entry = X1 * X2 * Z1 * Z2 * nb / rr**3
 
     return [
-        _check(f"T^-1*s1*T = diag(x1, x2): (1,1) {tag}", b1.a, X1),
-        _check(f"T^-1*s1*T = diag(x1, x2): (1,2) {tag}", b1.b, RatElem(0)),
-        _check(f"T^-1*s1*T = diag(x1, x2): (2,1) {tag}", b1.c, RatElem(0)),
-        _check(f"T^-1*s1*T = diag(x1, x2): (2,2) {tag}", b1.d, X2),
+        _check(f"T^-1*s1*T = diag(x1, x2): (1,1) {tag}", b1.a, det_t * X1),
+        _check(f"T^-1*s1*T = diag(x1, x2): (1,2) {tag}", b1.b, 0),
+        _check(f"T^-1*s1*T = diag(x1, x2): (2,1) {tag}", b1.c, 0),
+        _check(f"T^-1*s1*T = diag(x1, x2): (2,2) {tag}", b1.d, det_t * X2),
         _check(
             f"conjugated s2 (1,1) = -x2*(-x1*y1*y2*z1 - x1*y1*y2*z2 + y1*r + y2*r)"
             f"/((x1-x2)*r) {tag}",
             b2.a,
             m_entry,
         ),
-        _check(f"conjugated s2 (2,1) = -x1*y1*y2 {tag}", b2.c, -(X1 * yprod)),
+        _check(f"conjugated s2 (2,1) = -x1*y1*y2 {tag}", b2.c, -(det_t * X1 * yprod)),
         _check(
             f"conjugated s2 (1,2) = w/(x1*y1^2*y2^2*z1*z2*(x1-x2)^2) {tag}",
             b2.b,
-            RatElem(w) / w_scale,
+            w / w_scale,
             "the upper-right entry is w divided by this nonzero normalization, "
             "not w itself; determinant preservation (det = y1*y2) forces the factor",
         ),
         _differs(
             f"conjugated s2 (1,2) differs from undivided w {tag}",
             b2.b,
-            w,
+            det_t * w,
             "machine-checked: equating the entry to w itself fails; only the "
             "normalized form above is an identity",
         ),
@@ -355,16 +360,16 @@ def _conjugation_checks(sign: int) -> list[CheckResult]:
             b_entry,
             "the long explicit upper-right entry, exact as printed",
         ),
-        _check(f"conjugated s3 (2,1) = r {tag}", b3.c, rr),
+        _check(f"conjugated s3 (2,1) = r {tag}", b3.c, det_t * rr),
         _check(
             f"conjugated s3 (2,2) = (-r*(y1+y2) + x1*y1*y2*(z1+z2))/((x1-x2)*y1*y2) {tag}",
             b3.d,
             c_entry,
         ),
-        _check(f"trace of conjugated s2 = y1+y2 {tag}", trace(b2), ysum),
-        _check(f"det of conjugated s2 = y1*y2 {tag}", det(b2), yprod),
-        _check(f"trace of conjugated s3 = z1+z2 {tag}", trace(b3), zsum),
-        _check(f"det of conjugated s3 = z1*z2 {tag}", det(b3), Z1 * Z2),
+        _check(f"trace of conjugated s2 = y1+y2 {tag}", trace(b2), det_t * ysum),
+        _check(f"det of conjugated s2 = y1*y2 {tag}", det(b2), det_t * det_t * yprod),
+        _check(f"trace of conjugated s3 = z1+z2 {tag}", trace(b3), det_t * zsum),
+        _check(f"det of conjugated s3 = z1*z2 {tag}", det(b3), det_t * det_t * Z1 * Z2),
     ]
 
 
@@ -390,13 +395,13 @@ def verify_conjugated_upper_right_vanishing() -> IdentityReport:
             _check(
                 f"{case_id}: numerator vanishes at induced root sign +1",
                 substitute(nb, sub, root),
-                RatElem(0),
+                0,
                 note,
             ),
             _differs(
                 f"{case_id}: numerator is nonzero at induced root sign -1",
                 substitute(nb, sub, -root),
-                RatElem(0),
+                0,
                 note,
             ),
         ]
@@ -421,16 +426,16 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
     if case_id == "equal-x-1":
         s3_eig, v_s3_eig = Z2, z1
         s3_display = Mat2(
-            RatElem(0), -Z2 / (X2 * Y2), X2 * Y1 * Z2, Z2 + Y1 * Z2 / Y2
+            0, -Z2 / (X2 * Y2), X2 * Y1 * Z2, Z2 + Y1 * Z2 / Y2
         )
     else:
         s3_eig, v_s3_eig = z1, Z2
         s3_display = Mat2(
-            RatElem(0), -Z2 / (X2 * Y1), X2 * Y2 * Z2, Z2 + Y2 * Z2 / Y1
+            0, -Z2 / (X2 * Y1), X2 * Y2 * Z2, Z2 + Y2 * Z2 / Y1
         )
-    s2_display = Mat2(Y1 + Y2, RatElem(1) / X2, -(X2 * Y1 * Y2), RatElem(0))
+    s2_display = Mat2(Y1 + Y2, 1 / X2, -(X2 * Y1 * Y2), 0)
 
-    def sub_mat(m: Mat2, r_img: RatElem) -> Mat2:
+    def sub_mat(m: Mat2, r_img: ExtElem) -> Mat2:
         return Mat2(*(substitute(e, sub, r_img) for e in m))
 
     s1_sub = sub_mat(s1, root)
@@ -440,7 +445,7 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
         _check(
             f"{case_id}: substituted s1(1,2) = 0 at the consistent root image",
             s1_sub.b,
-            RatElem(0),
+            0,
             "the upper-right entry collapses, making s1 scalar",
         ),
         _check(f"{case_id}: substituted s1(1,1) = x2", s1_sub.a, X2),
@@ -489,7 +494,7 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
         _differs(
             f"{case_id}: substituted s1(1,2) is nonzero at the flipped root image",
             substitute(s1.b, sub, -root),
-            RatElem(0),
+            0,
             "the collapse of s1(1,2) is specific to one root image; on the "
             "other branch the line is not invariant",
         )
@@ -530,17 +535,4 @@ def run_all(only: str | None = None) -> list[IdentityReport]:
 
 
 def report_as_dict(report: IdentityReport) -> dict:
-    return {
-        "name": report.name,
-        "status": report.status,
-        "summary": report.summary,
-        "checks": [
-            {
-                "name": c.name,
-                "ok": c.ok,
-                "note": c.note,
-                "residual": c.residual,
-            }
-            for c in report.checks
-        ],
-    }
+    return {**report._asdict(), "checks": [c._asdict() for c in report.checks]}

@@ -19,8 +19,9 @@ build_general is the one float builder.  build_equal_x, the x1 = x2
 family, is build_general with x1 replaced by x2; the package decides every
 point with build_general, whatever regime the point is labelled with.
 
-generators and conjugator use only + - * /, so the same formulas run over
-complex floats here and over exact fractions in the identity suite.
+generators and conjugator use only + - * and division by monomials and r,
+so the same formulas run over complex floats here and over the exact Laurent
+ring of the identity suite.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def _check_sign(r_sign: int) -> int:
 
 
 def generators(x1, x2, y1, y2, z1, z2, r) -> GeneratorTriple:
-    """The triple (s1, s2, s3) of the module docstring over any field;
-    r - r is the field's zero, so products of the entries stay in it."""
+    """The triple (s1, s2, s3) of the module docstring over any field or
+    the Laurent ring; r - r is its zero, so products of entries stay in it."""
     zero = r - r
     y_prod = y1 * y2
     y_sum = y1 + y2
@@ -191,6 +192,9 @@ def hecke_residuals(g: GeneratorTriple, p: Params) -> dict[str, float]:
 
 
 def conjugator(s1: Mat2, x1, x2) -> Mat2:
-    """Unitriangular T with T^-1 s1 T = diag(x1, x2) for s1 = [[x1, b], [0, x2]]
-    and x1 != x2: T(1,2) = b/(x2-x1)."""
-    return Mat2(1, s1.b / (x2 - x1), 0, 1)
+    """T = [[x2-x1, b], [0, x2-x1]] for s1 = [[x1, b], [0, x2]]: its columns
+    are eigenvectors of s1 for x1 and x2, so adj(T)*s1*T = det(T)*diag(x1, x2)
+    with det(T) = (x2-x1)^2, and T is invertible iff x1 != x2.  No entry
+    divides by x2 - x1."""
+    d = x2 - x1
+    return Mat2(d, s1.b, 0, d)

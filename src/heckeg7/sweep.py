@@ -103,7 +103,13 @@ class SweepConfig(NamedTuple):
                     f"log10 modulus bound {bound:g} overflows: "
                     f"10 ** {bound:g} exceeds the largest float"
                 ) from None
-        if self.log10_modulus_min > self.log10_modulus_max:
+        lo = self.log10_modulus_min
+        if 10.0 ** lo == 0.0:
+            raise InvalidParams(
+                f"log10 modulus bound {lo:g} underflows: "
+                f"10 ** {lo:g} rounds to 0, below the smallest float"
+            )
+        if lo > self.log10_modulus_max:
             raise InvalidParams("log10 modulus band is empty")
         if self.regime_filter not in (None, EQUAL_X, DISTINCT_X):
             raise InvalidParams(f"regime_filter must be {EQUAL_X!r}, {DISTINCT_X!r} or None")

@@ -509,10 +509,13 @@ class TestSweep:
             (("350", "400"), "log10 modulus bound 350 overflows"),
             (("nan", "1"), "log10 modulus bound nan is not finite"),
             (("-1", "inf"), "log10 modulus bound inf is not finite"),
+            (("-400", "-390"), "log10 modulus bound -400 underflows"),
+            (("-330", "-300"), "log10 modulus bound -330 underflows"),
         ],
     )
     def test_unrepresentable_modulus_band_exits_one(self, capsys, band, message):
-        # 10 ** 350 is no float: the band is refused before anything is drawn
+        # 10 ** 350 is no float and 10 ** -400 rounds to 0.0: the band is
+        # refused before anything is drawn
         code, out, err = run_cli(
             capsys, "sweep", "--samples", "20",
             "--log10-modulus-min", band[0], "--log10-modulus-max", band[1],

@@ -242,15 +242,19 @@ class TestRelations:
         assert max(hecke_residuals(g, p).values()) < RELATION_TOL
 
 
+def adjugate(m: Mat2) -> Mat2:
+    return Mat2(m.d, -m.b, -m.c, m.a)
+
+
 class TestConjugator:
     def test_reference_point(self):
-        # x = (1, 2), y = z = (1, 1): root sqrt(2), top-right of s1 is
-        # 2 - 4/sqrt(2) = 2 - 2*sqrt(2), and x2 - x1 = 1.
-        p = Params(1, 2, 1, 1, 1, 1)
+        # x = (1, 3), y = z = (1, 1): root sqrt(3), top-right of s1 is
+        # 2 - 6/sqrt(3) = 2 - 2*sqrt(3), and x2 - x1 = 2.
+        p = Params(1, 3, 1, 1, 1, 1)
         g = build_general(p)
         t = conjugator(g.s1, p.x1, p.x2)
-        assert t.a == 1 and t.c == 0 and t.d == 1
-        assert t.b == pytest.approx(2 - 2 * math.sqrt(2))
+        assert t.a == 2 and t.c == 0 and t.d == 2
+        assert t.b == pytest.approx(2 - 2 * math.sqrt(3))
 
     def test_conjugation_diagonalizes_s1(self):
         rng = random.Random(19)
@@ -260,17 +264,17 @@ class TestConjugator:
                 continue
             g = build_general(p)
             t = conjugator(g.s1, p.x1, p.x2)
-            t_inv = Mat2(1, -t.b, 0, 1)
-            conj = t_inv * g.s1 * t
-            assert abs(conj.b) < 1e-9 * max(1.0, g.s1.maxmod())
+            # adj(T)*s1*T = det(T)*diag(x1, x2), det(T) = (x2 - x1)^2
+            det_t = (p.x2 - p.x1) ** 2
+            conj = adjugate(t) * g.s1 * t
+            assert abs(conj.b) < 1e-9 * max(1.0, g.s1.maxmod()) * t.maxmod() ** 2
             assert abs(conj.c) == 0.0
-            assert approx_eq(conj.a, p.x1, 1e-9)
-            assert approx_eq(conj.d, p.x2, 1e-9)
+            assert approx_eq(conj.a, det_t * p.x1, 1e-9)
+            assert approx_eq(conj.d, det_t * p.x2, 1e-9)
 
     def test_conjugated_s2_lower_left_is_minus_x1_y1_y2(self):
-        p = Params(1, 2, 1, 1, 1, 1)
+        p = Params(1, 3, 1, 1, 1, 1)
         g = build_general(p)
         t = conjugator(g.s1, p.x1, p.x2)
-        t_inv = Mat2(1, -t.b, 0, 1)
-        conj = t_inv * g.s2 * t
-        assert approx_eq(conj.c, -p.x1 * p.y1 * p.y2, 1e-12)
+        conj = adjugate(t) * g.s2 * t
+        assert approx_eq(conj.c, -4 * p.x1 * p.y1 * p.y2, 1e-12)

@@ -56,6 +56,9 @@ class TestConfigValidation:
             {"log10_modulus_min": -math.inf},
             {"log10_modulus_min": 350.0, "log10_modulus_max": 400.0},
             {"log10_modulus_max": 309.0},
+            # 10 ** -400 and 10 ** -330 round to 0.0
+            {"log10_modulus_min": -400.0, "log10_modulus_max": -390.0},
+            {"log10_modulus_min": -330.0, "log10_modulus_max": -300.0},
             {"r_sign": 0},
             {"tolerance": 0.0},
             {"regime_filter": "nope"},
