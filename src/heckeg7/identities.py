@@ -55,7 +55,7 @@ from __future__ import annotations
 from functools import cache
 from typing import NamedTuple
 
-from .exact import ExtElem, Poly, Substitution, substitute
+from .exact import ExtElem, Substitution, substitute
 from .irreducibility import EQUAL_X_CASES, equal_x_lines, root_image, solved_value
 from .matrix2 import Mat2
 from .representation import GeneratorTriple, _check_sign, conjugator, generators
@@ -64,10 +64,7 @@ VERIFIED = "verified"
 FAILED = "failed"
 SIGN_DEPENDENT = "sign-dependent"
 
-# The variables as polynomials and as elements of the extension ring.
-_PX1, _PX2, _PY1, _PY2, _PZ1, _PZ2 = (
-    Poly.var(n) for n in ("x1", "x2", "y1", "y2", "z1", "z2")
-)
+# The variables as elements of the ring.
 X1, X2, Y1, Y2, Z1, Z2 = (
     ExtElem.var(n) for n in ("x1", "x2", "y1", "y2", "z1", "z2")
 )
@@ -109,12 +106,12 @@ def sym_generators(r_sign: int = 1) -> GeneratorTriple:
 def w_alpha_beta() -> tuple[ExtElem, ExtElem, ExtElem]:
     """(w, alpha, beta) as extension elements (formal positive r)."""
     r = ExtElem.r()
-    ysum, yprod, zsum = _PY1 + _PY2, _PY1 * _PY2, _PZ1 + _PZ2
-    w = ExtElem((_PX1 - _PX2) ** 2 * yprod**2 * (_PZ1 * _PZ2)) + (
-        r * ysum - _PX1 * yprod * zsum
-    ) * (r * ysum - _PX2 * yprod * zsum)
-    alpha = ExtElem(_PX2 * yprod * _PZ1 + _PX1 * yprod * _PZ2) - r * ysum
-    beta = ExtElem(_PX1 * yprod * _PZ1 + _PX2 * yprod * _PZ2) - r * ysum
+    ysum, yprod, zsum = Y1 + Y2, Y1 * Y2, Z1 + Z2
+    w = (X1 - X2) ** 2 * yprod**2 * (Z1 * Z2) + (
+        r * ysum - X1 * yprod * zsum
+    ) * (r * ysum - X2 * yprod * zsum)
+    alpha = X2 * yprod * Z1 + X1 * yprod * Z2 - r * ysum
+    beta = X1 * yprod * Z1 + X2 * yprod * Z2 - r * ysum
     return w, alpha, beta
 
 
@@ -122,19 +119,18 @@ def w_alpha_beta() -> tuple[ExtElem, ExtElem, ExtElem]:
 def conjugated_upper_right_numerator() -> ExtElem:
     """The upper-right entry of T^-1 s3 T cleared of its nonvanishing
     prefactor x1*x2*z1*z2 / ((x1-x2)^2 r^3)."""
-    x1, x2, y1, y2, z1, z2 = _PX1, _PX2, _PY1, _PY2, _PZ1, _PZ2
-    yprod = y1 * y2
+    yprod = Y1 * Y2
     poly_part = (
-        -(x1 * x2 * yprod * z1**2)
-        - x1 * x2 * y1**2 * z1 * z2
-        - x1**2 * yprod * z1 * z2
-        - 2 * x1 * x2 * yprod * z1 * z2
-        - x2**2 * yprod * z1 * z2
-        - x1 * x2 * y2**2 * z1 * z2
-        - x1 * x2 * yprod * z2**2
+        -(X1 * X2 * yprod * Z1**2)
+        - X1 * X2 * Y1**2 * Z1 * Z2
+        - X1**2 * yprod * Z1 * Z2
+        - 2 * X1 * X2 * yprod * Z1 * Z2
+        - X2**2 * yprod * Z1 * Z2
+        - X1 * X2 * Y2**2 * Z1 * Z2
+        - X1 * X2 * yprod * Z2**2
     )
-    r_part = (x1 + x2) * (y1 + y2) * (z1 + z2)
-    return ExtElem(poly_part, r_part)
+    r_part = (X1 + X2) * (Y1 + Y2) * (Z1 + Z2)
+    return poly_part + r_part * ExtElem.r()
 
 
 def case_substitution(case_id: str) -> tuple[dict[str, ExtElem], ExtElem]:
@@ -188,12 +184,12 @@ def _report(
 
 
 def verify_reducibility_condition_factorization() -> IdentityReport:
-    lhs = (_PY1 + _PY2) ** 2 * _PZ1 * _PZ2 - (_PZ1 + _PZ2) ** 2 * _PY1 * _PY2
-    rhs = -((_PY1 * _PZ1 - _PY2 * _PZ2) * (_PY2 * _PZ1 - _PY1 * _PZ2))
+    lhs = (Y1 + Y2) ** 2 * Z1 * Z2 - (Z1 + Z2) ** 2 * Y1 * Y2
+    rhs = -((Y1 * Z1 - Y2 * Z2) * (Y2 * Z1 - Y1 * Z2))
     check = _check(
         "(y1+y2)^2*z1*z2 - (z1+z2)^2*y1*y2 = -(y1*z1 - y2*z2)*(y2*z1 - y1*z2)",
-        ExtElem(lhs),
-        ExtElem(rhs),
+        lhs,
+        rhs,
         "polynomial identity behind the two equal-x reducibility conditions",
     )
     return _report(
@@ -209,17 +205,9 @@ def verify_w_factorization() -> IdentityReport:
     # a product of two cross-product conditions: alpha*conj(alpha) =
     # y1*y2*(x1*y1*z2 - x2*y2*z1)*(x1*y2*z2 - x2*y1*z1), and beta likewise
     # with the other condition pair.
-    yprod = _PY1 * _PY2
-    alpha_rhs = (
-        yprod
-        * (_PX1 * _PY1 * _PZ2 - _PX2 * _PY2 * _PZ1)
-        * (_PX1 * _PY2 * _PZ2 - _PX2 * _PY1 * _PZ1)
-    )
-    beta_rhs = (
-        yprod
-        * (_PX1 * _PY2 * _PZ1 - _PX2 * _PY1 * _PZ2)
-        * (_PX1 * _PY1 * _PZ1 - _PX2 * _PY2 * _PZ2)
-    )
+    yprod = Y1 * Y2
+    alpha_rhs = yprod * (X1 * Y1 * Z2 - X2 * Y2 * Z1) * (X1 * Y2 * Z2 - X2 * Y1 * Z1)
+    beta_rhs = yprod * (X1 * Y2 * Z1 - X2 * Y1 * Z2) * (X1 * Y1 * Z1 - X2 * Y2 * Z2)
     checks = [
         _check(
             "w = alpha*beta",
@@ -230,13 +218,13 @@ def verify_w_factorization() -> IdentityReport:
         _check(
             "alpha*conj(alpha) = y1*y2*(x1*y1*z2 - x2*y2*z1)*(x1*y2*z2 - x2*y1*z1)",
             alpha * alpha.conjugate(),
-            ExtElem(alpha_rhs),
+            alpha_rhs,
             "links the vanishing of alpha to two of the four cross-product conditions",
         ),
         _check(
             "beta*conj(beta) = y1*y2*(x1*y2*z1 - x2*y1*z2)*(x1*y1*z1 - x2*y2*z2)",
             beta * beta.conjugate(),
-            ExtElem(beta_rhs),
+            beta_rhs,
             "links the vanishing of beta to the other two cross-product conditions",
         ),
     ]
@@ -254,7 +242,7 @@ def _relation_checks(sign: int) -> list[CheckResult]:
     p123 = s1 * s2 * s3
     p231 = s2 * s3 * s1
     p312 = s3 * s1 * s2
-    note = "entrywise in the fraction field"
+    note = "entrywise in the Laurent ring"
     checks = [
         _check(f"s1*s2*s3 = s2*s3*s1 {tag}", p123, p231, note),
         _check(f"s1*s2*s3 = s3*s1*s2 {tag}", p123, p312, note),

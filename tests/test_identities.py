@@ -7,13 +7,11 @@ import time
 import pytest
 
 from heckeg7.exact import (
-    DELTA_POLY,
+    DELTA,
     VARS,
     ExtElem,
-    Poly,
     Substitution,
     eval_numeric,
-    ext_eval,
     substitute,
 )
 from heckeg7 import identities
@@ -39,7 +37,7 @@ from heckeg7.matrix2 import Mat2
 from heckeg7.numerics import approx_eq
 from heckeg7.representation import conjugator
 
-X1, X2, Y1, Y2, Z1, Z2 = (Poly.var(name) for name in VARS)
+X1, X2, Y1, Y2, Z1, Z2 = (ExtElem.var(name) for name in VARS)
 
 NUMERIC_TOL = 1e-10
 
@@ -115,12 +113,12 @@ class TestFactorizations:
     def test_alpha_beta_conjugate_norms(self):
         _, alpha, beta = w_alpha_beta()
         norm_alpha = alpha * alpha.conjugate()
-        expected_alpha = ExtElem(
+        expected_alpha = (
             Y1 * Y2 * (X1 * Y1 * Z2 - X2 * Y2 * Z1) * (X1 * Y2 * Z2 - X2 * Y1 * Z1)
         )
         assert norm_alpha == expected_alpha
         norm_beta = beta * beta.conjugate()
-        expected_beta = ExtElem(
+        expected_beta = (
             Y1 * Y2 * (X1 * Y2 * Z1 - X2 * Y1 * Z2) * (X1 * Y1 * Z1 - X2 * Y2 * Z2)
         )
         assert norm_beta == expected_beta
@@ -134,7 +132,7 @@ class TestFactorizations:
             direct = (x1 - x2) ** 2 * y1**2 * y2**2 * z1 * z2 + (
                 (y1 + y2) * r_value - x1 * y1 * y2 * (z1 + z2)
             ) * ((y1 + y2) * r_value - x2 * y1 * y2 * (z1 + z2))
-            assert approx_eq(ext_eval(w, values, r_value), direct, NUMERIC_TOL)
+            assert approx_eq(eval_numeric(w, values, r_value), direct, NUMERIC_TOL)
 
 
 class TestSymbolicGenerators:
@@ -203,14 +201,14 @@ class TestCaseSubstitutions:
             "distinct-x-4",
         ):
             assignment, root = case_substitution(case_id)
-            image = substitute(DELTA_POLY, assignment, root)
+            image = substitute(DELTA, assignment, root)
             assert image == root * root
 
     def test_first_distinct_case_square(self):
         assignment, root = case_substitution("distinct-x-1")
-        assert root == ExtElem(X2 * Y1 * Z1)
-        image = substitute(DELTA_POLY, assignment, root)
-        assert image == ExtElem((X2 * Y1 * Z1) ** 2)
+        assert root == X2 * Y1 * Z1
+        image = substitute(DELTA, assignment, root)
+        assert image == (X2 * Y1 * Z1) ** 2
 
     def test_upper_right_vanishing_is_sign_dependent(self):
         report = verify_conjugated_upper_right_vanishing()
@@ -312,7 +310,7 @@ class TestPlantedFailures:
 
         def planted() -> ExtElem:
             nb = original()
-            return ExtElem(nb.p + X1, nb.q)
+            return nb + X1
 
         monkeypatch.setattr(identities, "conjugated_upper_right_numerator", planted)
         failures = self._failures(run_all())
@@ -333,7 +331,7 @@ class TestPlantedFailures:
 
         def planted(r_sign: int = 1):
             s1, s2, s3 = original(r_sign)
-            return s1, Mat2(s2.a, s2.b + ExtElem(X1), s2.c, s2.d), s3
+            return s1, Mat2(s2.a, s2.b + X1, s2.c, s2.d), s3
 
         monkeypatch.setattr(identities, "sym_generators", planted)
         failures = self._failures(run_all())
@@ -363,11 +361,6 @@ class TestPlantedFailures:
         ] == "(1): x2"
 
 
-def _items(value: ExtElem) -> list:
-    """The two terms dicts of a ring element as ordered item lists."""
-    return [list(poly.terms.items()) for poly in (value.p, value.q)]
-
-
 def _substituted_entries(case_id: str) -> list[ExtElem]:
     """What the reports substitute under each case: the generator entries
     (equal-x) or the conjugated upper-right numerator (distinct-x)."""
@@ -395,8 +388,8 @@ class TestSharedSubstitution:
         for sign in signs:
             r_image = root if sign == 1 else -root
             for entry in entries:
-                expected = _items(substitute(entry, assignment, r_image))
-                assert _items(substitute(entry, sub, r_image)) == expected
+                expected = substitute(entry, assignment, r_image).terms
+                assert substitute(entry, sub, r_image).terms == expected
 
     def test_reports_share_one_substitution_per_case(self, monkeypatch):
         calls = []
@@ -443,48 +436,26 @@ class TestRepeatedWork:
         assert [fn.cache_info().misses for fn in ONCE_PER_PROCESS] == [2, 1, 1]
         assert second == first
 
-    def test_each_root_image_object_is_squared_once(self, monkeypatch):
-        roots, squared = [], []
-        original_substitute = identities.substitute
-        original_mul = ExtElem.__mul__
-
-        def recording_substitute(value, assignment, r_image):
-            roots.append(r_image)
-            return original_substitute(value, assignment, r_image)
-
-        def recording_mul(a, b):
-            if a is b:
-                squared.append(a)
-            return original_mul(a, b)
-
-        monkeypatch.setattr(identities, "substitute", recording_substitute)
-        monkeypatch.setattr(ExtElem, "__mul__", recording_mul)
-        run_all()
-        distinct = {id(r): r for r in roots}
-        assert (len(roots), len(distinct)) == (34, 12)
-        assert sorted(id(a) for a in squared if id(a) in distinct) == sorted(distinct)
-
     def test_cold_run_all_stays_within_its_product_budget(self, monkeypatch):
-        # Poly and ExtElem products of one run_all() with nothing cached,
-        # counted as perfbench/tracing.py counts them (on __mul__ alone):
-        # 901 and 564 in the Laurent ring.  The fraction field made 1,721
-        # and 718, plus 996 fraction products; before that, building each
-        # object on every use and forming every zero and unit product made
-        # 2,731 and 902.  A new identity report may raise these bounds on
-        # purpose.
+        # ExtElem products of one run_all() with nothing cached, counted as
+        # perfbench/tracing.py counts them (on __mul__ alone): 646 with one
+        # class for the ring.  With separate Laurent-polynomial and
+        # extension classes the suite made 901 and 564 (a product of the
+        # extension formed up to four of the former); the fraction field
+        # made 1,721 and 718, plus 996 fraction products.  A new identity
+        # report may raise this bound on purpose.
         for fn in ONCE_PER_PROCESS:
             fn.cache_clear()
-        calls = {Poly: 0, ExtElem: 0}
-        for cls in calls:
+        calls = [0]
+        original = ExtElem.__mul__
 
-            def counting(a, b, _cls=cls, _mul=cls.__mul__):
-                calls[_cls] += 1
-                return _mul(a, b)
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
 
-            monkeypatch.setattr(cls, "__mul__", counting)
+        monkeypatch.setattr(ExtElem, "__mul__", counting)
         run_all()
-        assert calls[Poly] <= 920
-        assert calls[ExtElem] <= 580
+        assert calls[0] <= 660
 
 
 class TestBudget:
