@@ -279,9 +279,11 @@ def cmd_sweep(args) -> int:
             "config": doc["config"],
             "disagreements": doc["disagreements"],
         }
+        # rendered first, so that a document render refuses leaves no file
+        text = render.dumps(fixtures) + "\n"
         try:
             with open(args.fixtures_out, "w", encoding="utf-8") as fh:
-                fh.write(render.dumps(fixtures) + "\n")
+                fh.write(text)
         except OSError as exc:
             raise InvalidParams(f"cannot write {args.fixtures_out}: {exc}") from exc
     _emit(doc, args.output, _sweep_text)

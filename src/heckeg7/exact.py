@@ -16,6 +16,17 @@ exactly the single terms +-1 * monomial, that is +-m and +-m*r; inv() and /
 take these, negating the key; any other divisor raises NotAUnit
 (DivisionByZero for zero), since the ring has no fractions.
 
+A stored key is the vector packed into one int: entry i, plus a bias of
+2^31, fills the 32 bits starting at bit 33*i, and the bit above them is a
+guard.  So a doubled exponent lies in [-2^31, 2^31 - 1], an ordinary
+exponent in [-2^30, 2^30 - 1].  A product key is one int addition (minus
+the packed zero vector, once per left term), an inverse key a subtraction
+from twice that, and the parity of a key is its lowest bit.  A result
+outside that range sets a guard bit of the lowest field it leaves, so
+every product, inverse and substitution image is checked, and raises
+ExponentOutOfRange rather than aliasing another key.  The constructor
+takes the six-int tuples above and packs them; _unpack gives them back.
+
 str splits the terms by parity into p + q*r, each of p and q with ordinary
 exponents, and prints an element with a negative exponent as one fraction,
 (num) / (den): den is the least monomial that clears every negative
@@ -31,7 +42,11 @@ construction.
 A Substitution maps each variable to a unit of the ring; each call must be
 told the image of r, and checks that it squares to the image of DELTA.  A
 unit image sends each term to exactly one term, so an element's image is
-built term by term with no products.
+built term by term with no products: each variable the substitution
+changes moves the key by its exponent times a fixed step.  A term whose
+variables' moves could change some doubled exponent by 2^31 or more in all
+is refused with ExponentOutOfRange, even when the moves would cancel, since
+only such a bound makes the guard bits a complete check.
 
 Numeric evaluation takes one complex value per variable plus a value for r,
 required to square to DELTA's value within tolerance.
@@ -53,9 +68,22 @@ Key = tuple[int, ...]
 ONE_KEY: Key = (0,) * NVARS
 R_KEY: Key = (1,) * NVARS
 
+# The packed form of a Key (module docstring): field i holds entry i plus
+# _BIAS in _WIDTH bits from bit _STRIDE*i, and its guard bit sits above it.
+_WIDTH = 32
+_STRIDE = _WIDTH + 1
+_BIAS = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+_SHIFTS = tuple(_STRIDE * i for i in range(NVARS))
+_GUARDS = sum(1 << (shift + _WIDTH) for shift in _SHIFTS)
+
 
 class DivisionByZero(ZeroDivisionError):
     pass
+
+
+class ExponentOutOfRange(OverflowError):
+    """A doubled exponent outside [-2^31, 2^31 - 1], the packed key's range."""
 
 
 class NotAUnit(ArithmeticError):
@@ -103,14 +131,14 @@ def _poly_str(terms: dict[Key, int]) -> str:
     return " ".join(pieces)
 
 
-def _laurent_str(terms: dict[Key, int]) -> str:
+def _laurent_str(terms: dict[int, int]) -> str:
     """p + q*r, over the least monomial that clears its negative exponents.
     A key's ordinary exponents are its entries halved, rounded down: that
     drops the r of an odd key."""
     p: dict[Key, int] = {}
     q: dict[Key, int] = {}
     for key, coeff in terms.items():
-        (q if key[0] & 1 else p)[tuple(e >> 1 for e in key)] = coeff
+        (q if key & 1 else p)[tuple(e >> 1 for e in _unpack(key))] = coeff
     den = [0] * NVARS
     for mono in (*p, *q):
         for i, e in enumerate(mono):
@@ -141,19 +169,45 @@ def _power(base, n: int, one):
     return result
 
 
-def _checked_key(key) -> Key:
+def _pack(key: Key) -> int:
+    return sum((e + _BIAS) << shift for e, shift in zip(key, _SHIFTS))
+
+
+def _unpack(key: int) -> Key:
+    """The doubled exponent vector of a packed key."""
+    return tuple(((key >> shift) & _FIELD) - _BIAS for shift in _SHIFTS)
+
+
+def _checked_key(key) -> int:
+    """A doubled exponent vector given to the constructor, packed."""
     key = tuple(key)
     if len(key) != NVARS or not all(type(e) is int for e in key):
         raise TypeError(f"key {key!r} is not {NVARS} ints")
     if len({e & 1 for e in key}) != 1:
         raise ValueError(f"key {key!r} mixes even and odd doubled exponents")
+    if not all(-_BIAS <= e < _BIAS for e in key):
+        raise ExponentOutOfRange(f"key {key!r} has an entry outside [-2^31, 2^31 - 1]")
+    return _pack(key)
+
+
+def _in_range(key: int) -> int:
+    """key, once no guard bit is set.  A key is a sum of in-range packed
+    keys and steps, each entry's sum in [-2^32, 2^33): an entry outside
+    the range then sets the guard bit of the lowest field it leaves."""
+    if key & _GUARDS:
+        raise ExponentOutOfRange("a doubled exponent leaves [-2^31, 2^31 - 1]")
     return key
 
 
+_ONE = _pack(ONE_KEY)
+_R = _pack(R_KEY)
+_VAR_KEYS = tuple(_pack(tuple(2 * (j == i) for j in range(NVARS))) for i in range(NVARS))
+
+
 class ExtElem:
-    """An element of the ring: terms maps doubled exponent vectors to
-    nonzero int coefficients.  ExtElem(value) takes an int, an ExtElem or
-    such a mapping."""
+    """An element of the ring: terms maps packed doubled exponent vectors
+    to nonzero int coefficients.  ExtElem(value) takes an int, an ExtElem
+    or a mapping from doubled exponent vectors (six-int tuples) to ints."""
 
     __slots__ = ("terms",)
 
@@ -165,7 +219,7 @@ class ExtElem:
             value = {ONE_KEY: value}
         elif not isinstance(value, Mapping):
             raise TypeError(f"cannot make a ring element of {type(value).__name__}")
-        self.terms: dict[Key, int] = {}
+        self.terms: dict[int, int] = {}
         for key, coeff in value.items():
             if not isinstance(coeff, int):
                 raise TypeError(f"coefficient {coeff!r} is not an int")
@@ -173,22 +227,20 @@ class ExtElem:
                 self.terms[_checked_key(key)] = int(coeff)
 
     @staticmethod
-    def _trusted(terms: dict[Key, int]) -> "ExtElem":
+    def _trusted(terms: dict[int, int]) -> "ExtElem":
         """Wrap a dict that already holds only nonzero coefficients under
-        one-parity keys, and that no one else will mutate."""
+        packed one-parity keys, and that no one else will mutate."""
         e = object.__new__(ExtElem)
         e.terms = terms
         return e
 
     @staticmethod
     def r(sign: int = 1) -> "ExtElem":
-        return ExtElem._trusted({R_KEY: sign})
+        return ExtElem._trusted({_R: sign})
 
     @staticmethod
     def var(name: str) -> "ExtElem":
-        key = [0] * NVARS
-        key[_VAR_INDEX[name]] = 2
-        return ExtElem._trusted({tuple(key): 1})
+        return ExtElem._trusted({_VAR_KEYS[_VAR_INDEX[name]]: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -239,16 +291,23 @@ class ExtElem:
         other = _as_ext(other)
         if other is None:
             return NotImplemented
-        out: dict[Key, int] = {}
+        out: dict[int, int] = {}
         items2 = other.terms.items()
-        for (a0, a1, a2, a3, a4, a5), c1 in self.terms.items():
-            for (b0, b1, b2, b3, b4, b5), c2 in items2:
-                key = (a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5)
+        for a, c1 in self.terms.items():
+            a -= _ONE
+            for b, c2 in items2:
+                key = a + b
                 s = out[key] + c1 * c2 if key in out else c1 * c2
                 if s:
                     out[key] = s
                 else:
                     del out[key]
+        # each entry's sum lies in [-2^31, 3*2^31), a span of 2^33 values,
+        # so distinct exponent vectors never share a key: a term that
+        # survives here is a term of the product, and checked (_in_range)
+        for key in out:
+            if key & _GUARDS:
+                raise ExponentOutOfRange("a product's doubled exponent leaves [-2^31, 2^31 - 1]")
         return ExtElem._trusted(out)
 
     __rmul__ = __mul__
@@ -262,7 +321,7 @@ class ExtElem:
                 raise DivisionByZero("inverse of zero")
             raise NotAUnit(f"{self} is not a unit +-m or +-m*r of the ring")
         sign, key = unit
-        return ExtElem._trusted({tuple(-e for e in key): sign})
+        return ExtElem._trusted({_in_range(2 * _ONE - key): sign})
 
     def __truediv__(self, other) -> "ExtElem":
         other = _as_ext(other)
@@ -282,7 +341,7 @@ class ExtElem:
     def conjugate(self) -> "ExtElem":
         """r -> -r: the odd-parity terms change sign."""
         return ExtElem._trusted(
-            {k: -c if k[0] & 1 else c for k, c in self.terms.items()}
+            {k: -c if k & 1 else c for k, c in self.terms.items()}
         )
 
     def __str__(self) -> str:
@@ -291,18 +350,18 @@ class ExtElem:
     __repr__ = __str__
 
 
-DELTA = ExtElem._trusted({(2,) * NVARS: 1})
+DELTA = ExtElem._trusted({_pack((2,) * NVARS): 1})
 
 
 def _as_ext(x) -> ExtElem | None:
     if isinstance(x, ExtElem):
         return x
     if isinstance(x, int):
-        return ExtElem._trusted({ONE_KEY: int(x)} if x else {})
+        return ExtElem._trusted({_ONE: int(x)} if x else {})
     return None
 
 
-def _unit(e: ExtElem) -> tuple[int, Key] | None:
+def _unit(e: ExtElem) -> tuple[int, int] | None:
     """(sign, key) when e is the single term sign * monomial, else None."""
     if len(e.terms) != 1:
         return None
@@ -328,15 +387,18 @@ class Substitution:
     (unassigned ones map to themselves), prepared once; calling it
     substitutes one value, as substitute does."""
 
-    __slots__ = ("_units", "_delta")
+    __slots__ = ("_moves", "_delta")
 
     def __init__(self, assignment: Mapping[str, ExtLike]):
         unknown = set(assignment) - set(VARS)
         if unknown:
             raise KeyError(f"unknown variables in assignment: {sorted(unknown)}")
-        # per variable, (sign, key) with image sign * monomial(key)
-        self._units: list[tuple[int, Key]] = []
-        for name in VARS:
+        # per variable x_i whose image sign * monomial is not x_i itself,
+        # (shift, sign, step, width): its field starts at bit shift, the
+        # monomial's key is x_i's plus step (a packed difference, without
+        # bias), and no entry of the two differs by more than width
+        self._moves: list[tuple[int, int, int, int]] = []
+        for i, (name, var_key) in enumerate(zip(VARS, _VAR_KEYS)):
             img = _as_ext(assignment.get(name, ExtElem.var(name)))
             if img is None:
                 raise TypeError(
@@ -346,26 +408,38 @@ class Substitution:
             unit = _unit(img)
             if unit is None:
                 raise NotAUnit(f"image of {name} must be a unit +-m or +-m*r, not {img}")
-            self._units.append(unit)
-        self._delta = self._image(DELTA, None)
+            sign, key = unit
+            if sign < 0 or key != var_key:
+                diff = list(_unpack(key))
+                diff[i] -= 2
+                self._moves.append((_SHIFTS[i], sign, key - var_key, max(map(abs, diff))))
+        self._delta = self._image(DELTA, 1, 0)
 
-    def _image(self, value: ExtElem, r_unit: tuple[int, Key] | None) -> ExtElem:
-        """With x_i -> sign_i * monomial(key_i) and r -> r_unit, the term
-        c * x^e * r^k (key 2e + k) goes to the one term
-        c * prod(sign_i^e_i) * r_sign^k with key sum(e_i * key_i) + k * r_key."""
-        units = self._units
-        out: dict[Key, int] = {}
+    def _image(self, value: ExtElem, r_sign: int, r_step: int) -> ExtElem:
+        """The term c * x^e * r^k (key 2e + k) goes to the one term
+        c * prod(sign_i^e_i) * r_sign^k, its key moved by
+        sum(e_i * step_i) + k * r_step.  reach bounds how far the variables
+        move any entry, and r_step moves one by at most 2^31 + 1; with
+        reach below 2^31 the guard bits then catch every entry that leaves
+        the range (_in_range)."""
+        moves = self._moves
+        out: dict[int, int] = {}
         for key, coeff in value.terms.items():
-            image = ONE_KEY
-            if key[0] & 1:
-                sign, image = r_unit
-                coeff *= sign
-            for d, (sign, m) in zip(key, units):
-                e = d >> 1
+            image, reach = key, 0
+            if key & 1:
+                image += r_step
+                coeff *= r_sign
+            for shift, sign, step, width in moves:
+                e = (((key >> shift) & _FIELD) - _BIAS) >> 1
                 if e:
                     if sign < 0 and e & 1:
                         coeff = -coeff
-                    image = tuple(a + e * b for a, b in zip(image, m))
+                    image += e * step
+                    reach += abs(e) * width
+            if image & _GUARDS or reach >= _BIAS:
+                raise ExponentOutOfRange(
+                    "a substituted doubled exponent may leave [-2^31, 2^31 - 1]"
+                )
             s = out.get(image, 0) + coeff
             if s:
                 out[image] = s
@@ -385,7 +459,8 @@ class Substitution:
         if val is None:
             raise TypeError("value must be an ExtElem or int")
         # the image of DELTA is a unit, so its square root r_img is one too
-        return self._image(val, _unit(r_img))
+        sign, key = _unit(r_img)
+        return self._image(val, sign, key - _R)
 
 
 def substitute(
@@ -431,8 +506,8 @@ def eval_numeric(
         raise TypeError("value must be an ExtElem or int")
     out = 0j
     for key, coeff in val.terms.items():
-        term = complex(coeff) * r_value if key[0] & 1 else complex(coeff)
-        for name, d in zip(VARS, key):
+        term = complex(coeff) * r_value if key & 1 else complex(coeff)
+        for name, d in zip(VARS, _unpack(key)):
             e = d >> 1
             if e:
                 v = values[name]

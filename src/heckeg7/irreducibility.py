@@ -20,6 +20,7 @@ oracle is authoritative for the final agreement verdict.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .matrix2 import Vec2, _record, common_eigenvector
@@ -109,15 +110,16 @@ def equal_x_lines(x, y1, y2):
     return (-1 / (x * y2), 1), (-1 / (x * y1), 1)
 
 
-def solve_case(case_id: str, p: Params) -> Params:
+def solve_case(case_id: str, p: Params | Sequence[complex]) -> Params:
     """Return p with one parameter replaced so the case condition holds
     exactly (in floating point): z1 is solved for the equal-x cases, x1 for
-    the distinct-x cases."""
-    _, x2, y1, y2, z1, z2, y3, z3 = p
+    the distinct-x cases.  p may also be the six values x1..z2 alone, not
+    yet validated: only the returned Params is."""
+    _, x2, y1, y2, z1, z2, *cubic = p
     value = solved_value(case_id, x2, y1, y2, z1, z2)
     if case_id in EQUAL_X_CASES:
-        return Params(x2, x2, y1, y2, value, z2, y3, z3)
-    return Params(value, x2, y1, y2, z1, z2, y3, z3)
+        return Params(x2, x2, y1, y2, value, z2, *cubic)
+    return Params(value, x2, y1, y2, z1, z2, *cubic)
 
 
 def regime(p: Params, tol: float = VERDICT_TOL) -> str:

@@ -1,7 +1,10 @@
 """The one place that turns results into JSON text.
 
 ``dumps`` writes exactly the bytes of ``json.dumps(doc, sort_keys=True,
-indent=2)``.  With ``indent`` set, the standard library runs its pure-Python
+indent=2)``, except that a non-finite float raises InvalidParams: the
+stdlib would write NaN or Infinity, which is not JSON (RFC 8259), and such
+a float only comes from float arithmetic that overflowed at an extreme
+point.  With ``indent`` set, the standard library runs its pure-Python
 generator encoder, which yields each token through a chain of generators;
 here one recursive pass appends string parts to a single list that is joined
 once.  Strings go through the standard library's own (C) ASCII escaper, and
@@ -19,18 +22,20 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .irreducibility import ConditionFlag, Verdict
 from .matrix2 import Vec2
-from .representation import Params
+from .representation import InvalidParams, Params
 
 _INDENT = "  "
-# float.__repr__ of the non-finite floats -> the stdlib's JSON spelling
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# float.__repr__ of the non-finite floats
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 def dumps(doc) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, byte for byte.
 
     ``doc`` is built from dicts with str keys, lists, tuples, str, int,
-    float, bool and None; any other value or key type raises TypeError.
+    float, bool and None; any other value or key type raises TypeError,
+    and a NaN or infinite float raises InvalidParams, so that no text is
+    returned that is not JSON.
     """
     text = _leaf(doc)
     if text is not None:
@@ -45,7 +50,12 @@ def _leaf(o) -> str | None:
     non-empty container."""
     if isinstance(o, float):
         text = float.__repr__(o)
-        return _NON_FINITE.get(text, text)
+        if text in _NON_FINITE:
+            raise InvalidParams(
+                f"a result is {text}, which JSON cannot carry: "
+                "parameter magnitudes overflow the float arithmetic"
+            )
+        return text
     if isinstance(o, str):
         return _quote(o)
     if o is None:

@@ -149,7 +149,7 @@ class SweepResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # sampling
 
-def _draw_base(rng: random.Random, cfg: SweepConfig) -> Params:
+def _draw_values(rng: random.Random, cfg: SweepConfig) -> list[complex]:
     """Six values, each bit-for-bit from_polar(modulus, argument) with the
     modulus 10 ** rng.uniform(lo, hi) (1.0 on the unit circle) drawn before
     the argument pi - rng.random() * 2.0 * pi (0.0 on the positive reals).
@@ -170,7 +170,7 @@ def _draw_base(rng: random.Random, cfg: SweepConfig) -> Params:
             modulus = 10.0 ** (lo + span * random_())
             argument = pi - random_() * 2.0 * pi
             values.append(complex(modulus * cos(argument), modulus * sin(argument)))
-    return Params(*values)
+    return values
 
 
 def _separated(a: complex, b: complex) -> bool:
@@ -183,12 +183,12 @@ def _solved_sane(z: complex) -> bool:
 
 def _draw_random_sample(rng: random.Random, cfg: SweepConfig) -> Params:
     for _ in range(_MAX_REDRAWS):
-        base = _draw_base(rng, cfg)
+        x1, x2, y1, y2, z1, z2 = _draw_values(rng, cfg)
         if cfg.regime_filter == EQUAL_X:
-            return Params(base.x2, base.x2, base.y1, base.y2, base.z1, base.z2)
-        if cfg.regime_filter == DISTINCT_X and not _separated(base.x1, base.x2):
+            return Params(x2, x2, y1, y2, z1, z2)
+        if cfg.regime_filter == DISTINCT_X and not _separated(x1, x2):
             continue
-        return base
+        return Params(x1, x2, y1, y2, z1, z2)
     raise InvalidParams("could not draw a sample satisfying the regime filter")
 
 
@@ -197,13 +197,13 @@ def _draw_injected_sample(
 ) -> Params:
     equal_case = case_id in _EQUAL_CASE_IDS
     for _ in range(_MAX_REDRAWS):
-        base = _draw_base(rng, cfg)
-        if equal_case and not (
-            _separated(base.y1, base.y2) and _separated(base.y1, -base.y2)
-        ):
+        # only the solved point is built, and so validated
+        values = _draw_values(rng, cfg)
+        y1, y2 = values[2], values[3]
+        if equal_case and not (_separated(y1, y2) and _separated(y1, -y2)):
             continue
         try:
-            q = solve_case(case_id, base)
+            q = solve_case(case_id, values)
         except InvalidParams:
             continue  # the solved value is zero or not finite: not sane either
         if equal_case:

@@ -328,8 +328,13 @@ extreme_points = st.fixed_dictionaries({
 })
 
 
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestExtremePoints:
-    """Every finite, nonzero point ends in a verdict or in one error line."""
+    """Every finite, nonzero point ends in a verdict or in one error line,
+    and a verdict's stdout is JSON: never NaN or Infinity."""
 
     @given(doc=extreme_points)
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -343,6 +348,8 @@ class TestExtremePoints:
             assert code in (OK, INPUT_ERROR, MATH_FAILURE)
             if code == INPUT_ERROR:
                 assert_one_error_line(code, out.getvalue(), err.getvalue())
+            else:
+                json.loads(out.getvalue(), parse_constant=refuse_constant)
 
     @pytest.mark.parametrize(
         "fields",
@@ -362,6 +369,19 @@ class TestExtremePoints:
         code, out, err = run_cli(capsys, "check", write_params(tmp_path, doc))
         assert_one_error_line(
             code, out, err, "parameter magnitudes overflow the criteria or the oracle"
+        )
+
+    def test_a_non_finite_result_is_one_error_line(self, tmp_path, capsys):
+        # every entry is finite, but the criteria's x1*y1*z1 is 1e360: inf
+        doc = {
+            name: {"re": 1e120 if name.endswith("1") else 1e-120, "im": 0}
+            for name in ALL_ONES
+        }
+        code, out, err = run_cli(capsys, "check", write_params(tmp_path, doc))
+        assert_one_error_line(
+            code, out, err,
+            "a result is inf, which JSON cannot carry: "
+            "parameter magnitudes overflow the float arithmetic",
         )
 
     @pytest.mark.parametrize("command", ["check", "relations"])

@@ -33,13 +33,13 @@ from heckeg7.irreducibility import (
 )
 from heckeg7.matrix2 import SCALAR, Mat2, normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
-from heckeg7.representation import GeneratorTriple, build_general
+from heckeg7.representation import GeneratorTriple, Params, build_general
 from heckeg7.sweep import (
     GENERAL_COMPLEX,
     POSITIVE_REAL,
     UNIT_MODULUS,
     SweepConfig,
-    _draw_base,
+    _draw_values,
     _draw_injected_sample,
 )
 from oracle_reference import bits, ref_eigen_directions, ref_normalize_direction
@@ -127,7 +127,7 @@ def seeded_points(cfg):
             case_id = cases[(i // 2) % len(cases)]
             yield case_id, _draw_injected_sample(rng, cfg, case_id)
         else:
-            yield None, _draw_base(rng, cfg)
+            yield None, Params(*_draw_values(rng, cfg))
 
 
 @pytest.mark.parametrize(

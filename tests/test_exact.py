@@ -13,10 +13,12 @@ from heckeg7.exact import (
     VARS,
     DenominatorVanishes,
     DivisionByZero,
+    ExponentOutOfRange,
     ExtElem,
     InconsistentRootImage,
     NotAUnit,
     Substitution,
+    _unpack,
     eval_numeric,
     substitute,
 )
@@ -37,18 +39,24 @@ def elem(p=(), q=()) -> ExtElem:
     )
 
 
+def doubled(e: ExtElem) -> dict:
+    """e's terms under their doubled exponent vectors, unpacked from the
+    stored keys by exact's own helper."""
+    return {_unpack(key): coeff for key, coeff in e.terms.items()}
+
+
 def split(e: ExtElem) -> tuple[dict, dict]:
     """The (p, q) of e = p + q*r, each a dict of ordinary exponents: a
     key's entries halved and rounded down, by its parity."""
     p, q = {}, {}
-    for key, coeff in e.terms.items():
+    for key, coeff in doubled(e).items():
         (q if key[0] & 1 else p)[tuple(k >> 1 for k in key)] = coeff
     return p, q
 
 
 def one_parity(e: ExtElem) -> bool:
     """Every key has six entries, all even or all odd."""
-    return all(len(key) == 6 and len({k & 1 for k in key}) == 1 for key in e.terms)
+    return all(len(key) == 6 and len({k & 1 for k in key}) == 1 for key in doubled(e))
 
 
 def terms_of(value) -> list[dict]:
@@ -216,12 +224,12 @@ class TestDoubledKeys:
     with every exponent 1/2, so every key has six entries of one parity."""
 
     def test_variables_the_root_and_delta_are_single_keys(self):
-        assert X1.terms == {(2, 0, 0, 0, 0, 0): 1}
-        assert R.terms == {(1,) * 6: 1}
-        assert DELTA.terms == {(2,) * 6: 1}
+        assert doubled(X1) == {(2, 0, 0, 0, 0, 0): 1}
+        assert doubled(R) == {(1,) * 6: 1}
+        assert doubled(DELTA) == {(2,) * 6: 1}
         # a product adds keys: r*r is DELTA with no rewrite
-        assert (R * R).terms == DELTA.terms
-        assert (X1 * R).terms == {(3, 1, 1, 1, 1, 1): 1}
+        assert doubled(R * R) == doubled(DELTA)
+        assert doubled(X1 * R) == {(3, 1, 1, 1, 1, 1): 1}
 
     @pytest.mark.parametrize("key", [(1, 0, 0, 0, 0, 0), (2, 2, 2, 2, 2, 1)])
     def test_a_key_of_mixed_parity_is_refused(self, key):
@@ -286,7 +294,7 @@ class TestLaurentRing:
         assert q / q == 1
         # r^-1 = r * DELTA^-1: every exponent -1/2
         assert R.inv() == elem(q={(-1,) * 6: 1})
-        assert R.inv().terms == {(-1,) * 6: 1}
+        assert doubled(R.inv()) == {(-1,) * 6: 1}
         assert R.inv() * R == 1 and (-R).inv() == -R.inv()
 
     def test_negative_powers(self):
@@ -364,7 +372,7 @@ class TestOperands:
     def test_a_bool_coefficient_is_accepted_as_an_int(self):
         assert ExtElem(True) == 1
         assert ExtElem(False).is_zero()
-        assert ExtElem({ONE_KEY: True}).terms == {ONE_KEY: 1}
+        assert doubled(ExtElem({ONE_KEY: True})) == {ONE_KEY: 1}
 
 
 class TestSubstitute:
@@ -637,7 +645,7 @@ class TestShortcuts:
     def test_single_term_products_write_one_monomial(self, a, b):
         before = terms_of((a, b))
         product = a * b
-        assert len(product.terms) == 1
+        assert len(doubled(product)) == 1
         assert split(product) == ref_ext_mul(split(a), split(b))
         assert terms_of((a, b)) == before
 
@@ -680,12 +688,12 @@ class TestShortcuts:
         before = terms_of(e)
         for b in (False, True):
             c = int(b)
-            assert (e * b).terms == (e * c).terms
-            assert (b * e).terms == (c * e).terms
-            assert (e + b).terms == (e + c).terms
-            assert (b + e).terms == (c + e).terms
-            assert (e - b).terms == (e - c).terms
-            assert (b - e).terms == (c - e).terms
+            assert doubled(e * b) == doubled(e * c)
+            assert doubled(b * e) == doubled(c * e)
+            assert doubled(e + b) == doubled(e + c)
+            assert doubled(b + e) == doubled(c + e)
+            assert doubled(e - b) == doubled(e - c)
+            assert doubled(b - e) == doubled(c - e)
         assert terms_of(e) == before
 
     def test_run_all_leaves_the_shared_constants_alone(self):
@@ -698,7 +706,7 @@ class TestShortcuts:
         )
         before = terms_of(cached)
         run_all()
-        assert DELTA.terms == {(2,) * 6: 1}
+        assert doubled(DELTA) == {(2,) * 6: 1}
         assert identities.sym_generators(1) is cached[0]
         assert identities.sym_generators(-1) is cached[1]
         assert identities.w_alpha_beta() is cached[2]
@@ -741,3 +749,105 @@ class TestSharedSubstitution:
         for _ in range(2):
             with pytest.raises(InconsistentRootImage):
                 sub(X1, wrong)
+
+
+# ---------------------------------------------------------------------------
+# The packed keys hold doubled exponents in [LOW, HIGH]: ordinary exponents
+# in [-2^30, 2^30 - 1].  Past the range every operation raises; it never
+# returns an element whose key aliases another.
+
+LOW, HIGH = -(2**31), 2**31 - 1
+TOP = 2**30 - 1  # the largest ordinary exponent
+edge_exponents = st.sampled_from((-(2**30), -(2**30) + 1, -1, 0, 1, TOP - 1, TOP))
+edge_monomials = st.tuples(*([edge_exponents] * 6))
+edge_units = st.builds(
+    lambda mono, sign, odd: elem(q={mono: sign}) if odd else elem({mono: sign}),
+    edge_monomials,
+    st.sampled_from((1, -1)),
+    st.booleans(),
+)
+
+
+def in_range(pq: tuple[dict, dict]) -> bool:
+    """Every doubled exponent of the split form (p, q) lies in [LOW, HIGH]."""
+    p, q = pq
+    return all(
+        LOW <= 2 * e + odd <= HIGH for odd, part in ((0, p), (1, q)) for m in part for e in m
+    )
+
+
+class TestKeyRange:
+    def test_the_error_is_an_overflow_error(self):
+        assert issubclass(ExponentOutOfRange, OverflowError)
+
+    def test_the_largest_power_is_formed_and_one_past_it_raises(self):
+        assert doubled(X1 ** TOP) == {(2 * TOP, 0, 0, 0, 0, 0): 1}
+        assert doubled(R ** HIGH) == {(HIGH,) * 6: 1}
+        for past in (lambda: X1 ** (TOP + 1), lambda: X1 ** TOP * X1, lambda: R ** HIGH * R):
+            with pytest.raises(ExponentOutOfRange):
+                past()
+
+    def test_the_inverse_at_the_lower_edge_raises(self):
+        # z2 fills the packed int's highest field, whose underflow makes it negative
+        for var in (X1, Z2):
+            bottom = var ** -(2**30)
+            assert set(doubled(bottom)) == {tuple(LOW if e else 0 for e in _unpack(*var.terms))}
+            for past in (bottom.inv, lambda: 1 / bottom, lambda: bottom / var):
+                with pytest.raises(ExponentOutOfRange):
+                    past()
+
+    @pytest.mark.parametrize(
+        "key",
+        [(HIGH + 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, LOW - 2), (HIGH + 2,) * 6, (LOW - 1,) * 6],
+    )
+    def test_a_key_out_of_range_is_refused(self, key):
+        with pytest.raises(ExponentOutOfRange):
+            ExtElem({key: 1})
+
+    @pytest.mark.parametrize("key", [(LOW,) * 6, (HIGH,) * 6, (LOW, 0, 0, 0, 0, HIGH - 1)])
+    def test_a_key_at_the_edges_is_kept(self, key):
+        assert doubled(ExtElem({key: 3})) == {key: 3}
+
+    @given(
+        ext_elems(edge_monomials),
+        st.one_of(ext_elems(edge_monomials), laurent_elems),
+        st.one_of(edge_units, units()),
+    )
+    @settings(max_examples=300, derandomize=True)
+    def test_near_the_edges_a_result_is_exact_or_raises(self, a, b, u):
+        product = ref_ext_mul(split(a), split(b))
+        inverse = ref_ext_inv(split(u))
+        quotient = ref_ext_mul(split(a), inverse)
+        for operation, expected, representable in (
+            (lambda: a * b, product, in_range(product)),
+            (u.inv, inverse, in_range(inverse)),
+            # a / u forms u's inverse first
+            (lambda: a / u, quotient, in_range(inverse) and in_range(quotient)),
+        ):
+            if representable:
+                assert split(operation()) == expected
+            else:
+                with pytest.raises(ExponentOutOfRange):
+                    operation()
+
+    def test_a_substitution_image_at_the_edge_is_exact_and_past_it_raises(self):
+        sub, root = Substitution(TestSubstitute.EQUAL_X_1), TestSubstitute.EQUAL_X_1_ROOT
+        assert sub(X1 ** TOP, root) == X2 ** TOP
+        assert sub(Z1 ** TOP / (Y1 * Z2) * R, -root) == (Y1 * Z2 / Y2) ** TOP / (Y1 * Z2) * -root
+        for value in (X1 ** TOP * X2, Z1 ** -TOP / Y1 ** 2, X1 ** TOP * R):
+            with pytest.raises(ExponentOutOfRange):
+                sub(value, root)
+
+    def test_a_substitution_that_would_wrap_a_field_raises(self):
+        # x1 -> x1 * y1^(2^15) sends x1^(2^17) to y1^(2^32), one carry past
+        # the y1 field: the guard bits alone would read a y2 key there
+        sub = Substitution({"x1": X1 * Y1 ** 2**15})
+        root = R * Y1 ** 2**14
+        assert sub(X1 ** 2**14, root) == X1 ** 2**14 * Y1 ** 2**29
+        with pytest.raises(ExponentOutOfRange):
+            sub(X1 ** 2**17, root)
+        # the bound is per term, not per image: moves that would cancel
+        # are refused once they could reach 2^31 in all
+        cancelling = Substitution({"x1": X1 * Y1 ** 2**15, "x2": X2 * Y1 ** -(2**15)})
+        with pytest.raises(ExponentOutOfRange):
+            cancelling(X1 ** 2**16 * X2 ** 2**16, R)

@@ -4,14 +4,16 @@ import enum
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeg7 import render
-from heckeg7.cli import MATH_FAILURE, OK, main
+from heckeg7 import cli, render
+from heckeg7.cli import INPUT_ERROR, MATH_FAILURE, OK, main
+from heckeg7.representation import InvalidParams
 
 
 def stdlib(doc) -> str:
@@ -25,8 +27,9 @@ SPECIAL_CHARACTERS = st.sampled_from(
     ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "é", " ", "\ud800", "\U0001f600"]
 )
 TEXT = st.text(st.characters() | SPECIAL_CHARACTERS, max_size=12)
-FLOATS = st.floats() | st.sampled_from(
-    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]
+# finite floats: dumps refuses the others (test_a_non_finite_float_raises_invalid_params)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308]
 )
 INTS = st.integers() | st.integers(min_value=-(2**200), max_value=2**200)
 SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXT
@@ -64,7 +67,6 @@ def test_matches_the_stdlib_on_json_shaped_trees(doc):
         True,
         None,
         -0.0,
-        math.nan,
         {"é": 1, "e": 2, "E": 3, "": 4},
     ],
     ids=repr,
@@ -93,6 +95,14 @@ class Weight(float):
 def test_matches_the_stdlib_on_subclasses_of_json_types():
     doc = {Name("k"): [Point(1.5, -2.0), Colour.RED, Name("v"), Weight(0.25)]}
     assert render.dumps(doc) == stdlib(doc)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, Weight(math.inf)], ids=repr)
+@pytest.mark.parametrize("wrap", [lambda v: v, lambda v: {"a": [1.0, {"b": v}]}, lambda v: (v,)])
+def test_a_non_finite_float_raises_invalid_params(value, wrap):
+    # the stdlib would write NaN or Infinity, which is not JSON
+    with pytest.raises(InvalidParams, match="which JSON cannot carry"):
+        render.dumps(wrap(value))
 
 
 @pytest.mark.parametrize("doc", [{1: "a"}, {"a": 1, 2: "b"}, {None: 0}], ids=repr)
@@ -162,3 +172,23 @@ def test_fixtures_out_file_is_the_stdlib_encoding(tmp_path, capsys):
     text = target.read_text(encoding="utf-8")
     assert json.loads(text)["disagreements"]  # the check covers real records
     assert_stdlib_bytes(text)
+
+
+def test_a_non_finite_fixtures_document_leaves_no_file_and_no_stdout(
+    tmp_path, capsys, monkeypatch
+):
+    real_run_sweep = cli.run_sweep
+
+    def run_sweep_with_a_nan(cfg):
+        result = real_run_sweep(cfg)
+        doc = result.as_dict()
+        doc["disagreements"] = [{"index": 0, "margin": math.nan}]
+        return SimpleNamespace(as_dict=lambda: doc, unresolved=result.unresolved)
+
+    monkeypatch.setattr(cli, "run_sweep", run_sweep_with_a_nan)
+    target = tmp_path / "fixtures.json"
+    code = main(["sweep", "--samples", "20", "--fixtures-out", str(target)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (INPUT_ERROR, "")
+    assert captured.err.startswith("error: a result is nan") and captured.err.count("\n") == 1
+    assert not target.exists()

@@ -149,7 +149,7 @@ BANDS = ((-1.0, 1.0), (-3.0, 3.0))
 
 
 class TestDrawsMatchTheStdlibFormulas:
-    # without a regime filter a random sample is the bare _draw_base draw
+    # without a regime filter a random sample is the bare _draw_values draw
     @pytest.mark.parametrize("regime_filter", [None, EQUAL_X, DISTINCT_X])
     @pytest.mark.parametrize("band", BANDS)
     @pytest.mark.parametrize("domain", DOMAINS)
@@ -188,6 +188,30 @@ class TestInjectedDraws:
             solved = q.z1 if case_id.startswith("equal") else q.x1
             assert 1e-6 <= abs(solved) <= 1e6
         assert rejected
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_each_attempt_validates_only_the_solved_point(self, monkeypatch, domain):
+        # the drawn base is never built as a Params: one validation per
+        # solve_case call, and none for a draw redrawn before it
+        validated, solved = [], []
+        real_validate = Params.validate
+
+        def counting_validate(p):
+            validated.append(p)
+            real_validate(p)
+
+        def counting_solve_case(case_id, values):
+            solved.append(case_id)
+            return solve_case(case_id, values)
+
+        monkeypatch.setattr(Params, "validate", counting_validate)
+        monkeypatch.setattr(sweep, "solve_case", counting_solve_case)
+        cfg = small_config(domain=domain, log10_modulus_min=-3, log10_modulus_max=3)
+        rng = random.Random(4)
+        for case_id in sorted(ALL_CASES) * 10:
+            q = sweep._draw_injected_sample(rng, cfg, case_id)
+            assert validated[-1] is q
+        assert len(validated) == len(solved) >= len(ALL_CASES) * 10
 
     def test_band_without_a_sane_draw_is_invalid_params(self):
         # every solved z1 of equal-x-1 leaves [1e-6, 1e6] in this band
