@@ -55,7 +55,7 @@ required to square to DELTA's value within tolerance.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Union
+from collections.abc import Mapping
 
 from .numerics import approx_eq
 
@@ -211,7 +211,7 @@ class ExtElem:
 
     __slots__ = ("terms",)
 
-    def __init__(self, value: Union["ExtElem", int, Mapping[Key, int]] = 0):
+    def __init__(self, value: ExtElem | int | Mapping[Key, int] = 0):
         if isinstance(value, ExtElem):
             self.terms = value.terms
             return
@@ -371,7 +371,7 @@ def _unit(e: ExtElem) -> tuple[int, int] | None:
     return c, key
 
 
-ExtLike = Union[ExtElem, int]
+ExtLike = ExtElem | int
 
 # The former names of the ring's classes: perfbench/tracing.py looks up each
 # class it wraps on exact by name, and these names are among them.

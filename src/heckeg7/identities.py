@@ -52,8 +52,8 @@ The suite covers six identity groups:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 from .exact import ExtElem, Substitution, substitute
 from .irreducibility import EQUAL_X_CASES, equal_x_lines, root_image, solved_value
@@ -70,18 +70,14 @@ X1, X2, Y1, Y2, Z1, Z2 = (
 )
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    note: str = ""
-    residual: str | None = None
+CheckResult = namedtuple("CheckResult", "name ok note residual", defaults=("", None))
 
 
-class IdentityReport(NamedTuple):
-    name: str
-    status: str
-    checks: tuple[CheckResult, ...]
-    summary: str = ""
+class IdentityReport(namedtuple("IdentityReport", "name status checks summary", defaults=("",))):
+    """status is VERIFIED, FAILED or SIGN_DEPENDENT; checks is a tuple of
+    CheckResult."""
+
+    __slots__ = ()
 
     def failed(self) -> bool:
         return self.status == FAILED

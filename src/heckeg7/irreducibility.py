@@ -20,8 +20,9 @@ oracle is authoritative for the final agreement verdict.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
+from math import inf
 
 from .matrix2 import Vec2, _record, common_eigenvector
 from .numerics import VERDICT_TOL, approx_eq
@@ -35,32 +36,21 @@ IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 
 
-class ConditionFlag(NamedTuple):
-    name: str
-    lhs: complex
-    rhs: complex
-    equal: bool
+ConditionFlag = namedtuple("ConditionFlag", "name lhs rhs equal")
 
+# The oracle on the flipped branch -r_sign, run only on disagreement;
+# resolved iff the criteria and the flipped oracle both say reducible.  The
+# witness is a Vec2 or None.
+BranchDiagnosis = namedtuple(
+    "BranchDiagnosis", "flipped_oracle_decision resolved flipped_invariant_vector"
+)
 
-class BranchDiagnosis(NamedTuple):
-    """The oracle on the flipped branch -r_sign, run only on disagreement;
-    resolved iff the criteria and the flipped oracle both say reducible."""
-
-    flipped_oracle_decision: str
-    resolved: bool
-    flipped_invariant_vector: Vec2 | None
-
-
-class Verdict(NamedTuple):
-    regime: str
-    r_sign: int
-    tolerance: float
-    theorem_decision: str
-    conditions: tuple[ConditionFlag, ...]
-    oracle_decision: str
-    invariant_vector: Vec2 | None
-    agreement: bool
-    branch_diagnosis: BranchDiagnosis | None
+# conditions is a tuple of ConditionFlag, invariant_vector a Vec2 or None,
+# and branch_diagnosis a BranchDiagnosis or None (None when they agree).
+Verdict = namedtuple("Verdict", (
+    "regime", "r_sign", "tolerance", "theorem_decision", "conditions",
+    "oracle_decision", "invariant_vector", "agreement", "branch_diagnosis",
+))
 
 
 # Reducibility cases: case id -> (condition, j, k).  Each condition says
@@ -137,6 +127,11 @@ def theorem_verdict(
     (x1*y2)*z2, and the sides are equal when
     |lhs - rhs| <= tol*max(1, |lhs|, |rhs|).  The regime is regime(p, tol),
     written out like each comparison since this runs once per point.
+
+    Raises OverflowError when a difference |lhs - rhs| is not finite.  A side
+    that overflowed to inf or nan always leaves it so, and an infinite side
+    would otherwise make its bound inf and its flag hold.  (Two finite sides
+    whose difference overflows have a product, DELTA, that overflows too.)
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
@@ -147,10 +142,13 @@ def theorem_verdict(
     l2, r2 = x1y1 * z2, x2y2 * z1
     l3, r3 = x1y2 * z1, x2y1 * z2
     l4, r4 = x1y1 * z1, x2y2 * z2
-    e1 = abs(l1 - r1) <= tol * max(1.0, abs(l1), abs(r1))
-    e2 = abs(l2 - r2) <= tol * max(1.0, abs(l2), abs(r2))
-    e3 = abs(l3 - r3) <= tol * max(1.0, abs(l3), abs(r3))
-    e4 = abs(l4 - r4) <= tol * max(1.0, abs(l4), abs(r4))
+    d1, d2, d3, d4 = abs(l1 - r1), abs(l2 - r2), abs(l3 - r3), abs(l4 - r4)
+    if not (d1 < inf and d2 < inf and d3 < inf and d4 < inf):  # inf or nan
+        raise OverflowError("a side of the criteria is not finite")
+    e1 = d1 <= tol * max(1.0, abs(l1), abs(r1))
+    e2 = d2 <= tol * max(1.0, abs(l2), abs(r2))
+    e3 = d3 <= tol * max(1.0, abs(l3), abs(r3))
+    e4 = d4 <= tol * max(1.0, abs(l4), abs(r4))
     n1, n2, n3, n4 = _CONDITIONS
     flags = (
         _record(ConditionFlag, (n1, l1, r1, e1)),

@@ -5,13 +5,13 @@ eigendirections, and search a family of matrices for a shared eigendirection.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .numerics import VERDICT_TOL, principal_sqrt
 
 Vec2 = tuple[complex, complex]
 
-# _record(cls, fields) is the NamedTuple cls(*fields), made without running
+# _record(cls, fields) is the record cls(*fields), made without running
 # cls's Python-level __new__; the per-point decide path builds its records so.
 _record = tuple.__new__
 
@@ -20,13 +20,10 @@ JORDAN = "jordan"
 SEMISIMPLE = "semisimple"
 
 
-class Mat2(NamedTuple):
+class Mat2(namedtuple("Mat2", "a b c d")):
     """Row-major [[a, b], [c, d]]."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -56,10 +53,9 @@ class Mat2(NamedTuple):
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
 
-class EigenReport(NamedTuple):
-    kind: str  # scalar | jordan | semisimple
-    eigenvalues: tuple[complex, ...]
-    directions: tuple[Vec2, ...]  # empty for scalar (every direction works)
+# kind is SCALAR, JORDAN or SEMISIMPLE; directions is a tuple of Vec2,
+# empty for scalar (every direction works).
+EigenReport = namedtuple("EigenReport", "kind eigenvalues directions")
 
 
 def cross(u: Vec2, v: Vec2) -> complex:

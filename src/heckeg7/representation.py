@@ -26,7 +26,7 @@ ring of the identity suite.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .matrix2 import Mat2, _record
 from .numerics import is_finite, principal_sqrt
@@ -40,21 +40,11 @@ class InvalidParams(ValueError):
 _REQUIRED = ("x1", "x2", "y1", "y2", "z1", "z2")
 
 
-class _ParamsFields(NamedTuple):
-    x1: complex
-    x2: complex
-    y1: complex
-    y2: complex
-    z1: complex
-    z2: complex
-    y3: complex | None = None  # optional third eigenvalues: cubic relations
-    z3: complex | None = None
-
-
-class Params(_ParamsFields):
+class Params(namedtuple("Params", (*_REQUIRED, "y3", "z3"), defaults=(None, None))):
     """A parameter point; valid by construction (every value is coerced to
     complex, and every field must be finite and nonzero), so nothing
-    downstream validates it again.  _replace goes through the same checks."""
+    downstream validates it again.  _replace goes through the same checks.
+    y3 and z3 are optional third eigenvalues, for the cubic relations."""
 
     __slots__ = ()
 
@@ -95,10 +85,7 @@ class Params(_ParamsFields):
                 raise InvalidParams(f"{name} must be nonzero")
 
 
-class GeneratorTriple(NamedTuple):
-    s1: Mat2
-    s2: Mat2
-    s3: Mat2
+GeneratorTriple = namedtuple("GeneratorTriple", "s1 s2 s3")
 
 
 def _check_sign(r_sign: int) -> int:

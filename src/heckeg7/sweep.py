@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .irreducibility import (
     DISTINCT_X,
@@ -71,16 +71,15 @@ _SOLVED_MODULUS_MAX = 1e6
 _MAX_REDRAWS = 1000
 
 
-class SweepConfig(NamedTuple):
-    samples: int = 10000
-    seed: int = 42
-    domain: str = POSITIVE_REAL
-    tolerance: float = VERDICT_TOL
-    r_sign: int = 1
-    inject_reducible_rate: float = 0.1
-    log10_modulus_min: float = -1.0
-    log10_modulus_max: float = 1.0
-    regime_filter: str | None = None
+class SweepConfig(namedtuple(
+    "SweepConfig",
+    (
+        "samples", "seed", "domain", "tolerance", "r_sign", "inject_reducible_rate",
+        "log10_modulus_min", "log10_modulus_max", "regime_filter",
+    ),
+    defaults=(10000, 42, POSITIVE_REAL, VERDICT_TOL, 1, 0.1, -1.0, 1.0, None),
+)):
+    __slots__ = ()
 
     def validate(self) -> None:
         if self.samples < 1:
@@ -115,14 +114,11 @@ class SweepConfig(NamedTuple):
             raise InvalidParams(f"regime_filter must be {EQUAL_X!r}, {DISTINCT_X!r} or None")
 
 
-class SweepResult(NamedTuple):
-    config: SweepConfig
-    counts: dict[str, int]
-    injected_total: int
-    injected_per_case: dict[str, int]
-    witness_failures: tuple[int, ...]
-    predicted_mismatches: tuple[int, ...]
-    disagreements: tuple[dict, ...]
+class SweepResult(namedtuple("SweepResult", (
+    "config", "counts", "injected_total", "injected_per_case",
+    "witness_failures", "predicted_mismatches", "disagreements",
+))):
+    __slots__ = ()
 
     def unresolved(self) -> int:
         return self.counts[DISAGREE_UNRESOLVED]

@@ -371,17 +371,38 @@ class TestExtremePoints:
             code, out, err, "parameter magnitudes overflow the criteria or the oracle"
         )
 
-    def test_a_non_finite_result_is_one_error_line(self, tmp_path, capsys):
-        # every entry is finite, but the criteria's x1*y1*z1 is 1e360: inf
-        doc = {
-            name: {"re": 1e120 if name.endswith("1") else 1e-120, "im": 0}
-            for name in ALL_ONES
-        }
-        code, out, err = run_cli(capsys, "check", write_params(tmp_path, doc))
+    @pytest.mark.parametrize("output", ["json", "text"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # the criteria's x1*y1*z1 is 1e360: inf, and its flag held
+            pytest.param(
+                {
+                    name: {"re": 1e120 if name.endswith("1") else 1e-120, "im": 0}
+                    for name in ALL_ONES
+                },
+                id="inf-side",
+            ),
+            # x1*y2*z2 = (1e160 + 1e160i)*(1e160 + 1e160i) is nan+infi
+            pytest.param(
+                dict(
+                    ALL_ONES,
+                    x1={"re": 1, "im": 1}, x2={"re": 1e80, "im": 0},
+                    y2={"re": 1e160, "im": 0}, z1={"re": 1e-160, "im": 0},
+                    z2={"re": 1e160, "im": 1e160},
+                ),
+                id="nan-part-side",
+            ),
+        ],
+    )
+    def test_a_non_finite_result_is_one_error_line(self, tmp_path, capsys, doc, output):
+        # every matrix entry is finite, but a side of the criteria is not:
+        # both output forms refuse it rather than decide on it
+        code, out, err = run_cli(
+            capsys, "check", write_params(tmp_path, doc), "--output", output
+        )
         assert_one_error_line(
-            code, out, err,
-            "a result is inf, which JSON cannot carry: "
-            "parameter magnitudes overflow the float arithmetic",
+            code, out, err, "parameter magnitudes overflow the criteria or the oracle"
         )
 
     @pytest.mark.parametrize("command", ["check", "relations"])
@@ -703,9 +724,10 @@ class TestEntryPoints:
     def test_installed_wrapper_script(self):
         check_console_command(["heckeg7"])
 
-    def test_cold_import_leaves_out_dataclasses_and_inspect(self):
+    def test_cold_import_leaves_out_dataclasses_inspect_and_typing(self):
         # dataclasses (and the inspect it imports) were most of the import
-        # time of heckeg7.cli; -S keeps site from importing anything first.
+        # time of heckeg7.cli, and typing.NamedTuple records cost most of the
+        # rest; -S keeps site from importing anything first.
         # The package __init__ imports nothing, so heckeg7.cli's own imports
         # must load the modules perfbench/worker.py reads from sys.modules.
         src = Path(__file__).resolve().parents[1] / "src"
@@ -715,7 +737,7 @@ class TestEntryPoints:
                 "-S",
                 "-c",
                 "import sys; from heckeg7.cli import build_parser; build_parser(); "
-                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules))); "
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))); "
                 "print(' '.join(m for m in sys.modules if m.startswith('heckeg7.')))",
             ],
             capture_output=True,

@@ -188,6 +188,20 @@ class TestTheoremVerdict:
         with pytest.raises(ValueError, match="^tolerance must be positive$"):
             theorem_verdict(Params(2, 3, 5, 7, 11, 13), tol=tol)
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Params(1e120, 1e-120, 1e120, 1e-120, 1e120, 1e-120),  # x1*y1*z1 is inf
+            Params(1 + 1j, 1e80, 1, 1e160, 1e-160, 1e160 + 1e160j),  # x1*y2*z2 has a nan part
+            Params(1e200, 1e200, 1e200, 1e200, 1, 1),  # inf - inf is nan
+        ],
+        ids=["inf-side", "nan-part-side", "both-sides-inf"],
+    )
+    def test_a_side_that_is_not_finite_raises(self, p):
+        # an infinite side would make its bound inf and its flag hold
+        with pytest.raises(OverflowError):
+            theorem_verdict(p)
+
 
 class TestSolveCase:
     @pytest.mark.parametrize("case_id", sorted(ALL_CASES))

@@ -55,6 +55,46 @@ def test_records_refuse_assignment(record):
         record.extra = 1
 
 
+# cli.load_params reads Params._fields and Params._field_defaults, and
+# cli.cmd_sweep builds a SweepConfig from SweepConfig._fields
+FIELDS_AND_DEFAULTS = {
+    Mat2: ("a b c d", {}),
+    EigenReport: ("kind eigenvalues directions", {}),
+    Params: ("x1 x2 y1 y2 z1 z2 y3 z3", {"y3": None, "z3": None}),
+    GeneratorTriple: ("s1 s2 s3", {}),
+    ConditionFlag: ("name lhs rhs equal", {}),
+    BranchDiagnosis: ("flipped_oracle_decision resolved flipped_invariant_vector", {}),
+    Verdict: (
+        "regime r_sign tolerance theorem_decision conditions oracle_decision "
+        "invariant_vector agreement branch_diagnosis",
+        {},
+    ),
+    CheckResult: ("name ok note residual", {"note": "", "residual": None}),
+    IdentityReport: ("name status checks summary", {"summary": ""}),
+    SweepConfig: (
+        "samples seed domain tolerance r_sign inject_reducible_rate "
+        "log10_modulus_min log10_modulus_max regime_filter",
+        {
+            "samples": 10000, "seed": 42, "domain": "positive-real",
+            "tolerance": 1e-9, "r_sign": 1, "inject_reducible_rate": 0.1,
+            "log10_modulus_min": -1.0, "log10_modulus_max": 1.0, "regime_filter": None,
+        },
+    ),
+    SweepResult: (
+        "config counts injected_total injected_per_case witness_failures "
+        "predicted_mismatches disagreements",
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", FIELDS_AND_DEFAULTS, ids=lambda cls: cls.__name__)
+def test_fields_and_defaults_are_pinned(cls):
+    fields, defaults = FIELDS_AND_DEFAULTS[cls]
+    assert cls._fields == tuple(fields.split())
+    assert cls._field_defaults == defaults
+
+
 # repr strings as the frozen dataclasses printed them
 @pytest.mark.parametrize(
     "record, expected",
