@@ -26,11 +26,11 @@ one "error:" line on stderr and nothing on stdout.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import render
 from .identities import REGISTRY, report_as_dict, run_all
@@ -52,11 +52,6 @@ from .sweep import DOMAINS, SCHEMA_VERSION, SweepConfig, run_sweep
 OK = 0
 INPUT_ERROR = 1
 MATH_FAILURE = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # route usage errors through exit code 1
-        raise InvalidParams(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,120 +311,297 @@ def cmd_relations(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_output_flag(sub) -> None:
-    sub.add_argument(
-        "--output",
+def _option(flag, dest, convert, default, help, choices=None, metavar=None):
+    """One row of an option table.
+
+    choices are checked after convert, so they hold converted values;
+    metavar None shows the choices in braces, or else the dest in capitals.
+    """
+    return SimpleNamespace(
+        flag=flag, dest=dest, convert=convert, default=default, help=help,
+        choices=choices, metavar=metavar,
+    )
+
+
+def _is_negative_number(token: str) -> bool:
+    # argparse's ^-\d+$|^-\d*\.\d+$, whose $ also matches before a final
+    # newline and whose \d is any Unicode decimal digit; spelled out because
+    # compiling the pattern cost a cold request about 0.2 ms
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    return token[:1] == "-" and (
+        fraction.isdecimal() and (not whole or whole.isdecimal())
+        if dot else whole.isdecimal()
+    )
+
+
+_HELP = _option("--help", "help", None, None, "show this help message and exit")
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
+
+
+class _Parser:
+    """The heckeg7 command line, read from one table of subcommands.
+
+    parse_args walks argv once and keeps the forms argparse accepted:
+    "--flag value" and "--flag=value"; any unique prefix of a long flag;
+    the last value of a repeated flag; a value that looks like a negative
+    number; "--" to end the options; int/float conversion with choices
+    checked after it.  Everything before the subcommand belongs to the top
+    level, which knows only -h/--help; everything after it belongs to the
+    subcommand.  Errors in a flag or its value are raised where they are
+    met, so a -h/--help met first wins; unknown tokens and a missing
+    positional are refused at the end.
+    """
+
+    def __init__(self, prog: str, description: str, commands) -> None:
+        self.prog = prog
+        self.description = description
+        self.commands = {command.name: command for command in commands}
+        self._flags = {
+            command.name: {**_TOP_FLAGS, **{o.flag: o for o in command.options}}
+            for command in commands
+        }
+
+    def _classify(self, prog: str, flags: dict, token: str):
+        """None if token is a value here, else (option, explicit value or None).
+
+        option is None for an option-like token that names no option.
+        """
+        if not token or token[0] != "-":
+            return None
+        if token in flags:
+            return flags[token], None
+        if len(token) == 1:
+            return None
+        if token[1] == "-":
+            prefix, sep, value = token.partition("=")
+            if sep and prefix in flags:
+                matches = [prefix]
+            else:
+                matches = [flag for flag in flags if flag.startswith(prefix)]
+            if len(matches) > 1:
+                raise InvalidParams(
+                    f"{prog}: ambiguous option: {token} could match {', '.join(matches)}"
+                )
+            if matches:
+                return flags[matches[0]], value if sep else None
+        elif token[:2] in flags:  # -h joined to more: -hh is -h -h
+            return flags[token[:2]], token[2:].lstrip("h") or None
+        if _is_negative_number(token) or " " in token:
+            return None
+        return None, None
+
+    def _convert(self, prog: str, option, text: str):
+        try:
+            value = option.convert(text)
+        except ValueError:
+            raise InvalidParams(
+                f"{prog}: argument {option.flag}: "
+                f"invalid {option.convert.__name__} value: {text!r}"
+            ) from None
+        if option.choices is not None and value not in option.choices:
+            choices = ", ".join(map(repr, option.choices))
+            raise InvalidParams(
+                f"{prog}: argument {option.flag}: invalid choice: {value!r} "
+                f"(choose from {choices})"
+            )
+        return value
+
+    def _help(self, prog: str, explicit, command=None):
+        if explicit is not None:
+            raise InvalidParams(
+                f"{prog}: argument -h/--help: ignored explicit argument {explicit!r}"
+            )
+        print(self.format_help(command))
+        raise SystemExit(0)
+
+    def format_help(self, command=None) -> str:
+        """The help text of the top level, or of one subcommand."""
+        if command is None:
+            usage = f"{self.prog} [-h] {{{','.join(self.commands)}}} ..."
+            lines = ["", self.description, "", "commands:"]
+            lines += [f"  {c.name:<12}{c.help}" for c in self.commands.values()]
+            options = ()
+        else:
+            dests = "".join(f" {dest}" for dest, _ in command.positionals)
+            usage = f"{self.prog} {command.name} [-h] [options]{dests}"
+            lines = ["", command.help]
+            if command.positionals:
+                lines += ["", "positional arguments:"]
+                lines += [f"  {dest}\n      {text}" for dest, text in command.positionals]
+            options = command.options
+        lines += ["", "options:", f"  -h, --help\n      {_HELP.help}"]
+        for o in options:
+            metavar = o.metavar or (
+                f"{{{','.join(map(str, o.choices))}}}" if o.choices else o.dest.upper()
+            )
+            lines.append(f"  {o.flag} {metavar}\n      {o.help}")
+        return "\n".join([f"usage: {usage}", *lines])
+
+    def parse_args(self, argv: list[str] | None = None) -> SimpleNamespace:
+        """Return the subcommand's dests, command and handler as a namespace.
+
+        -h/--help prints help to stdout and raises SystemExit(0); every
+        refusal raises InvalidParams naming the subcommand and the flag.
+        """
+        tokens = list(sys.argv[1:] if argv is None else argv)
+        unknown: list[str] = []
+        for i, token in enumerate(tokens):
+            if token == "--":  # the subcommand follows, whatever it looks like
+                i += 1
+                break
+            found = self._classify(self.prog, _TOP_FLAGS, token)
+            if found is None:
+                break
+            if found[0] is _HELP:
+                self._help(self.prog, found[1])
+            unknown.append(token)
+        else:
+            i = len(tokens)
+        if i == len(tokens):
+            raise InvalidParams(f"{self.prog}: the following arguments are required: command")
+        command = self.commands.get(tokens[i])
+        if command is None:
+            raise InvalidParams(
+                f"{self.prog}: argument command: invalid choice: {tokens[i]!r} "
+                f"(choose from {', '.join(self.commands)})"
+            )
+        values = self._parse_command(command, tokens[i + 1:], unknown)
+        if unknown:
+            raise InvalidParams(f"{self.prog}: unrecognized arguments: {' '.join(unknown)}")
+        return SimpleNamespace(command=command.name, handler=command.handler, **values)
+
+    def _parse_command(self, command, tokens: list[str], unknown: list[str]) -> dict:
+        prog = f"{self.prog} {command.name}"
+        flags = self._flags[command.name]
+        values = {o.dest: o.default for o in command.options}
+        waiting = [dest for dest, _ in command.positionals]
+        filled_by = None  # index of the token that filled the last positional
+        i = 0
+        while i < len(tokens):
+            token = tokens[i]
+            i += 1
+            if token == "--":
+                # argparse drops the "--" only where a positional takes it
+                # in: before an unfilled one, or just after a filled one
+                if not waiting and filled_by != i - 2:
+                    unknown.append(token)
+                rest = tokens[i:]
+                values.update(zip(waiting, rest))
+                unknown += rest[len(waiting):]
+                waiting = waiting[len(rest):]
+                break
+            found = self._classify(prog, flags, token)
+            if found is None:
+                if waiting:
+                    values[waiting.pop(0)] = token
+                    filled_by = i - 1
+                else:
+                    unknown.append(token)
+                continue
+            option, text = found
+            if option is None:
+                unknown.append(token)
+                continue
+            if option is _HELP:
+                self._help(prog, text, command)
+            if text is None:
+                if i == len(tokens) or tokens[i] == "--" or (
+                    self._classify(prog, flags, tokens[i]) is not None
+                ):
+                    raise InvalidParams(
+                        f"{prog}: argument {option.flag}: expected one argument"
+                    )
+                text = tokens[i]
+                i += 1
+            values[option.dest] = self._convert(prog, option, text)
+        if waiting:
+            raise InvalidParams(
+                f"{prog}: the following arguments are required: {', '.join(waiting)}"
+            )
+        return values
+
+
+def build_parser() -> _Parser:
+    """Return a new parser for the heckeg7 command line."""
+    output = _option(
+        "--output", "output", str, "json", "output format (default json)",
         choices=("json", "text"),
-        default="json",
-        help="output format (default json)",
     )
-
-
-def _add_common_flags(sub) -> None:
-    sub.add_argument(
-        "--tolerance",
-        type=float,
-        default=VERDICT_TOL,
-        help=f"relative comparison tolerance (default {VERDICT_TOL:g})",
+    common = (
+        _option(
+            "--tolerance", "tolerance", float, VERDICT_TOL,
+            f"relative comparison tolerance (default {VERDICT_TOL:g})",
+        ),
+        _option(
+            "--r-sign", "r_sign", int, 1,
+            "sign of the square root r used in the matrices (default +1)",
+            choices=(1, -1), metavar="{+1,-1}",
+        ),
+        output,
     )
-    sub.add_argument(
-        "--r-sign",
-        type=int,
-        choices=(1, -1),
-        default=1,
-        metavar="{+1,-1}",
-        help="sign of the square root r used in the matrices (default +1)",
-    )
-    _add_output_flag(sub)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="heckeg7",
-        description=(
-            "Build 2-dimensional Hecke-algebra representations at complex "
-            "parameter values, decide irreducibility against a brute-force "
-            "oracle, and verify the underlying identities exactly."
+    sweep = (
+        _option("--samples", "samples", int, 10000, "sample count"),
+        _option("--seed", "seed", int, 42, "random seed"),
+        _option(
+            "--domain", "domain", str, "positive-real",
+            "sampling domain (default positive-real)", choices=DOMAINS,
+        ),
+        _option(
+            "--inject-reducible-rate", "inject_reducible_rate", float, 0.1,
+            "fraction of samples replaced by constructed reducible tuples (default 0.1)",
+        ),
+        _option(
+            "--log10-modulus-min", "log10_modulus_min", float, -1.0,
+            "lower log10 modulus bound (default -1)",
+        ),
+        _option(
+            "--log10-modulus-max", "log10_modulus_max", float, 1.0,
+            "upper log10 modulus bound (default 1)",
+        ),
+        _option(
+            "--regime-filter", "regime_filter", str, None,
+            "restrict samples and injections to one regime",
+            choices=("equal", "distinct"),
+        ),
+        _option(
+            "--fixtures-out", "fixtures_out", str, None,
+            "also write all disagreement records to FILE as JSON", metavar="FILE",
         ),
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    check = subs.add_parser(
-        "check", help="decide irreducibility for one parameter file"
+    only = _option(
+        "--only", "only", str, None,
+        f"run a single identity; one of: {', '.join(REGISTRY)}", metavar="NAME",
     )
-    check.add_argument("param_file", help="JSON parameter file")
-    _add_common_flags(check)
-    check.set_defaults(handler=cmd_check)
-
-    sweep = subs.add_parser(
-        "sweep", help="randomized criteria-vs-oracle agreement sweep"
+    # positionals: (dest, help) pairs, filled in order
+    param_file = (("param_file", "JSON parameter file"),)
+    return _Parser(
+        "heckeg7",
+        "Build 2-dimensional Hecke-algebra representations at complex parameter\n"
+        "values, decide irreducibility against a brute-force oracle, and verify\n"
+        "the underlying identities exactly.",
+        (
+            SimpleNamespace(
+                name="check", handler=cmd_check, positionals=param_file, options=common,
+                help="decide irreducibility for one parameter file",
+            ),
+            SimpleNamespace(
+                name="sweep", handler=cmd_sweep, positionals=(), options=sweep + common,
+                help="randomized criteria-vs-oracle agreement sweep",
+            ),
+            SimpleNamespace(
+                name="identities", handler=cmd_identities, positionals=(),
+                options=(only, output), help="run the exact symbolic identity suite",
+            ),
+            SimpleNamespace(
+                name="relations", handler=cmd_relations, positionals=param_file,
+                options=common, help="braid/eigenvalue relation residuals for one file",
+            ),
+        ),
     )
-    sweep.add_argument("--samples", type=int, default=10000, help="sample count")
-    sweep.add_argument("--seed", type=int, default=42, help="random seed")
-    sweep.add_argument(
-        "--domain",
-        choices=DOMAINS,
-        default="positive-real",
-        help="sampling domain (default positive-real)",
-    )
-    sweep.add_argument(
-        "--inject-reducible-rate",
-        type=float,
-        default=0.1,
-        help="fraction of samples replaced by constructed reducible tuples "
-        "(default 0.1)",
-    )
-    sweep.add_argument(
-        "--log10-modulus-min",
-        type=float,
-        default=-1.0,
-        help="lower log10 modulus bound (default -1)",
-    )
-    sweep.add_argument(
-        "--log10-modulus-max",
-        type=float,
-        default=1.0,
-        help="upper log10 modulus bound (default 1)",
-    )
-    sweep.add_argument(
-        "--regime-filter",
-        choices=("equal", "distinct"),
-        default=None,
-        help="restrict samples and injections to one regime",
-    )
-    sweep.add_argument(
-        "--fixtures-out",
-        default=None,
-        metavar="FILE",
-        help="also write all disagreement records to FILE as JSON",
-    )
-    _add_common_flags(sweep)
-    sweep.set_defaults(handler=cmd_sweep)
-
-    identities = subs.add_parser(
-        "identities", help="run the exact symbolic identity suite"
-    )
-    identities.add_argument(
-        "--only",
-        default=None,
-        metavar="NAME",
-        help=f"run a single identity; one of: {', '.join(REGISTRY)}",
-    )
-    _add_output_flag(identities)
-    identities.set_defaults(handler=cmd_identities)
-
-    relations = subs.add_parser(
-        "relations", help="braid/eigenvalue relation residuals for one file"
-    )
-    relations.add_argument("param_file", help="JSON parameter file")
-    _add_common_flags(relations)
-    relations.set_defaults(handler=cmd_relations)
-
-    return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     # through the module global, so that a wrapper set on cli.build_parser
     # (perfbench/tracing.py) sees the one build
     return build_parser()
@@ -440,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
 
     The parser is built on the first call, not at import, and every later
     call in the process reuses it.  That is safe because parse_args does
-    not mutate the parser, _Parser.error raises InvalidParams instead of
+    not mutate the parser, every refusal raises InvalidParams instead of
     exiting, prog is fixed, and each subcommand's handler is bound when
     the parser is built (so patching a cmd_* function after the first call
     would not reach it; nothing does).  InvalidParams from anywhere below
@@ -448,9 +620,9 @@ def main(argv: list[str] | None = None) -> int:
     """
     try:
         args = _parser().parse_args(argv)
-        # identities takes no --tolerance
-        if "tolerance" in args and not args.tolerance > 0:
-            raise InvalidParams("--tolerance must be positive")
+        tolerance = getattr(args, "tolerance", 1.0)  # identities takes none
+        if not 0 < tolerance < math.inf:
+            raise InvalidParams("--tolerance must be positive and finite")
         return args.handler(args)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)

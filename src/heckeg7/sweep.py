@@ -86,8 +86,8 @@ class SweepConfig(namedtuple(
             raise InvalidParams("samples must be >= 1")
         if self.domain not in DOMAINS:
             raise InvalidParams(f"domain must be one of {DOMAINS}")
-        if not self.tolerance > 0:
-            raise InvalidParams("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise InvalidParams("tolerance must be positive and finite")
         if self.r_sign not in (1, -1):
             raise InvalidParams("r_sign must be +1 or -1")
         if not 0.0 <= self.inject_reducible_rate <= 1.0:

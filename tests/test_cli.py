@@ -288,7 +288,22 @@ class TestInputErrors:
         argv = [command] if command == "sweep" else [command, path]
         code, out, err = run_cli(capsys, *argv, "--tolerance", value)
         assert (code, out) == (INPUT_ERROR, "")
-        assert err == "error: --tolerance must be positive\n"
+        assert err == "error: --tolerance must be positive and finite\n"
+
+    @pytest.mark.parametrize("command", ["check", "sweep", "relations"])
+    @pytest.mark.parametrize("value", ["inf", "1e999"])
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, command, value, output):
+        # an infinite tolerance makes every condition hold: the irreducible
+        # point would read reducible, and a sweep would agree everywhere
+        path = write_params(tmp_path, IRREDUCIBLE_POINT)
+        argv = [command] if command == "sweep" else [command, path]
+        code, out, err = run_cli(
+            capsys, *argv, "--tolerance", value, "--output", output
+        )
+        assert_one_error_line(
+            code, out, err, "--tolerance must be positive and finite"
+        )
 
     @pytest.mark.parametrize("flag", [["--r-sign", "-1"], ["--tolerance", "1e-9"]])
     def test_identities_takes_no_sign_or_tolerance(self, capsys, flag):
@@ -632,6 +647,8 @@ class TestOneProcess:
             ["relations", path],
             ["sweep", "--samples", "50"],
             ["identities", "--only", "w-factorization"],
+            ["check", path, "--r-sig", "-1", "--out=text"],
+            ["sweep", "--samp=50", "--tol", "1e-9"],
             ["check", path, "--r-sign", "2"],
             ["frobnicate"],
             ["check", path, "--tolerance", "0"],
@@ -657,10 +674,13 @@ class TestOneProcess:
         second = [run(argv) for argv in requests]
         assert len(builds) == 1
         assert [code for code, _, _ in first] == [
-            MATH_FAILURE, MATH_FAILURE, OK, OK, OK, OK, OK,
+            MATH_FAILURE, MATH_FAILURE, OK, OK, OK, OK, OK, OK, OK,
             INPUT_ERROR, INPUT_ERROR, INPUT_ERROR, INPUT_ERROR, ("SystemExit", 0),
         ]
         assert "usage: heckeg7" in first[-1][1]
+        # abbreviated and "=" forms answer as the full flags do
+        assert first[7] == first[3]
+        assert first[8] == first[5]
         assert second == first
 
         src = Path(__file__).resolve().parents[1] / "src"
@@ -727,7 +747,9 @@ class TestEntryPoints:
     def test_cold_import_leaves_out_dataclasses_inspect_and_typing(self):
         # dataclasses (and the inspect it imports) were most of the import
         # time of heckeg7.cli, and typing.NamedTuple records cost most of the
-        # rest; -S keeps site from importing anything first.
+        # rest; argparse, and the gettext and locale its first parser build
+        # imported, cost most of a cold request's parser build.  -S keeps
+        # site from importing anything first.
         # The package __init__ imports nothing, so heckeg7.cli's own imports
         # must load the modules perfbench/worker.py reads from sys.modules.
         src = Path(__file__).resolve().parents[1] / "src"
@@ -736,8 +758,12 @@ class TestEntryPoints:
                 sys.executable,
                 "-S",
                 "-c",
-                "import sys; from heckeg7.cli import build_parser; build_parser(); "
-                "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules))); "
+                "import io, sys; from heckeg7.cli import build_parser, main; build_parser(); "
+                "sys.stdout = io.StringIO(); "
+                "code = main(['identities', '--only', 'w-factorization']); "
+                "sys.stdout = sys.__stdout__; assert code == 0, code; "
+                "print(sorted({'dataclasses', 'inspect', 'typing', 'argparse', 'gettext', "
+                "'locale'} & set(sys.modules))); "
                 "print(' '.join(m for m in sys.modules if m.startswith('heckeg7.')))",
             ],
             capture_output=True,
@@ -755,22 +781,27 @@ class TestEntryPoints:
 
     def test_import_builds_no_parser(self):
         # a fresh interpreter (setup_s, one-shot runs) pays for the import
-        # alone; the first main() call builds the parser and later calls
-        # reuse it
+        # alone; the first main() call builds the parser through the
+        # cli.build_parser global (which perfbench/tracing.py wraps) and
+        # later calls reuse it.  A profile hook counts every build_parser
+        # call, the import included; the wrapper counts those through the
+        # global.
         script = """
-import argparse, json
-built = []
-init = argparse.ArgumentParser.__init__
-def counting_init(self, *args, **kwargs):
-    built.append(self)
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting_init
-counts = [len(built)]
+import json, sys
+calls = []
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "build_parser":
+        calls.append(1)
+sys.setprofile(profile)
 import heckeg7.cli as cli
-counts.append(len(built))
+counts = [len(calls)]
+build_parser = cli.build_parser
+through_global = []
+cli.build_parser = lambda: through_global.append(1) or build_parser()
 for _ in range(2):
     cli.main(["identities", "--only", "bogus"])
-    counts.append(len(built))
+    counts.append([len(calls), len(through_global)])
+sys.setprofile(None)
 print(json.dumps(counts))
 """
         src = Path(__file__).resolve().parents[1] / "src"
@@ -781,9 +812,9 @@ print(json.dumps(counts))
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        before, imported, first, second = json.loads(proc.stdout)
-        assert before == imported == 0
-        assert first == second > 0
+        imported, first, second = json.loads(proc.stdout)
+        assert imported == 0
+        assert first == second == [1, 1]
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -62,6 +62,7 @@ class TestConfigValidation:
             {"r_sign": 0},
             {"tolerance": 0.0},
             {"regime_filter": "nope"},
+            {"tolerance": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -71,6 +72,8 @@ class TestConfigValidation:
     def test_bad_values_are_invalid_params(self):
         with pytest.raises(InvalidParams, match="^samples must be >= 1$"):
             SweepConfig(samples=0).validate()
+        with pytest.raises(InvalidParams, match="^tolerance must be positive and finite$"):
+            SweepConfig(tolerance=float("inf")).validate()
 
 
 class TestDeterminism:
