@@ -16,6 +16,13 @@ sym_generators, w_alpha_beta and conjugated_upper_right_numerator are built
 once per process, on first call, and shared, never mutated, by every report;
 each report calls them through this module's globals.
 
+The two reports stated at both signs of r build their sides at sign +1 only.
+r -> -r (ExtElem.conjugate) is a ring automorphism fixing every variable, and
+a side at sign -1 is built by ring operations and unit divisions from the
+images of what builds it at +1: the triple, r, w and the numerator.  So when
+sym_generators(-1) is the image of sym_generators(1), the -1 sides are the
+images of the +1 sides, exactly; otherwise they are built directly.
+
 The suite covers six identity groups:
 
   reducibility-condition-factorization
@@ -33,7 +40,7 @@ The suite covers six identity groups:
   braid-hecke-relations
       s1 s2 s3 = s2 s3 s1 = s3 s1 s2 and the three quadratic relations
       (s1-x1)(s1-x2) = (s2-y1)(s2-y2) = (s3-z1)(s3-z2) = 0, for both signs
-      of r.
+      of r (sign -1 by r -> -r, below).
   conjugation-formulas
       the entries of T^-1 s_i T for the upper-triangular T that
       diagonalizes s1 when x1 != x2, including two corrected entry
@@ -232,41 +239,57 @@ def verify_w_factorization() -> IdentityReport:
     )
 
 
-def _relation_checks(sign: int) -> list[CheckResult]:
-    s1, s2, s3 = sym_generators(sign)
-    tag = f"[r sign {sign:+d}]"
-    p123 = s1 * s2 * s3
-    p231 = s2 * s3 * s1
-    p312 = s3 * s1 * s2
-    note = "entrywise in the Laurent ring"
-    checks = [
-        _check(f"s1*s2*s3 = s2*s3*s1 {tag}", p123, p231, note),
-        _check(f"s1*s2*s3 = s3*s1*s2 {tag}", p123, p312, note),
+def _row(name: str, lhs, rhs, note: str = "", check=_check) -> tuple:
+    """A check of _both_signs, before its name is tagged with the sign."""
+    return name, lhs, rhs, note, check
+
+
+def _sigma(side):
+    """A side's image under r -> -r, entrywise on a vector or matrix."""
+    if isinstance(side, int):
+        return side
+    return side.conjugate() if isinstance(side, ExtElem) else tuple(map(_sigma, side))
+
+
+def _both_signs(sides) -> list[CheckResult]:
+    """The checks of the _rows sides(sign) at r sign +1, then -1: sides(-1),
+    or the +1 rows' images under r -> -r (module docstring)."""
+    plus = sides(1)
+    minus = sides(-1) if sym_generators(-1) != _sigma(sym_generators(1)) else [
+        (name, _sigma(lhs), _sigma(rhs), *rest) for name, lhs, rhs, *rest in plus
     ]
-    quads = (
-        (f"(s1 - x1)(s1 - x2) = 0 {tag}", s1, X1, X2),
-        (f"(s2 - y1)(s2 - y2) = 0 {tag}", s2, Y1, Y2),
-        (f"(s3 - z1)(s3 - z2) = 0 {tag}", s3, Z1, Z2),
-    )
-    zero = Mat2(0, 0, 0, 0)
-    for label, m, e1, e2 in quads:
-        prod = m.minus_scalar(e1) * m.minus_scalar(e2)
-        checks.append(_check(label, prod, zero, "quadratic eigenvalue relation"))
-    return checks
+    return [
+        check(f"{name} [r sign {sign:+d}]", lhs, rhs, note)
+        for sign, rows in ((1, plus), (-1, minus))
+        for name, lhs, rhs, note, check in rows
+    ]
+
+
+def _relation_sides(sign: int) -> list[tuple]:
+    s1, s2, s3 = sym_generators(sign)
+    p123 = s1 * s2 * s3
+    note = "entrywise in the Laurent ring"
+    zero, quad = Mat2(0, 0, 0, 0), "quadratic eigenvalue relation"
+    return [
+        _row("s1*s2*s3 = s2*s3*s1", p123, s2 * s3 * s1, note),
+        _row("s1*s2*s3 = s3*s1*s2", p123, s3 * s1 * s2, note),
+        _row("(s1 - x1)(s1 - x2) = 0", s1.minus_scalar(X1) * s1.minus_scalar(X2), zero, quad),
+        _row("(s2 - y1)(s2 - y2) = 0", s2.minus_scalar(Y1) * s2.minus_scalar(Y2), zero, quad),
+        _row("(s3 - z1)(s3 - z2) = 0", s3.minus_scalar(Z1) * s3.minus_scalar(Z2), zero, quad),
+    ]
 
 
 def verify_braid_hecke_relations() -> IdentityReport:
     return _report(
         "braid-hecke-relations",
-        _relation_checks(1) + _relation_checks(-1),
+        _both_signs(_relation_sides),
         "the triple satisfies the cyclic braid relation and all three "
         "quadratic relations on both root branches",
     )
 
 
-def _conjugation_checks(sign: int) -> list[CheckResult]:
+def _conjugation_sides(sign: int) -> list[tuple]:
     rr = ExtElem.r(sign)
-    tag = f"[r sign {sign:+d}]"
     s1, s2, s3 = sym_generators(sign)
     t_mat = conjugator(s1, X1, X2)
     # adj(T)*s*T = det(T) * T^-1*s*T with det(T) = (x2-x1)^2, so each check
@@ -294,73 +317,65 @@ def _conjugation_checks(sign: int) -> list[CheckResult]:
     b_entry = X1 * X2 * Z1 * Z2 * nb / rr**3
 
     return [
-        _check(f"T^-1*s1*T = diag(x1, x2): (1,1) {tag}", b1.a, det_t * X1),
-        _check(f"T^-1*s1*T = diag(x1, x2): (1,2) {tag}", b1.b, 0),
-        _check(f"T^-1*s1*T = diag(x1, x2): (2,1) {tag}", b1.c, 0),
-        _check(f"T^-1*s1*T = diag(x1, x2): (2,2) {tag}", b1.d, det_t * X2),
-        _check(
-            f"conjugated s2 (1,1) = -x2*(-x1*y1*y2*z1 - x1*y1*y2*z2 + y1*r + y2*r)"
-            f"/((x1-x2)*r) {tag}",
-            b2.a,
-            m_entry,
-        ),
-        _check(f"conjugated s2 (2,1) = -x1*y1*y2 {tag}", b2.c, -(det_t * X1 * yprod)),
-        _check(
-            f"conjugated s2 (1,2) = w/(x1*y1^2*y2^2*z1*z2*(x1-x2)^2) {tag}",
+        _row("T^-1*s1*T = diag(x1, x2): (1,1)", b1.a, det_t * X1),
+        _row("T^-1*s1*T = diag(x1, x2): (1,2)", b1.b, 0),
+        _row("T^-1*s1*T = diag(x1, x2): (2,1)", b1.c, 0),
+        _row("T^-1*s1*T = diag(x1, x2): (2,2)", b1.d, det_t * X2),
+        _row("conjugated s2 (1,1) = -x2*(-x1*y1*y2*z1 - x1*y1*y2*z2 + y1*r + y2*r)"
+             "/((x1-x2)*r)", b2.a, m_entry),
+        _row("conjugated s2 (2,1) = -x1*y1*y2", b2.c, -(det_t * X1 * yprod)),
+        _row(
+            "conjugated s2 (1,2) = w/(x1*y1^2*y2^2*z1*z2*(x1-x2)^2)",
             b2.b,
             w / w_scale,
             "the upper-right entry is w divided by this nonzero normalization, "
             "not w itself; determinant preservation (det = y1*y2) forces the factor",
         ),
-        _differs(
-            f"conjugated s2 (1,2) differs from undivided w {tag}",
+        _row(
+            "conjugated s2 (1,2) differs from undivided w",
             b2.b,
             det_t * w,
             "machine-checked: equating the entry to w itself fails; only the "
             "normalized form above is an identity",
+            check=_differs,
         ),
-        _check(
-            f"conjugated s2 (2,2) = -x1*(x2*y1*y2*z1 + x2*y1*y2*z2 - y1*r - y2*r)"
-            f"/((x1-x2)*r) {tag}",
+        _row(
+            "conjugated s2 (2,2) = -x1*(x2*y1*y2*z1 + x2*y1*y2*z2 - y1*r - y2*r)"
+            "/((x1-x2)*r)",
             b2.d,
             p_corrected,
             "trace preservation (trace = y1+y2) forces the positive z-term signs",
         ),
-        _differs(
-            f"conjugated s2 (2,2) differs from the negated-z-terms variant {tag}",
+        _row(
+            "conjugated s2 (2,2) differs from the negated-z-terms variant",
             b2.d,
             p_variant,
             "machine-checked: the variant with -x2*y1*y2*z1 - x2*y1*y2*z2 inside "
             "the parentheses is not the entry (it would break the trace)",
+            check=_differs,
         ),
-        _check(
-            f"conjugated s3 (1,1) = ((y1+y2)*r - x2*y1*y2*(z1+z2))/((x1-x2)*y1*y2) {tag}",
-            b3.a,
-            a_entry,
-        ),
-        _check(
-            f"conjugated s3 (1,2) = x1*x2*z1*z2*(sum)/((x1-x2)^2*r^3) {tag}",
+        _row("conjugated s3 (1,1) = ((y1+y2)*r - x2*y1*y2*(z1+z2))/((x1-x2)*y1*y2)",
+             b3.a, a_entry),
+        _row(
+            "conjugated s3 (1,2) = x1*x2*z1*z2*(sum)/((x1-x2)^2*r^3)",
             b3.b,
             b_entry,
             "the long explicit upper-right entry, exact as printed",
         ),
-        _check(f"conjugated s3 (2,1) = r {tag}", b3.c, det_t * rr),
-        _check(
-            f"conjugated s3 (2,2) = (-r*(y1+y2) + x1*y1*y2*(z1+z2))/((x1-x2)*y1*y2) {tag}",
-            b3.d,
-            c_entry,
-        ),
-        _check(f"trace of conjugated s2 = y1+y2 {tag}", trace(b2), det_t * ysum),
-        _check(f"det of conjugated s2 = y1*y2 {tag}", det(b2), det_t * det_t * yprod),
-        _check(f"trace of conjugated s3 = z1+z2 {tag}", trace(b3), det_t * zsum),
-        _check(f"det of conjugated s3 = z1*z2 {tag}", det(b3), det_t * det_t * Z1 * Z2),
+        _row("conjugated s3 (2,1) = r", b3.c, det_t * rr),
+        _row("conjugated s3 (2,2) = (-r*(y1+y2) + x1*y1*y2*(z1+z2))/((x1-x2)*y1*y2)",
+             b3.d, c_entry),
+        _row("trace of conjugated s2 = y1+y2", trace(b2), det_t * ysum),
+        _row("det of conjugated s2 = y1*y2", det(b2), det_t * det_t * yprod),
+        _row("trace of conjugated s3 = z1+z2", trace(b3), det_t * zsum),
+        _row("det of conjugated s3 = z1*z2", det(b3), det_t * det_t * Z1 * Z2),
     ]
 
 
 def verify_conjugation_formulas() -> IdentityReport:
     return _report(
         "conjugation-formulas",
-        _conjugation_checks(1) + _conjugation_checks(-1),
+        _both_signs(_conjugation_sides),
         "all conjugated entries verified exactly; the upper-right and "
         "lower-right entries of the conjugated s2 hold in corrected "
         "normalizations forced by trace/determinant preservation, and the "

@@ -132,9 +132,12 @@ def theorem_verdict(
     that overflowed to inf or nan always leaves it so, and an infinite side
     would otherwise make its bound inf and its flag hold.  (Two finite sides
     whose difference overflows have a product, DELTA, that overflows too.)
+    Raises ValueError unless 0 < tol < inf: an infinite tol would make every
+    flag hold at every finite point.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < inf:
+        problem = "finite" if tol == inf else "positive"
+        raise ValueError(f"tolerance must be {problem}")
     x1, x2, y1, y2, z1, z2, _, _ = p
     reg = EQUAL_X if abs(x1 - x2) <= tol * max(1.0, abs(x1), abs(x2)) else DISTINCT_X
     x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2

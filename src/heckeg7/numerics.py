@@ -42,9 +42,11 @@ def principal_sqrt(z: complex) -> complex:
 
 def approx_eq(a: complex, b: complex, tol: float = VERDICT_TOL) -> bool:
     """|a - b| <= tol * max(1, |a|, |b|): relative away from the unit scale,
-    absolute inside it."""
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    absolute inside it.  tol must be positive and finite: an infinite tol
+    would make any two finite values equal."""
+    if not 0.0 < tol < math.inf:
+        problem = "finite" if tol == math.inf else "positive"
+        raise ValueError(f"tolerance must be {problem}")
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 

@@ -35,7 +35,7 @@ from heckeg7.identities import (
 )
 from heckeg7.matrix2 import Mat2
 from heckeg7.numerics import approx_eq
-from heckeg7.representation import conjugator
+from heckeg7.representation import GeneratorTriple, conjugator
 
 X1, X2, Y1, Y2, Z1, Z2 = (ExtElem.var(name) for name in VARS)
 
@@ -361,6 +361,97 @@ class TestPlantedFailures:
         ] == "(1): x2"
 
 
+class _UnequalTriple(GeneratorTriple):
+    """A triple that compares unequal to everything, itself included: as
+    sym_generators(-1) it fails the check that the -1 triple is the image of
+    the +1 triple, so the -1 sides are built directly."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+
+class TestSignTransport:
+    """braid-hecke-relations and conjugation-formulas build their sides at r
+    sign +1 and carry them to -1 through the automorphism r -> -r, exactly,
+    and only while the -1 triple is the image of the +1 triple."""
+
+    BUILDERS = {
+        "braid-hecke-relations": "_relation_sides",
+        "conjugation-formulas": "_conjugation_sides",
+    }
+
+    def test_minus_triple_is_the_image_of_the_plus_triple(self):
+        plus, minus = sym_generators(1), sym_generators(-1)
+        assert plus != minus
+        for m_plus, m_minus in zip(plus, minus):
+            for e_plus, e_minus in zip(m_plus, m_minus):
+                assert e_plus.conjugate() == e_minus
+        assert identities._sigma(plus) == minus
+
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_transported_checks_equal_the_direct_ones(self, name, monkeypatch):
+        builder = getattr(identities, self.BUILDERS[name])
+        signs = []
+
+        def recording(sign):
+            signs.append(sign)
+            return builder(sign)
+
+        monkeypatch.setattr(identities, self.BUILDERS[name], recording)
+        transported = REGISTRY[name]()
+        assert signs == [1]
+
+        original = identities.sym_generators
+
+        def unequal(r_sign=1):
+            triple = original(r_sign)
+            return _UnequalTriple(*triple) if r_sign == -1 else triple
+
+        monkeypatch.setattr(identities, "sym_generators", unequal)
+        direct = REGISTRY[name]()
+        assert signs == [1, 1, -1]
+        assert direct == transported
+        half = len(direct.checks) // 2
+        assert all(c.name.endswith("[r sign -1]") for c in direct.checks[half:])
+
+    @pytest.mark.parametrize("bad_sign", [1, -1])
+    def test_a_fault_in_one_triple_fails_only_that_signs_checks(self, bad_sign, monkeypatch):
+        original = identities.sym_generators
+
+        def planted_at(signs):
+            def planted(r_sign=1):
+                s1, s2, s3 = original(r_sign)
+                if r_sign in signs:
+                    s2 = Mat2(s2.a, s2.b + X1, s2.c, s2.d)
+                return GeneratorTriple(s1, s2, s3)
+
+            return planted
+
+        def failures() -> dict[str, str]:
+            return {
+                c.name: c.residual
+                for report in (verify_braid_hecke_relations(), verify_conjugation_formulas())
+                for c in report.checks
+                if not c.ok
+            }
+
+        monkeypatch.setattr(identities, "sym_generators", planted_at((1, -1)))
+        both = failures()
+        monkeypatch.setattr(identities, "sym_generators", planted_at((bad_sign,)))
+        one = failures()
+        tag = f"[r sign {bad_sign:+d}]"
+        # the fault at one sign fails that sign's checks as the fault at
+        # both signs does, with the same residuals, and no check of the
+        # other sign
+        assert one == {name: res for name, res in both.items() if name.endswith(tag)}
+        assert len(one) == len(both) / 2 > 0
+
+
 def _substituted_entries(case_id: str) -> list[ExtElem]:
     """What the reports substitute under each case: the generator entries
     (equal-x) or the conjugated upper-right numerator (distinct-x)."""
@@ -438,12 +529,13 @@ class TestRepeatedWork:
 
     def test_cold_run_all_stays_within_its_product_budget(self, monkeypatch):
         # ExtElem products of one run_all() with nothing cached, counted as
-        # perfbench/tracing.py counts them (on __mul__ alone): 646 with one
-        # class for the ring.  With separate Laurent-polynomial and
-        # extension classes the suite made 901 and 564 (a product of the
-        # extension formed up to four of the former); the fraction field
-        # made 1,721 and 718, plus 996 fraction products.  A new identity
-        # report may raise this bound on purpose.
+        # perfbench/tracing.py counts them (on __mul__ alone): 459 with the
+        # r sign -1 sides of two reports carried over from +1 by r -> -r,
+        # 646 before the sign transport, with one class for the ring.  With
+        # separate Laurent-polynomial and extension classes the suite made
+        # 901 and 564 (a product of the extension formed up to four of the
+        # former); the fraction field made 1,721 and 718, plus 996 fraction
+        # products.  A new identity report may raise this bound on purpose.
         for fn in ONCE_PER_PROCESS:
             fn.cache_clear()
         calls = [0]
@@ -455,7 +547,7 @@ class TestRepeatedWork:
 
         monkeypatch.setattr(ExtElem, "__mul__", counting)
         run_all()
-        assert calls[0] <= 660
+        assert calls[0] <= 468
 
 
 class TestBudget:

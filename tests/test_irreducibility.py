@@ -188,6 +188,14 @@ class TestTheoremVerdict:
         with pytest.raises(ValueError, match="^tolerance must be positive$"):
             theorem_verdict(Params(2, 3, 5, 7, 11, 13), tol=tol)
 
+    def test_infinite_tolerance_rejected(self):
+        # with tol = inf every flag would hold: an irreducible point reads
+        # reducible at both the criteria and the regime test
+        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+            theorem_verdict(Params(2, 3, 5, 7, 11, 13), tol=math.inf)
+        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+            regime(Params(2, 3, 5, 7, 11, 13), tol=math.inf)
+
     @pytest.mark.parametrize(
         "p",
         [
@@ -465,6 +473,12 @@ class TestDecide:
     def test_nonpositive_tolerance_rejected(self, tol):
         with pytest.raises(ValueError, match="^tolerance must be positive$"):
             decide(Params(2, 3, 5, 7, 11, 13), tol=tol)
+
+    def test_infinite_tolerance_rejected(self):
+        # both deciders used to call this irreducible point reducible, in
+        # agreement
+        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+            decide(Params(2, 3, 5, 7, 11, 13), tol=math.inf)
 
     def test_verdict_records_inputs(self):
         verdict = decide(Params(1, 1, 1, 1, 1, 1), r_sign=1, tol=1e-8)

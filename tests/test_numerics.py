@@ -104,6 +104,16 @@ class TestApproxEq:
         with pytest.raises(ValueError):
             approx_eq(1, 1, -1e-9)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -math.inf])
+    def test_rejects_nan_and_negative_infinite_tolerance_as_nonpositive(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+            approx_eq(1, 1, tol)
+
+    def test_rejects_infinite_tolerance(self):
+        # an infinite bound would make any two finite values equal
+        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+            approx_eq(1, 1000, math.inf)
+
     @given(nonzero_complex)
     @settings(max_examples=200, derandomize=True)
     def test_reflexive(self, z):
