@@ -121,15 +121,12 @@ def load_params(path: str) -> Params:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    return f"{z.real:.12g}{z.imag:+.12g}i"
+def _fmt_complex(z: dict) -> str:
+    return f"{z['re']:.12g}{z['im']:+.12g}i"
 
 
 def _fmt_vec(v) -> str:
-    if v is None:
-        return "none"
-    return f"({_fmt_complex(complex(v[0]['re'], v[0]['im']))}, {_fmt_complex(complex(v[1]['re'], v[1]['im']))})"
+    return "none" if v is None else f"({_fmt_complex(v[0])}, {_fmt_complex(v[1])})"
 
 
 def _emit(doc: dict, output: str, text_lines) -> None:
@@ -148,8 +145,7 @@ def _check_text(doc: dict) -> list[str]:
     for flag in v["conditions"]:
         lines.append(
             f"  {flag['condition']}: holds={flag['holds']} "
-            f"lhs={_fmt_complex(complex(flag['lhs']['re'], flag['lhs']['im']))} "
-            f"rhs={_fmt_complex(complex(flag['rhs']['re'], flag['rhs']['im']))}"
+            f"lhs={_fmt_complex(flag['lhs'])} rhs={_fmt_complex(flag['rhs'])}"
         )
     lines.append(f"oracle decision: {v['oracle-decision']}")
     lines.append(f"invariant vector: {_fmt_vec(v['invariant-vector'])}")
@@ -169,23 +165,6 @@ def _check_text(doc: dict) -> list[str]:
     hecke = " ".join(f"{k}={val:.3e}" for k, val in sorted(rel["hecke-residuals"].items()))
     lines.append(f"hecke residuals: {hecke}")
     return lines
-
-
-def _relations_doc(p: Params, r_sign: int, tolerance: float) -> dict:
-    g = build_general(p, r_sign)
-    braid, hecke = braid_residual(g), hecke_residuals(g, p)
-    worst = max([braid, *hecke.values()])
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "relation-residuals",
-        "params": params_as_dict(p),
-        "regime": regime(p, tolerance),
-        "r-sign": r_sign,
-        "tolerance": tolerance,
-        "braid-residual": braid,
-        "hecke-residuals": hecke,
-        "within-tolerance": worst <= tolerance,
-    }
 
 
 def _relations_text(doc: dict) -> list[str]:
@@ -238,6 +217,11 @@ def _sweep_text(doc: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _residuals(p: Params, g: GeneratorTriple) -> dict:
+    """The relation residual block that check and relations both report."""
+    return {"braid-residual": braid_residual(g), "hecke-residuals": hecke_residuals(g, p)}
+
+
 def cmd_check(args) -> int:
     p = load_params(args.param_file)
     triples: dict[int, GeneratorTriple] = {}
@@ -247,14 +231,12 @@ def cmd_check(args) -> int:
         tol=args.tolerance,
         triples=triples,
     )
-    g = triples[args.r_sign]
-    braid, hecke = braid_residual(g), hecke_residuals(g, p)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check-verdict",
         "params": params_as_dict(p),
         "verdict": verdict_as_dict(verdict),
-        "relations": {"braid-residual": braid, "hecke-residuals": hecke},
+        "relations": _residuals(p, triples[args.r_sign]),
     }
     _emit(doc, args.output, _check_text)
     return OK if verdict.agreement else MATH_FAILURE
@@ -303,7 +285,21 @@ def cmd_identities(args) -> int:
 
 def cmd_relations(args) -> int:
     p = load_params(args.param_file)
-    doc = _relations_doc(p, args.r_sign, args.tolerance)
+    residuals = _residuals(p, build_general(p, args.r_sign))
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "relation-residuals",
+        "params": params_as_dict(p),
+        "regime": regime(p, args.tolerance),
+        "r-sign": args.r_sign,
+        "tolerance": args.tolerance,
+        **residuals,
+        # every residual, so that a NaN one counts as outside the tolerance
+        "within-tolerance": all(
+            value <= args.tolerance
+            for value in (residuals["braid-residual"], *residuals["hecke-residuals"].values())
+        ),
+    }
     _emit(doc, args.output, _relations_text)
     return OK if doc["within-tolerance"] else MATH_FAILURE
 
@@ -311,15 +307,16 @@ def cmd_relations(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _option(flag, dest, convert, default, help, choices=None, metavar=None):
-    """One row of an option table.
+def _option(flag, convert, default, help, choices=None, metavar=None):
+    """One row of an option table; its dest is the flag without its dashes,
+    with "_" for "-" (--r-sign -> r_sign).
 
     choices are checked after convert, so they hold converted values;
     metavar None shows the choices in braces, or else the dest in capitals.
     """
     return SimpleNamespace(
-        flag=flag, dest=dest, convert=convert, default=default, help=help,
-        choices=choices, metavar=metavar,
+        flag=flag, dest=flag[2:].replace("-", "_"), convert=convert, default=default,
+        help=help, choices=choices, metavar=metavar,
     )
 
 
@@ -334,7 +331,7 @@ def _is_negative_number(token: str) -> bool:
     )
 
 
-_HELP = _option("--help", "help", None, None, "show this help message and exit")
+_HELP = _option("--help", None, None, "show this help message and exit")
 _TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
 
 
@@ -524,52 +521,44 @@ class _Parser:
 def build_parser() -> _Parser:
     """Return a new parser for the heckeg7 command line."""
     output = _option(
-        "--output", "output", str, "json", "output format (default json)",
-        choices=("json", "text"),
+        "--output", str, "json", "output format (default json)", choices=("json", "text")
     )
     common = (
         _option(
-            "--tolerance", "tolerance", float, VERDICT_TOL,
+            "--tolerance", float, VERDICT_TOL,
             f"relative comparison tolerance (default {VERDICT_TOL:g})",
         ),
         _option(
-            "--r-sign", "r_sign", int, 1,
+            "--r-sign", int, 1,
             "sign of the square root r used in the matrices (default +1)",
             choices=(1, -1), metavar="{+1,-1}",
         ),
         output,
     )
     sweep = (
-        _option("--samples", "samples", int, 10000, "sample count"),
-        _option("--seed", "seed", int, 42, "random seed"),
+        _option("--samples", int, 10000, "sample count"),
+        _option("--seed", int, 42, "random seed"),
         _option(
-            "--domain", "domain", str, "positive-real",
+            "--domain", str, "positive-real",
             "sampling domain (default positive-real)", choices=DOMAINS,
         ),
         _option(
-            "--inject-reducible-rate", "inject_reducible_rate", float, 0.1,
+            "--inject-reducible-rate", float, 0.1,
             "fraction of samples replaced by constructed reducible tuples (default 0.1)",
         ),
+        _option("--log10-modulus-min", float, -1.0, "lower log10 modulus bound (default -1)"),
+        _option("--log10-modulus-max", float, 1.0, "upper log10 modulus bound (default 1)"),
         _option(
-            "--log10-modulus-min", "log10_modulus_min", float, -1.0,
-            "lower log10 modulus bound (default -1)",
-        ),
-        _option(
-            "--log10-modulus-max", "log10_modulus_max", float, 1.0,
-            "upper log10 modulus bound (default 1)",
-        ),
-        _option(
-            "--regime-filter", "regime_filter", str, None,
-            "restrict samples and injections to one regime",
+            "--regime-filter", str, None, "restrict samples and injections to one regime",
             choices=("equal", "distinct"),
         ),
         _option(
-            "--fixtures-out", "fixtures_out", str, None,
+            "--fixtures-out", str, None,
             "also write all disagreement records to FILE as JSON", metavar="FILE",
         ),
     )
     only = _option(
-        "--only", "only", str, None,
+        "--only", str, None,
         f"run a single identity; one of: {', '.join(REGISTRY)}", metavar="NAME",
     )
     # positionals: (dest, help) pairs, filled in order

@@ -162,20 +162,18 @@ def hecke_residuals(g: GeneratorTriple, p: Params) -> dict[str, float]:
     third eigenvalue y3 or z3 is supplied the cubic rows s2_cubic/s3_cubic are
     included (the cubic factors through the quadratic, so these also vanish).
     """
-    out = {
-        "s1": _scaled_product_residual([g.s1.minus_scalar(p.x1), g.s1.minus_scalar(p.x2)]),
-        "s2": _scaled_product_residual([g.s2.minus_scalar(p.y1), g.s2.minus_scalar(p.y2)]),
-        "s3": _scaled_product_residual([g.s3.minus_scalar(p.z1), g.s3.minus_scalar(p.z2)]),
+    rows = (
+        ("s1", g.s1, (p.x1, p.x2)),
+        ("s2", g.s2, (p.y1, p.y2)),
+        ("s3", g.s3, (p.z1, p.z2)),
+        ("s2_cubic", g.s2, (p.y1, p.y2, p.y3)),
+        ("s3_cubic", g.s3, (p.z1, p.z2, p.z3)),
+    )
+    return {
+        name: _scaled_product_residual([m.minus_scalar(e) for e in eigenvalues])
+        for name, m, eigenvalues in rows
+        if eigenvalues[-1] is not None
     }
-    if p.y3 is not None:
-        out["s2_cubic"] = _scaled_product_residual(
-            [g.s2.minus_scalar(p.y1), g.s2.minus_scalar(p.y2), g.s2.minus_scalar(p.y3)]
-        )
-    if p.z3 is not None:
-        out["s3_cubic"] = _scaled_product_residual(
-            [g.s3.minus_scalar(p.z1), g.s3.minus_scalar(p.z2), g.s3.minus_scalar(p.z3)]
-        )
-    return out
 
 
 def conjugator(s1: Mat2, x1, x2) -> Mat2:

@@ -7,12 +7,15 @@ the sweep also injects constructed reducible tuples at a configured rate:
 five parameters are drawn and the remaining one is solved from a rotating
 reducibility case so the condition holds exactly in floating point.  For
 every injected tuple the produced invariant vector is re-checked against
-all three generators at the branch that produced it.  For the first equal-x
-case the predicted direction (-1/(x2*y2), 1) is additionally verified to be
-invariant, and the witness must land on it or on the complementary
-invariant direction (-1/(x2*y1), 1) -- in that case the representation
-splits completely, so the invariant line is not unique and the oracle may
-return either one.
+all three generators at the branch that produced it.  That vector comes
+from run_sweep's one split of the verdict: the oracle's at the configured
+r sign when the deciders agree, the flipped branch's at the opposite sign
+when the flip resolves a disagreement, and none (a witness failure)
+otherwise.  For the first equal-x case the predicted direction
+(-1/(x2*y2), 1) is additionally verified to be invariant, and the witness
+must land on it or on the complementary invariant direction
+(-1/(x2*y1), 1) -- in that case the representation splits completely, so
+the invariant line is not unique and the oracle may return either one.
 
 A disagreement counts as resolved only when the criteria and the flipped
 branch's oracle both say reducible.  The regime filter only chooses what is
@@ -34,7 +37,6 @@ from .irreducibility import (
     EQUAL_X,
     EQUAL_X_CASES,
     REDUCIBLE,
-    Verdict,
     decide,
     equal_x_lines,
     solve_case,
@@ -222,18 +224,6 @@ def _injection_case(cfg: SweepConfig, injection_index: int) -> str:
     return _DISTINCT_CASE_IDS[within % len(_DISTINCT_CASE_IDS)]
 
 
-def _producing_witness(v: Verdict) -> tuple[Vec2, int] | None:
-    """The invariant vector the run produced, with the branch it came from."""
-    if v.agreement:
-        if v.invariant_vector is None:
-            return None
-        return v.invariant_vector, v.r_sign
-    d = v.branch_diagnosis
-    if d is not None and d.resolved:
-        return d.flipped_invariant_vector, -v.r_sign
-    return None
-
-
 def _invariant(g: GeneratorTriple, v: Vec2, tol: float) -> bool:
     return all(parallel(m.apply(v), v, tol) for m in g)
 
@@ -266,18 +256,6 @@ def _predicted_direction_ok(
     return _direction_eq(witness, predicted, tol) or _direction_eq(
         witness, complementary, tol
     )
-
-
-def _disagreement_record(
-    index: int, p: Params, case_id: str | None, v: Verdict, classification: str
-) -> dict:
-    return {
-        "index": index,
-        "params": params_as_dict(p),
-        "injected-case": case_id,
-        "classification": classification,
-        "verdict": verdict_as_dict(v),
-    }
 
 
 def run_sweep(cfg: SweepConfig) -> SweepResult:
@@ -313,26 +291,37 @@ def run_sweep(cfg: SweepConfig) -> SweepResult:
         floor_below = floor_above
         triples: dict[int, GeneratorTriple] = {}
         v = decide(p, r_sign=cfg.r_sign, tol=tol, triples=triples)
+        # the one split of a verdict: its classification, and the invariant
+        # vector it produced with the branch (r sign) that produced it
+        d = v.branch_diagnosis
         if v.agreement:
             classification = (
                 AGREE_REDUCIBLE if v.oracle_decision == REDUCIBLE else AGREE_IRREDUCIBLE
             )
-        elif v.branch_diagnosis is not None and v.branch_diagnosis.resolved:
+            witness, sign = v.invariant_vector, v.r_sign
+        elif d is not None and d.resolved:
             classification = DISAGREE_RESOLVED
+            witness, sign = d.flipped_invariant_vector, -v.r_sign
         else:
             classification = DISAGREE_UNRESOLVED
+            witness = sign = None
         counts[classification] += 1
         if case_id is not None:
             # the witness is re-checked on the triple that produced it
-            found = _producing_witness(v)
-            if found is None or not _invariant(triples[found[1]], found[0], tol):
+            if witness is None or not _invariant(triples[sign], witness, tol):
                 witness_failures.append(i)
             elif case_id == "equal-x-1" and not _predicted_direction_ok(
-                p, triples[found[1]], found[0], tol
+                p, triples[sign], witness, tol
             ):
                 predicted_mismatches.append(i)
         if not v.agreement:
-            disagreements.append(_disagreement_record(i, p, case_id, v, classification))
+            disagreements.append({
+                "index": i,
+                "params": params_as_dict(p),
+                "injected-case": case_id,
+                "classification": classification,
+                "verdict": verdict_as_dict(v),
+            })
 
     return SweepResult(
         config=cfg,

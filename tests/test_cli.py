@@ -50,6 +50,14 @@ Y_EQUALS_Z_DISTINCT_X = {
     "z2": {"re": 2, "im": 0},
 }
 
+# All real and finite, but (s2 - y1)(s2 - y2) overflows to a NaN residual.
+NAN_RESIDUAL_POINT = {
+    name: {"re": value, "im": 0}
+    for name, value in dict(
+        x1=1e135, x2=1e-18, y1=1e46, y2=1e99, z1=1e12, z2=1e10
+    ).items()
+}
+
 GOLDEN_IDENTITIES = Path(__file__).parent / "fixtures" / "identities.json"
 
 
@@ -90,8 +98,28 @@ class TestCheck:
         path = write_params(tmp_path, ALL_ONES)
         code, out, _ = run_cli(capsys, "check", path, "--output", "text")
         assert code == OK
-        assert "agreement: yes" in out
-        assert "criteria decision: reducible" in out
+        lines = out.splitlines()
+        assert "criteria decision: reducible" in lines
+        assert "agreement: yes" in lines
+        assert "branch diagnosis: not needed" in lines
+        assert "hecke residuals: s1=0.000e+00 s2=0.000e+00 s3=0.000e+00" in lines
+
+    def test_text_of_a_resolved_disagreement_with_cubic_rows(self, tmp_path, capsys):
+        # perfbench/workloads.py:_check_fields reads the four lines pinned
+        # here and in test_text_output
+        doc = dict(WRONG_BRANCH, y3={"re": 2, "im": 0}, z3={"re": 3, "im": 0})
+        code, out, err = run_cli(capsys, "check", write_params(tmp_path, doc), "--output", "text")
+        assert (code, err) == (MATH_FAILURE, "")
+        lines = out.splitlines()
+        assert "criteria decision: reducible" in lines
+        assert "agreement: no" in lines
+        assert (
+            "branch diagnosis: disagreement disappears on the flipped branch "
+            "(flipped r sign -1 -> reducible, witness (1+0i, 0.951056516295-0.309016994375i))"
+        ) in lines
+        hecke = next(line for line in lines if line.startswith("hecke residuals: "))
+        rows = [item.split("=")[0] for item in hecke.split(": ")[1].split()]
+        assert rows == ["s1", "s2", "s2_cubic", "s3", "s3_cubic"]
 
     def test_irreducible_point(self, tmp_path, capsys):
         path = write_params(tmp_path, IRREDUCIBLE_POINT)
@@ -205,6 +233,38 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "check", path)
         assert code == INPUT_ERROR
         assert "q7" in err
+
+    @pytest.mark.parametrize("command", ["check", "relations"])
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            pytest.param(
+                dict(ALL_ONES, x1=3),
+                "x1: expected an object with re/im or modulus/argument keys",
+                id="value-not-an-object",
+            ),
+            pytest.param(
+                dict(ALL_ONES, x1={"re": "1", "im": 0}),
+                "x1.re: expected a number, got str", id="part-is-a-string",
+            ),
+            pytest.param(
+                dict(ALL_ONES, x1={"re": True, "im": 0}),
+                "x1.re: expected a number, got bool", id="part-is-a-bool",
+            ),
+            pytest.param(
+                dict(ALL_ONES, x1={"modulus": -1, "argument": 0}),
+                "x1.modulus: must be >= 0", id="negative-modulus",
+            ),
+        ],
+    )
+    def test_refused_value_is_one_error_line(self, tmp_path, capsys, command, doc, message):
+        code, out, err = run_cli(capsys, command, write_params(tmp_path, doc))
+        assert_one_error_line(code, out, err, message)
+
+    def test_top_level_list_is_one_error_line(self, tmp_path, capsys):
+        path = write_params(tmp_path, [ALL_ONES])
+        code, out, err = run_cli(capsys, "check", path)
+        assert_one_error_line(code, out, err, f"{path}: top level must be a JSON object")
 
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -459,6 +519,25 @@ class TestIdentities:
         assert code == OK
         assert "failed reports: 0" in out
 
+    def test_text_output_names_each_failed_check_and_its_residual(
+        self, capsys, monkeypatch
+    ):
+        from heckeg7 import identities
+
+        original = identities.conjugated_upper_right_numerator
+        monkeypatch.setattr(
+            identities, "conjugated_upper_right_numerator", lambda: original() + identities.X1
+        )
+        code, out, err = run_cli(capsys, "identities", "--output", "text")
+        assert (code, err) == (MATH_FAILURE, "")
+        lines = out.splitlines()
+        assert "conjugated-upper-right-vanishing: failed" in lines
+        failed = lines.index(
+            "  FAILED: distinct-x-1: numerator vanishes at induced root sign +1"
+        )
+        assert lines[failed + 1] == "    residual: (x2*y1*z1) / (y2*z2)"
+        assert lines[-1] == "failed reports: 2"
+
     def test_stdout_matches_the_golden_document(self, capsys):
         # tests/fixtures/identities.json is a recorded `heckeg7 identities`
         # stdout; regenerate it when a report or a check is added
@@ -497,6 +576,31 @@ class TestRelations:
         residuals = json.loads(out)["hecke-residuals"]
         assert "s2_cubic" in residuals and "s3_cubic" in residuals
 
+    def test_text_output(self, tmp_path, capsys):
+        path = write_params(tmp_path, dict(ALL_ONES, y3={"re": 2, "im": 0}))
+        code, out, err = run_cli(capsys, "relations", path, "--output", "text")
+        assert (code, err) == (OK, "")
+        assert out == (
+            "regime: equal_x (r sign +1)\n"
+            "braid residual: 0.000e+00\n"
+            "s1 relation residual: 0.000e+00\n"
+            "s2 relation residual: 0.000e+00\n"
+            "s2_cubic relation residual: 0.000e+00\n"
+            "s3 relation residual: 0.000e+00\n"
+            "within tolerance 1e-09: yes\n"
+        )
+
+    def test_nan_residual_is_outside_the_tolerance(self, tmp_path, capsys):
+        # a NaN residual is not <= any tolerance; the text form still prints it
+        path = write_params(tmp_path, NAN_RESIDUAL_POINT)
+        code, out, err = run_cli(capsys, "relations", path, "--output", "text")
+        assert (code, err) == (MATH_FAILURE, "")
+        assert "s2 relation residual: nan" in out.splitlines()
+        assert out.endswith("within tolerance 1e-09: no\n")
+        code, out, err = run_cli(capsys, "relations", path)
+        assert_one_error_line(code, out, err)
+        assert "nan" in err
+
     def test_unreachable_tolerance_exits_two(self, tmp_path, capsys):
         path = write_params(tmp_path, WRONG_BRANCH)
         code, out, _ = run_cli(
@@ -513,6 +617,22 @@ class TestSweep:
         doc = json.loads(out)
         assert doc["kind"] == "sweep-summary"
         assert sum(doc["counts"].values()) == 50
+
+    def test_text_output(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--samples", "50", "--output", "text")
+        assert (code, err) == (OK, "")
+        assert out == (
+            "samples: 50 (domain positive-real, seed 42)\n"
+            "agree-irreducible: 45\n"
+            "agree-reducible: 5\n"
+            "disagree-resolved-by-branch: 0\n"
+            "disagree-unresolved: 0\n"
+            "injected reducible tuples: 5 "
+            "(distinct-x-1=1 distinct-x-2=1 equal-x-1=2 equal-x-2=1)\n"
+            "witness failures: 0\n"
+            "predicted-direction mismatches: 0\n"
+            "archived disagreements: 0\n"
+        )
 
     def test_byte_identical_reruns(self, capsys):
         args = ("sweep", "--samples", "120", "--seed", "99")

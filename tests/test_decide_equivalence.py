@@ -175,7 +175,15 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
     failures, mismatches = [], []
     for i, case_id in injected.items():
         p, v = decided[i]
-        found = sweep._producing_witness(v)
+        # the witness is the invariant vector of the branch whose oracle
+        # agrees with the criteria: the decided one, else the flipped one
+        d = v.branch_diagnosis
+        if v.agreement and v.invariant_vector is not None:
+            found = v.invariant_vector, v.r_sign
+        elif not v.agreement and d is not None and d.resolved:
+            found = d.flipped_invariant_vector, -v.r_sign
+        else:
+            found = None
         if found is None or not invariant_on_fresh_triple(p, *found, cfg.tolerance):
             failures.append(i)
             continue

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from heckeg7 import sweep
-from heckeg7.irreducibility import ALL_CASES, DISTINCT_X, EQUAL_X, solve_case
+from heckeg7.cli import main
+from heckeg7.irreducibility import ALL_CASES, DISTINCT_X, EQUAL_X, decide, solve_case
 from heckeg7.numerics import from_polar
 from heckeg7.representation import InvalidParams, Params
 from heckeg7.sweep import (
@@ -114,6 +115,40 @@ class TestInjectionAccounting:
         assert result.counts[AGREE_REDUCIBLE] == result.injected_total
         assert result.witness_failures == ()
         assert result.predicted_mismatches == ()
+
+
+class TestWitnessChecks:
+    """The two ways an injected sample can fail its re-checks, forced on a
+    100-sample sweep whose injected samples are 9, 19, ..., 99; the first,
+    fifth and ninth of them (9, 49, 89) are equal-x-1."""
+
+    def test_a_missing_witness_is_a_witness_failure_only(self, monkeypatch):
+        clean = run_sweep(small_config(samples=100))
+        decided = []
+
+        def dropping_decide(p, *args, **kwargs):
+            v = decide(p, *args, **kwargs)
+            decided.append(v)
+            if len(decided) == 10:  # sample 9, agreeing at reducible
+                return v._replace(invariant_vector=None)
+            return v
+
+        monkeypatch.setattr(sweep, "decide", dropping_decide)
+        result = run_sweep(small_config(samples=100))
+        assert decided[9].agreement and decided[9].invariant_vector is not None
+        assert result.witness_failures == (9,)
+        # an equal-x-1 sample, but without a witness no prediction is checked
+        assert result.predicted_mismatches == ()
+        assert result.counts == clean.counts
+
+    def test_a_non_invariant_predicted_line_is_a_mismatch_only(self, monkeypatch, capsys):
+        # (1, 1) is no eigenvector of s1 = [[x1, b], [0, x2]] unless x1 + b = x2
+        monkeypatch.setattr(sweep, "equal_x_lines", lambda x, y1, y2: ((1.0, 1.0),) * 2)
+        code = main(["sweep", "--samples", "100", "--seed", "7"])
+        injected = json.loads(capsys.readouterr().out)["injected"]
+        assert injected["predicted-direction-mismatches"] == [9, 49, 89]
+        assert injected["witness-failures"] == []
+        assert code == 0
 
 
 # Reference draws: the stdlib's uniform and from_polar, one value at a time.
