@@ -23,8 +23,10 @@ import math
 VERDICT_TOL = 1e-9
 
 
-def from_polar(modulus: float, argument: float) -> complex:
-    return complex(modulus * math.cos(argument), modulus * math.sin(argument))
+# from_polar(m, a), one C call: at finite m, complex(m * cos(a), m * sin(a))
+# bit for bit.  A non-finite m gives another non-finite value (inf+0j, not
+# inf+nanj, at a = 0), which Params refuses with the same message.
+from_polar = cmath.rect
 
 
 def principal_sqrt(z: complex) -> complex:

@@ -42,7 +42,7 @@ from .irreducibility import (
     solve_case,
 )
 from .matrix2 import Vec2, normalize_direction, parallel
-from .numerics import VERDICT_TOL, approx_eq
+from .numerics import VERDICT_TOL, approx_eq, from_polar
 from .render import params_as_dict, verdict_as_dict
 from .representation import GeneratorTriple, InvalidParams, Params
 # Not called here: perfbench/tracing.py wraps these names on this module.
@@ -148,27 +148,23 @@ class SweepResult(namedtuple("SweepResult", (
 # sampling
 
 def _draw_values(rng: random.Random, cfg: SweepConfig) -> list[complex]:
-    """Six values, each bit-for-bit from_polar(modulus, argument) with the
-    modulus 10 ** rng.uniform(lo, hi) (1.0 on the unit circle) drawn before
-    the argument pi - rng.random() * 2.0 * pi (0.0 on the positive reals).
-    uniform is written out as its own formula; from_polar's products by
-    1.0 and 0.0 are exact, so they are left out."""
+    """Six values from_polar(modulus, argument), each modulus
+    10 ** rng.uniform(lo, hi) (1.0 on the unit circle) drawn before its
+    argument pi - rng.random() * 2.0 * pi (0.0 on the positive reals).
+    uniform is written out as its own formula."""
     random_ = rng.random
     lo = cfg.log10_modulus_min
     span = cfg.log10_modulus_max - lo
-    pi, cos, sin = math.pi, math.cos, math.sin
-    if cfg.domain == POSITIVE_REAL:
-        values = [complex(10.0 ** (lo + span * random_()), 0.0) for _ in range(6)]
-    elif cfg.domain == UNIT_MODULUS:
-        arguments = [pi - random_() * 2.0 * pi for _ in range(6)]
-        values = [complex(cos(a), sin(a)) for a in arguments]
-    else:
-        values = []
-        for _ in range(6):
-            modulus = 10.0 ** (lo + span * random_())
-            argument = pi - random_() * 2.0 * pi
-            values.append(complex(modulus * cos(argument), modulus * sin(argument)))
-    return values
+    unit = cfg.domain == UNIT_MODULUS
+    real = cfg.domain == POSITIVE_REAL
+    pi = math.pi
+    return [
+        from_polar(
+            1.0 if unit else 10.0 ** (lo + span * random_()),
+            0.0 if real else pi - random_() * 2.0 * pi,
+        )
+        for _ in range(6)
+    ]
 
 
 def _separated(a: complex, b: complex) -> bool:

@@ -255,11 +255,31 @@ class TestInputErrors:
                 dict(ALL_ONES, x1={"modulus": -1, "argument": 0}),
                 "x1.modulus: must be >= 0", id="negative-modulus",
             ),
+            # A non-finite polar modulus takes cmath.rect's special-value
+            # branch, (inf, 0) -> inf+0j, where the written-out formula
+            # gives inf+nanj; Params refuses both alike.
+            pytest.param(
+                dict(ALL_ONES, x1={"modulus": math.inf, "argument": 0}),
+                "{path}: x1 is not finite", id="infinite-modulus-argument-0",
+            ),
+            pytest.param(
+                dict(ALL_ONES, x1={"modulus": math.inf, "argument": 1}),
+                "{path}: x1 is not finite", id="infinite-modulus-argument-1",
+            ),
+            pytest.param(
+                dict(ALL_ONES, x1={"modulus": math.nan, "argument": 1}),
+                "{path}: x1 is not finite", id="nan-modulus",
+            ),
+            pytest.param(
+                dict(ALL_ONES, x1={"re": math.inf, "im": 0}),
+                "{path}: x1 is not finite", id="infinite-re",
+            ),
         ],
     )
     def test_refused_value_is_one_error_line(self, tmp_path, capsys, command, doc, message):
-        code, out, err = run_cli(capsys, command, write_params(tmp_path, doc))
-        assert_one_error_line(code, out, err, message)
+        path = write_params(tmp_path, doc)
+        code, out, err = run_cli(capsys, command, path)
+        assert_one_error_line(code, out, err, message.format(path=path))
 
     def test_top_level_list_is_one_error_line(self, tmp_path, capsys):
         path = write_params(tmp_path, [ALL_ONES])

@@ -1,7 +1,9 @@
 """Branch conventions and tolerance semantics of the complex helpers."""
 
 import cmath
+import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -78,7 +80,41 @@ class TestPrincipalSqrt:
             assert ours == theirs
 
 
+def polar_formula(modulus: float, argument: float) -> complex:
+    return complex(modulus * math.cos(argument), modulus * math.sin(argument))
+
+
+def part_bits(z: complex) -> tuple:
+    """Both parts in hex, so that 0.0 and -0.0 differ."""
+    return z.real.hex(), z.imag.hex()
+
+
+MODULI = (0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, 1e308, sys.float_info.max)
+ARGUMENTS = (0.0, -0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2, 1.0, -2.5, 5e-324)
+
+
 class TestPolar:
+    # from_polar is cmath.rect: at finite moduli it must give the written-out
+    # formula's parts bit for bit, signed zeros included.
+    def test_named_points_match_the_formula_bit_for_bit(self):
+        mismatches = [
+            (modulus, argument)
+            for modulus, argument in itertools.product(MODULI, ARGUMENTS)
+            if part_bits(from_polar(modulus, argument))
+            != part_bits(polar_formula(modulus, argument))
+        ]
+        assert mismatches == []
+
+    @given(
+        st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    @settings(max_examples=2000, derandomize=True)
+    def test_finite_moduli_match_the_formula_bit_for_bit(self, modulus, argument):
+        assert part_bits(from_polar(modulus, argument)) == part_bits(
+            polar_formula(modulus, argument)
+        )
+
     @given(nonzero_complex)
     @settings(max_examples=300, derandomize=True)
     def test_round_trip(self, z):

@@ -1,5 +1,8 @@
 """Randomized agreement sweep: determinism, injection accounting, domains."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import random
@@ -9,7 +12,6 @@ import pytest
 from heckeg7 import sweep
 from heckeg7.cli import main
 from heckeg7.irreducibility import ALL_CASES, DISTINCT_X, EQUAL_X, decide, solve_case
-from heckeg7.numerics import from_polar
 from heckeg7.representation import InvalidParams, Params
 from heckeg7.sweep import (
     AGREE_IRREDUCIBLE,
@@ -151,7 +153,8 @@ class TestWitnessChecks:
         assert code == 0
 
 
-# Reference draws: the stdlib's uniform and from_polar, one value at a time.
+# Reference draws: the stdlib's uniform and the written-out polar formula,
+# one value at a time (not from_polar, which the draw itself calls).
 def reference_value(rng: random.Random, cfg: SweepConfig) -> complex:
     if cfg.domain == UNIT_MODULUS:
         modulus = 1.0
@@ -161,7 +164,7 @@ def reference_value(rng: random.Random, cfg: SweepConfig) -> complex:
         argument = 0.0
     else:
         argument = math.pi - rng.random() * 2.0 * math.pi
-    return from_polar(modulus, argument)
+    return complex(modulus * math.cos(argument), modulus * math.sin(argument))
 
 
 def reference_base(rng: random.Random, cfg: SweepConfig) -> Params:
@@ -344,3 +347,57 @@ class TestResultDocument:
         diagnosis = record["verdict"]["branch-diagnosis"]
         assert diagnosis["resolved"] is True
         assert diagnosis["flipped-r-sign"] == -1
+
+
+# sha256 of stdout and the exit code of
+#   heckeg7 sweep --domain D --log10-modulus-min -B --log10-modulus-max B
+# at the defaults (10,000 samples, seed 42), recorded on Linux/glibc, which
+# CI runs: the draw and the criteria call libm, whose last bits may differ
+# on another platform.  A change that keeps every float operation and its
+# order keeps these.
+GOLDEN_SWEEPS = {
+    (POSITIVE_REAL, 1): ("7771de83b4039253a2e4ef8a5a22da013c0b61639667b57e67923f3ae8acdfaa", 0),
+    (UNIT_MODULUS, 1): ("a4e048bf5a97fb19d6943f480dab13d1ab0e761696355c1d521a9215ec5b7955", 0),
+    (GENERAL_COMPLEX, 1): ("274bb0864d500482177cc08d25807ee9e8bc5fd9dee9386d7a26e877c7464974", 0),
+    (POSITIVE_REAL, 3): ("ad8534d4fe0133cbcf0559fc02fd2da4be80ff99c9f004cf91e935545e92392c", 2),
+    (UNIT_MODULUS, 3): ("86604c9110e88146cf4a3d81e8b4152260f669896bd00b18f59acfa1f62422a1", 0),
+    (GENERAL_COMPLEX, 3): ("8d9f5005363f9c4b2e14500845a40c6b4537db2ae27160628c148bfa8a8743f6", 2),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_sweep_runs():
+    runs = {}
+    for domain, band in GOLDEN_SWEEPS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([
+                "sweep", "--domain", domain,
+                "--log10-modulus-min", str(-band), "--log10-modulus-max", str(band),
+            ])
+        runs[domain, band] = out.getvalue(), code
+    return runs
+
+
+class TestGoldenSweeps:
+    @pytest.mark.parametrize("key", list(GOLDEN_SWEEPS), ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_stdout_bytes_and_exit_code(self, golden_sweep_runs, key):
+        out, code = golden_sweep_runs[key]
+        assert (hashlib.sha256(out.encode()).hexdigest(), code) == GOLDEN_SWEEPS[key]
+
+    @pytest.mark.parametrize(
+        "domain, unresolved, witness_failures",
+        [(POSITIVE_REAL, [9556], []), (GENERAL_COMPLEX, [8859], [8859])],
+    )
+    def test_wide_band_facts_that_readme_states(
+        self, golden_sweep_runs, domain, unresolved, witness_failures
+    ):
+        out, code = golden_sweep_runs[domain, 3]
+        doc = json.loads(out)
+        assert code == 2
+        assert [
+            record["index"] for record in doc["disagreements"]
+            if record["classification"] == DISAGREE_UNRESOLVED
+        ] == unresolved
+        assert doc["counts"][DISAGREE_UNRESOLVED] == 1
+        assert doc["injected"]["witness-failures"] == witness_failures
