@@ -111,9 +111,8 @@ def load_params(path: str) -> Params:
     ]
     if missing:
         raise InvalidParams(f"{path}: missing required field(s) {', '.join(missing)}")
-    values = {name: parse_complex_value(name, doc[name]) for name in doc}
     try:
-        return Params(**values)
+        return Params(**{name: parse_complex_value(name, doc[name]) for name in doc})
     except InvalidParams as exc:
         raise InvalidParams(f"{path}: {exc}") from exc
 

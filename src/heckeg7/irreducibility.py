@@ -124,9 +124,8 @@ def theorem_verdict(
 
     One flag per distinct-x condition, in case order, at every point; each
     side is a product formed left to right as written in its name, e.g.
-    (x1*y2)*z2, and the sides are equal when
-    |lhs - rhs| <= tol*max(1, |lhs|, |rhs|).  The regime is regime(p, tol),
-    written out like each comparison since this runs once per point.
+    (x1*y2)*z2, and the sides are equal when |lhs - rhs| is small at scales
+    |lhs|, |rhs| (numerics' tolerance rule).  The regime is regime(p, tol), inlined.
 
     Raises OverflowError when a difference |lhs - rhs| is not finite.  A side
     that overflowed to inf or nan always leaves it so, and an infinite side
@@ -139,7 +138,8 @@ def theorem_verdict(
         problem = "finite" if tol == inf else "positive"
         raise ValueError(f"tolerance must be {problem}")
     x1, x2, y1, y2, z1, z2, _, _ = p
-    reg = EQUAL_X if abs(x1 - x2) <= tol * max(1.0, abs(x1), abs(x2)) else DISTINCT_X
+    dx, mod_x1, mod_x2 = abs(x1 - x2), abs(x1), abs(x2)
+    reg = EQUAL_X if dx <= tol or dx <= tol * mod_x1 or dx <= tol * mod_x2 else DISTINCT_X
     x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2
     l1, r1 = x1y2 * z2, x2y1 * z1
     l2, r2 = x1y1 * z2, x2y2 * z1
@@ -148,10 +148,12 @@ def theorem_verdict(
     d1, d2, d3, d4 = abs(l1 - r1), abs(l2 - r2), abs(l3 - r3), abs(l4 - r4)
     if not (d1 < inf and d2 < inf and d3 < inf and d4 < inf):  # inf or nan
         raise OverflowError("a side of the criteria is not finite")
-    e1 = d1 <= tol * max(1.0, abs(l1), abs(r1))
-    e2 = d2 <= tol * max(1.0, abs(l2), abs(r2))
-    e3 = d3 <= tol * max(1.0, abs(l3), abs(r3))
-    e4 = d4 <= tol * max(1.0, abs(l4), abs(r4))
+    ml1, mr1, ml2, mr2 = abs(l1), abs(r1), abs(l2), abs(r2)
+    ml3, mr3, ml4, mr4 = abs(l3), abs(r3), abs(l4), abs(r4)
+    e1 = d1 <= tol or d1 <= tol * ml1 or d1 <= tol * mr1
+    e2 = d2 <= tol or d2 <= tol * ml2 or d2 <= tol * mr2
+    e3 = d3 <= tol or d3 <= tol * ml3 or d3 <= tol * mr3
+    e4 = d4 <= tol or d4 <= tol * ml4 or d4 <= tol * mr4
     n1, n2, n3, n4 = _CONDITIONS
     flags = (
         _record(ConditionFlag, (n1, l1, r1, e1)),

@@ -64,7 +64,8 @@ def cross(u: Vec2, v: Vec2) -> complex:
 
 
 def vec_maxmod(v: Vec2) -> float:
-    return max(abs(v[0]), abs(v[1]))
+    mod0, mod1 = abs(v[0]), abs(v[1])
+    return mod1 if mod1 > mod0 else mod0
 
 
 def normalize_direction(v: Vec2) -> Vec2:
@@ -78,22 +79,22 @@ def normalize_direction(v: Vec2) -> Vec2:
 
 
 def parallel(u: Vec2, v: Vec2, tol: float = VERDICT_TOL) -> bool:
-    return abs(cross(u, v)) <= tol * max(1.0, vec_maxmod(u) * vec_maxmod(v))
+    d, scale = abs(cross(u, v)), vec_maxmod(u) * vec_maxmod(v)
+    return d <= tol or d <= tol * scale
 
 
 def _kernel_direction(a, b, c, d, mod_b: float, mod_c: float, lam: complex) -> Vec2:
     # (m - lam) annihilates both candidates (b, lam - a) and (lam - d, c)
     # when lam is an exact eigenvalue for m = [[a, b], [c, d]]; pick the
     # numerically larger one and divide by its larger-modulus component
-    # (ties pick the first).  |b| and |c| come from the caller, so each
-    # modulus is taken once.
+    # (ties pick the first).  |b|, |c| come from the caller: each taken once.
     v1, w0 = lam - a, lam - d
     mod_v1, mod_w0 = abs(v1), abs(w0)
-    if max(mod_b, mod_v1) >= max(mod_w0, mod_c):
+    if (mod_v1 if mod_v1 > mod_b else mod_b) >= (mod_c if mod_c > mod_w0 else mod_w0):
         v0, mod0, mod1 = b, mod_b, mod_v1
     else:
         v0, v1, mod0, mod1 = w0, c, mod_w0, mod_c
-    if max(mod0, mod1) == 0.0:
+    if (mod1 if mod1 > mod0 else mod0) == 0.0:
         # m is exactly lam*I on this eigenvalue; any direction works
         return (1.0 + 0.0j, 0.0 + 0.0j)
     pivot = v0 if mod0 >= mod1 else v1
@@ -105,9 +106,9 @@ def _kernel_direction(a, b, c, d, mod_b: float, mod_c: float, lam: complex) -> V
 def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
     """Classify m and return eigendirections.
 
-    Scalar: off-diagonal entries and the diagonal gap all vanish within
-    tol relative to the matrix magnitude.  Jordan: the eigenvalue gap
-    sqrt|(a-d)^2 + 4bc| is at most tol * maxmod but the matrix is not
+    Scalar: off-diagonal entries and the diagonal gap are all small at the
+    matrix magnitude (the tolerance rule in numerics).  Jordan: the
+    eigenvalue gap sqrt|(a-d)^2 + 4bc| is at most tol * maxmod but not
     scalar; a single eigendirection exists.  (A looser test would merge
     eigenvalues farther apart than common_eigenvector's own tolerance, whose
     one direction can then fail its source matrix.)  Semisimple otherwise, two
@@ -115,10 +116,14 @@ def eigen_directions(m: Mat2, tol: float = VERDICT_TOL) -> EigenReport:
     discriminant (+ root first).
     """
     a, b, c, d = m
-    mod_b, mod_c = abs(b), abs(c)
-    scale = max(abs(a), mod_b, mod_c, abs(d))
+    mod_b, mod_c, scale, mod_d = abs(b), abs(c), abs(a), abs(d)
+    scale = mod_b if mod_b > scale else scale
+    scale = mod_c if mod_c > scale else scale
+    scale = mod_d if mod_d > scale else scale
     gap, trace = a - d, a + d
-    if max(mod_b, mod_c, abs(gap)) <= tol * max(1.0, scale):
+    off, mod_gap = mod_c if mod_c > mod_b else mod_b, abs(gap)
+    off = mod_gap if mod_gap > off else off
+    if off <= tol or off <= tol * scale:
         return _record(EigenReport, (SCALAR, (trace / 2,), ()))
     disc = gap ** 2 + 4 * b * c
     if abs(disc) <= (tol * scale) ** 2:
@@ -158,12 +163,13 @@ def common_eigenvector(
     source_last = [*matrices[i + 1:], *matrices[:i + 1]]
     for v0, v1 in candidates:
         # parallel(m.apply(v), v, tol) for every m, written out
-        v_max = max(abs(v0), abs(v1))
+        v_max, mod_v1 = abs(v0), abs(v1)
+        v_max = mod_v1 if mod_v1 > v_max else v_max
         for a, b, c, d in source_last:
             w0 = a * v0 + b * v1
             w1 = c * v0 + d * v1
-            bound = tol * max(1.0, max(abs(w0), abs(w1)) * v_max)
-            if not abs(w0 * v1 - w1 * v0) <= bound:
+            w_max, mod_w1, res = abs(w0), abs(w1), abs(w0 * v1 - w1 * v0)
+            if not (res <= tol or res <= tol * ((mod_w1 if mod_w1 > w_max else w_max) * v_max)):
                 break
         else:
             return normalize_direction((v0, v1))

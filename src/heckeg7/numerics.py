@@ -12,6 +12,12 @@ principal_sqrt(-1) = +1j, and every result has Re >= 0, with Im > 0 when
 Re = 0.  Note that sqrt(z^2) recovers z only when arg(z) lies in
 (-pi/2, pi/2]; elsewhere it yields -z.  Nothing in this package assumes
 otherwise.
+
+Tolerance rule: d is small at scales a, b when d <= tol * max(1, a, b),
+written d <= tol or d <= tol * a or d <= tol * b, with a and b taken first
+as max took them (abs raises past the float range).  For tol > 0, tol * x
+rounds monotonically in x, so the bits agree; a NaN scale, which max skips,
+fails its term.  Other maxima are max's fold, x if x > top else top.
 """
 
 from __future__ import annotations
@@ -43,13 +49,12 @@ def principal_sqrt(z: complex) -> complex:
 
 
 def approx_eq(a: complex, b: complex, tol: float = VERDICT_TOL) -> bool:
-    """|a - b| <= tol * max(1, |a|, |b|): relative away from the unit scale,
-    absolute inside it.  tol must be positive and finite: an infinite tol
-    would make any two finite values equal."""
+    """|a - b| small at scales |a|, |b|; an infinite tol would pass any two."""
     if not 0.0 < tol < math.inf:
         problem = "finite" if tol == math.inf else "positive"
         raise ValueError(f"tolerance must be {problem}")
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    d, mod_a, mod_b = abs(a - b), abs(a), abs(b)
+    return d <= tol or d <= tol * mod_a or d <= tol * mod_b
 
 
 # True iff both parts are finite; accepts int, float and complex.

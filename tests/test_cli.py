@@ -240,20 +240,20 @@ class TestInputErrors:
         [
             pytest.param(
                 dict(ALL_ONES, x1=3),
-                "x1: expected an object with re/im or modulus/argument keys",
+                "{path}: x1: expected an object with re/im or modulus/argument keys",
                 id="value-not-an-object",
             ),
             pytest.param(
                 dict(ALL_ONES, x1={"re": "1", "im": 0}),
-                "x1.re: expected a number, got str", id="part-is-a-string",
+                "{path}: x1.re: expected a number, got str", id="part-is-a-string",
             ),
             pytest.param(
                 dict(ALL_ONES, x1={"re": True, "im": 0}),
-                "x1.re: expected a number, got bool", id="part-is-a-bool",
+                "{path}: x1.re: expected a number, got bool", id="part-is-a-bool",
             ),
             pytest.param(
                 dict(ALL_ONES, x1={"modulus": -1, "argument": 0}),
-                "x1.modulus: must be >= 0", id="negative-modulus",
+                "{path}: x1.modulus: must be >= 0", id="negative-modulus",
             ),
             # A non-finite polar modulus takes cmath.rect's special-value
             # branch, (inf, 0) -> inf+0j, where the written-out formula
@@ -305,7 +305,7 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         if digits == 401:
-            assert err.startswith("error: x1.re: ")
+            assert err.startswith(f"error: {path}: x1.re: ")
 
     @pytest.mark.parametrize(
         "command, text",

@@ -3,10 +3,10 @@
 decide evaluates the criteria, builds each branch's triple once and hands
 the triples to the sweep for its witness checks; its layers are written
 for speed.  The reference below shares none of that code: the condition
-products as written in the condition names, compared by approx_eq; the
+products as written in the condition names, compared by ref_approx_eq; the
 triple as Mat2 entries from the formulas of representation's docstring;
 the oracle as the eigen-classification kept verbatim in oracle_reference
-plus parallel on every candidate.  Every float keeps its operations and
+plus ref_parallel on every candidate.  Every float keeps its operations and
 their order, so both must agree bit for bit, signed zeros included, on
 seeded points from every sweep domain, the +-3 modulus band included, with
 half of the points made reducible by solve_case.  The sweep's witness and
@@ -31,8 +31,8 @@ from heckeg7.irreducibility import (
     Verdict,
     decide,
 )
-from heckeg7.matrix2 import SCALAR, Mat2, normalize_direction, parallel
-from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
+from heckeg7.matrix2 import SCALAR, Mat2, normalize_direction
+from heckeg7.numerics import VERDICT_TOL, principal_sqrt
 from heckeg7.representation import GeneratorTriple, Params, build_general
 from heckeg7.sweep import (
     GENERAL_COMPLEX,
@@ -42,7 +42,13 @@ from heckeg7.sweep import (
     _draw_values,
     _draw_injected_sample,
 )
-from oracle_reference import bits, ref_eigen_directions, ref_normalize_direction
+from oracle_reference import (
+    bits,
+    ref_approx_eq,
+    ref_eigen_directions,
+    ref_normalize_direction,
+    ref_parallel,
+)
 
 CONFIGS = (
     SweepConfig(domain=POSITIVE_REAL),
@@ -84,7 +90,7 @@ def reference_oracle(g, tol):
     if candidates is None:
         return REDUCIBLE, (1.0 + 0.0j, 0.0 + 0.0j)
     for v in candidates:
-        if all(parallel(m.apply(v), v, tol) for m in matrices):
+        if all(ref_parallel(m.apply(v), v, tol) for m in matrices):
             return REDUCIBLE, ref_normalize_direction(v)
     return IRREDUCIBLE, None
 
@@ -93,7 +99,7 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
     flags = []
     for name, (lhs_fn, rhs_fn) in CONDITION_SIDES.items():
         lhs, rhs = lhs_fn(p), rhs_fn(p)
-        flags.append(ConditionFlag(name, lhs, rhs, approx_eq(lhs, rhs, tol)))
+        flags.append(ConditionFlag(name, lhs, rhs, ref_approx_eq(lhs, rhs, tol)))
     theorem = REDUCIBLE if any(flag.equal for flag in flags) else IRREDUCIBLE
     oracle, witness = reference_oracle(reference_triple(p, r_sign), tol)
     diagnosis = None
@@ -107,7 +113,7 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
             flipped_invariant_vector=witness2,
         )
     return Verdict(
-        regime=EQUAL_X if approx_eq(p.x1, p.x2, tol) else DISTINCT_X,
+        regime=EQUAL_X if ref_approx_eq(p.x1, p.x2, tol) else DISTINCT_X,
         r_sign=r_sign,
         tolerance=tol,
         theorem_decision=theorem,
@@ -146,7 +152,8 @@ def test_decide_matches_reference_on_both_branches(cfg):
 
 def invariant_on_fresh_triple(p, direction, sign, tol):
     return all(
-        parallel(m.apply(direction), direction, tol) for m in build_general(p, sign)
+        ref_parallel(m.apply(direction), direction, tol)
+        for m in build_general(p, sign)
     )
 
 
