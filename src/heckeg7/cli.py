@@ -90,6 +90,15 @@ def parse_complex_value(field: str, obj) -> complex:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for key in keys if keys.count(key) > 1)
+        raise InvalidParams(f"duplicate key {key!r}")
+    return doc
+
+
 def load_params(path: str) -> Params:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -97,24 +106,23 @@ def load_params(path: str) -> Params:
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParams(f"cannot read parameter file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if not isinstance(doc, dict):
+            raise InvalidParams("top level must be a JSON object")
+        unknown = sorted(set(doc) - set(Params._fields))
+        if unknown:
+            raise InvalidParams(f"unknown field(s) {', '.join(unknown)}")
+        missing = [
+            name for name in Params._fields
+            if name not in doc and name not in Params._field_defaults
+        ]
+        if missing:
+            raise InvalidParams(f"missing required field(s) {', '.join(missing)}")
+        return Params(**{name: parse_complex_value(name, doc[name]) for name in doc})
+    except InvalidParams as exc:  # a ValueError, so caught first to keep its words
+        raise InvalidParams(f"{path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, huge int, too deep
         raise InvalidParams(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise InvalidParams(f"{path}: top level must be a JSON object")
-    unknown = sorted(set(doc) - set(Params._fields))
-    if unknown:
-        raise InvalidParams(f"{path}: unknown field(s) {', '.join(unknown)}")
-    missing = [
-        name for name in Params._fields
-        if name not in doc and name not in Params._field_defaults
-    ]
-    if missing:
-        raise InvalidParams(f"{path}: missing required field(s) {', '.join(missing)}")
-    try:
-        return Params(**{name: parse_complex_value(name, doc[name]) for name in doc})
-    except InvalidParams as exc:
-        raise InvalidParams(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

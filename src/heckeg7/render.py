@@ -120,12 +120,7 @@ def vec_as_dict(v: Vec2 | None) -> list | None:
 
 
 def params_as_dict(p: Params) -> dict:
-    out = {name: complex_as_dict(value) for name, value in p.as_dict().items()}
-    if p.y3 is not None:
-        out["y3"] = complex_as_dict(p.y3)
-    if p.z3 is not None:
-        out["z3"] = complex_as_dict(p.z3)
-    return out
+    return {name: complex_as_dict(v) for name, v in zip(p._fields, p) if v is not None}
 
 
 def flag_as_dict(f: ConditionFlag) -> dict:

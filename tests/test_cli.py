@@ -286,6 +286,29 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "check", path)
         assert_one_error_line(code, out, err, f"{path}: top level must be a JSON object")
 
+    @pytest.mark.parametrize("command", ["check", "relations"])
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # json.loads alone would decide x1 = 3, an equal-x point
+            pytest.param(
+                json.dumps(dict(ALL_ONES, x1={"re": 3, "im": 0}, x2={"re": 3, "im": 0})).replace(
+                    '"x1"', '"x1": {"re": 2, "im": 0}, "x1"', 1
+                ),
+                "x1", id="top-level",
+            ),
+            pytest.param(
+                json.dumps(ALL_ONES).replace('"re": 1', '"re": 2, "re": 1', 1),
+                "re", id="nested",
+            ),
+        ],
+    )
+    def test_duplicate_key_is_one_error_line(self, tmp_path, capsys, command, text, key):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert_one_error_line(code, out, err, f"{path}: duplicate key {key!r}")
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -391,11 +414,18 @@ class TestInputErrors:
         assert (code, out) == (INPUT_ERROR, "")
         assert f"unrecognized arguments: {flag[0]}" in err
 
-    def test_bad_flag_value_reported_as_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "--samples", "x"], "--samples"),
+            (["check", "{path}", "--r-sign", "0"], "--r-sign"),
+        ],
+    )
+    def test_bad_flag_value_reported_as_input_error(self, tmp_path, capsys, argv, flag):
         path = write_params(tmp_path, ALL_ONES)
-        code, _, err = run_cli(capsys, "check", path, "--r-sign", "0")
-        assert code == INPUT_ERROR
-        assert "--r-sign" in err
+        code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+        assert_one_error_line(code, out, err)
+        assert flag in err
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
@@ -716,10 +746,8 @@ class TestSweep:
             capsys, "sweep", "--samples", "20",
             "--log10-modulus-min", band[0], "--log10-modulus-max", band[1],
         )
-        assert code == INPUT_ERROR
-        assert out == ""
+        assert_one_error_line(code, out, err)
         assert err.startswith(f"error: {message}")
-        assert "Traceback" not in err
 
     def test_overflowing_matrix_entries_exit_one(self, capsys):
         # 10 ** 150 is a float, but the generator entries overflow
@@ -854,35 +882,40 @@ def declared_console_script():
         return tomllib.load(f)["project"]["scripts"]["heckeg7"]
 
 
-def check_console_command(command):
-    ok = subprocess.run(
-        [*command, "identities", "--only", "w-factorization"],
-        capture_output=True,
-        text=True,
+def check_console_command(command, tmp_path):
+    """Each exit code reaches the shell, and stdout is the in-process bytes."""
+
+    def run(*argv):
+        proc = subprocess.run([*command, *argv], capture_output=True, text=True)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = run("identities")
+    assert (code, err) == (OK, "")
+    assert out == GOLDEN_IDENTITIES.read_text(encoding="utf-8")
+    code, out, err = run("--help")
+    assert (code, err) == (OK, "")
+    assert out.startswith("usage: heckeg7")
+    code, out, err = run("identities", "--only", "bogus")
+    assert_one_error_line(code, out, err)
+    code, out, err = run(
+        "relations", write_params(tmp_path, NAN_RESIDUAL_POINT), "--output", "text"
     )
-    assert ok.returncode == OK, ok.stderr
-    assert json.loads(ok.stdout)["failed"] == 0
-    # A nonzero exit code must reach the shell, not just a zero one.
-    bad = subprocess.run(
-        [*command, "identities", "--only", "bogus"],
-        capture_output=True,
-        text=True,
-    )
-    assert bad.returncode == INPUT_ERROR, bad.stderr
+    assert (code, err) == (MATH_FAILURE, "")
+    assert out.endswith("within tolerance 1e-09: no\n")
 
 
 class TestEntryPoints:
-    def test_console_script(self):
+    def test_console_script(self, tmp_path):
         check_console_command(
-            [sys.executable, "-c", RUN_ENTRY_POINT, declared_console_script()]
+            [sys.executable, "-c", RUN_ENTRY_POINT, declared_console_script()], tmp_path
         )
 
     @pytest.mark.skipif(
         shutil.which("heckeg7") is None,
         reason="no heckeg7 on PATH; the wrapper script exists only after an install",
     )
-    def test_installed_wrapper_script(self):
-        check_console_command(["heckeg7"])
+    def test_installed_wrapper_script(self, tmp_path):
+        check_console_command(["heckeg7"], tmp_path)
 
     def test_cold_import_leaves_out_dataclasses_inspect_and_typing(self):
         # dataclasses (and the inspect it imports) were most of the import
@@ -957,10 +990,11 @@ print(json.dumps(counts))
         assert first == second == [1, 1]
 
     def test_module_invocation(self):
+        # through the package's __main__.py
         proc = subprocess.run(
-            [sys.executable, "-m", "heckeg7", "identities", "--output", "text"],
+            [sys.executable, "-m", "heckeg7", "identities"],
             capture_output=True,
             text=True,
         )
-        assert proc.returncode == 0
-        assert "failed reports: 0" in proc.stdout
+        assert (proc.returncode, proc.stderr) == (OK, "")
+        assert proc.stdout == GOLDEN_IDENTITIES.read_text(encoding="utf-8")

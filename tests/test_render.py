@@ -163,15 +163,32 @@ def test_identities_stdout_is_the_stdlib_encoding(capsys):
     assert_stdlib_bytes(stdout_of(capsys, "identities"))
 
 
-def test_fixtures_out_file_is_the_stdlib_encoding(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config",
+    [
+        # every disagreement of the +-3 band is resolved by a branch flip
+        ("--domain", "general-complex", *WIDE_BAND),
+        # x1 = x2 throughout: equal-x points report the same four conditions
+        ("--domain", "unit-modulus", "--regime-filter", "equal"),
+    ],
+    ids=["general-complex-wide-band", "unit-modulus-equal-x"],
+)
+def test_fixtures_out_file_is_the_stdlib_encoding(tmp_path, capsys, config):
     target = tmp_path / "fixtures.json"
-    stdout_of(
-        capsys, "sweep", "--samples", "300", "--seed", "5",
-        "--domain", "general-complex", *WIDE_BAND, "--fixtures-out", str(target),
+    code = main(
+        ["sweep", "--samples", "1000", "--seed", "5", *config, "--fixtures-out", str(target)]
     )
+    out = capsys.readouterr().out
+    assert code == OK
     text = target.read_text(encoding="utf-8")
-    assert json.loads(text)["disagreements"]  # the check covers real records
-    assert_stdlib_bytes(text)
+    records = json.loads(text)["disagreements"]
+    assert records  # the checks cover real records
+    for doc in (out, text):
+        assert_stdlib_bytes(doc)
+    for record in records:
+        verdict = record["verdict"]
+        assert len(verdict["conditions"]) == 4
+        assert "conditions" not in (verdict["branch-diagnosis"] or {})
 
 
 def test_a_non_finite_fixtures_document_leaves_no_file_and_no_stdout(
