@@ -222,3 +222,57 @@ def bits(value):
     if isinstance(value, dict):
         return {key: bits(item) for key, item in value.items()}
     return value
+
+
+# ---------------------------------------------------------------------------
+# Mat2 arithmetic and the relation residuals as they read while each Mat2
+# result went through the namedtuple's constructor and each maximum called
+# the builtin max.  Mat2's operators now build their results as records and
+# the residuals fold their maxima (see heckeg7.numerics); both must give
+# these bits, and these exceptions.
+
+def ref_mat2_mul(m: Mat2, other: Mat2) -> Mat2:
+    return Mat2(
+        m.a * other.a + m.b * other.c,
+        m.a * other.b + m.b * other.d,
+        m.c * other.a + m.d * other.c,
+        m.c * other.b + m.d * other.d,
+    )
+
+
+def ref_mat2_add(m: Mat2, other: Mat2) -> Mat2:
+    return Mat2(m.a + other.a, m.b + other.b, m.c + other.c, m.d + other.d)
+
+
+def ref_mat2_sub(m: Mat2, other: Mat2) -> Mat2:
+    return Mat2(m.a - other.a, m.b - other.b, m.c - other.c, m.d - other.d)
+
+
+def ref_minus_scalar(m: Mat2, lam: complex) -> Mat2:
+    return Mat2(m.a - lam, m.b, m.c, m.d - lam)
+
+
+def ref_maxmod(m: Mat2) -> float:
+    return max(abs(m.a), abs(m.b), abs(m.c), abs(m.d))
+
+
+def ref_scaled_product_residual(factors: list[Mat2]) -> float:
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = ref_mat2_mul(prod, f)
+    num = ref_maxmod(prod)
+    if num == 0.0:
+        return 0.0
+    scale = 1.0
+    for f in factors:
+        scale *= ref_maxmod(f)
+    return num / max(1.0, scale)
+
+
+def ref_braid_residual(g) -> float:
+    """Relative deviation of s1*s2*s3 from its two cyclic rotations."""
+    p1 = ref_mat2_mul(ref_mat2_mul(g.s1, g.s2), g.s3)
+    p2 = ref_mat2_mul(ref_mat2_mul(g.s2, g.s3), g.s1)
+    p3 = ref_mat2_mul(ref_mat2_mul(g.s3, g.s1), g.s2)
+    scale = max(1.0, ref_maxmod(p1))
+    return max(ref_maxmod(ref_mat2_sub(p1, p2)), ref_maxmod(ref_mat2_sub(p1, p3))) / scale

@@ -309,6 +309,18 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, command, str(path))
         assert_one_error_line(code, out, err, f"{path}: duplicate key {key!r}")
 
+    @pytest.mark.parametrize("command", ["check", "relations"])
+    def test_byte_order_mark_is_one_error_line(self, tmp_path, capsys, command):
+        # json.loads refuses a str that starts with U+FEFF before decoding it
+        path = tmp_path / "params.json"
+        path.write_text("\ufeff" + json.dumps(ALL_ONES), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert_one_error_line(
+            code, out, err,
+            f"{path}: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0))",
+        )
+
     def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

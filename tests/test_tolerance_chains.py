@@ -9,15 +9,22 @@ exception with the same message, on entries from a named grid of edge
 values (signed zeros, the smallest subnormal, the overflow edge, both
 infinities and NaN, in every slot), on ties, on differences exactly at the
 bound, and on Hypothesis draws over the grid.
+
+The relation residuals fold their maxima the same way, and Mat2's
+operators build their results as records; those are held to their
+constructor-and-max forms on the grid too, in every slot, over complex
+floats and over the exact ring.
 """
 
 import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeg7.exact import ExtElem
 from heckeg7.irreducibility import theorem_verdict
 from heckeg7.matrix2 import (
     Mat2,
@@ -28,13 +35,21 @@ from heckeg7.matrix2 import (
     vec_maxmod,
 )
 from heckeg7.numerics import VERDICT_TOL, approx_eq
+from heckeg7.representation import GeneratorTriple, _scaled_product_residual, braid_residual
 from oracle_reference import (
     bits,
     ref_approx_eq,
+    ref_braid_residual,
     ref_common_eigenvector,
     ref_hot_eigen_directions,
     ref_hot_kernel_direction,
+    ref_mat2_add,
+    ref_mat2_mul,
+    ref_mat2_sub,
+    ref_maxmod,
+    ref_minus_scalar,
     ref_parallel,
+    ref_scaled_product_residual,
     ref_theorem_verdict,
     ref_vec_maxmod,
 )
@@ -291,3 +306,102 @@ class TestTheoremVerdict:
     @settings(max_examples=300, derandomize=True)
     def test_hypothesis(self, values, tol):
         assert_same(theorem_verdict, ref_theorem_verdict, point(values), tol)
+
+
+def every_slot(n, entries, seed, fillers):
+    """n-lists with each of entries in each slot, and the other slots drawn
+    from entries, fillers times over."""
+    rng = random.Random(seed)
+    for slot in range(n):
+        for value in entries:
+            for _ in range(fillers):
+                row = [rng.choice(entries) for _ in range(n)]
+                row[slot] = value
+                yield row
+
+
+def assert_same_record(fn, ref, *args):
+    # + - * on these entries never raise, so both sides return
+    got = fn(*args)
+    assert type(got) is Mat2 and bits(got) == bits(ref(*args)), args
+
+
+X1, Y2 = ExtElem.var("x1"), ExtElem.var("y2")
+# ring elements, and the plain ints that conjugator puts in a Mat2
+RING = (
+    ExtElem(0), ExtElem(1), ExtElem(-3), X1, X1 * Y2 - 2, ExtElem.r(),
+    ExtElem.r(-1) + X1, 1 / Y2, 0, 2,
+)
+ARITHMETIC = (
+    (Mat2.__mul__, ref_mat2_mul), (Mat2.__add__, ref_mat2_add), (Mat2.__sub__, ref_mat2_sub),
+)
+M = Mat2(1.0, 2.0, 3.0, 4.0)
+
+
+class TestMat2Arithmetic:
+    @pytest.mark.parametrize("entries, fillers", [(GRID, 8), (COMPLEX_GRID, 2), (RING, 8)])
+    def test_products_sums_and_differences_in_every_slot(self, entries, fillers):
+        for row in every_slot(8, entries, "mat2-arithmetic", fillers):
+            m, other = Mat2(*row[:4]), Mat2(*row[4:])
+            for fn, ref in ARITHMETIC:
+                assert_same_record(fn, ref, m, other)
+
+    @pytest.mark.parametrize("entries, fillers", [(GRID, 8), (COMPLEX_GRID, 2), (RING, 8)])
+    def test_minus_scalar_in_every_slot(self, entries, fillers):
+        for row in every_slot(5, entries, "minus-scalar", fillers):
+            assert_same_record(Mat2.minus_scalar, ref_minus_scalar, Mat2(*row[:4]), row[4])
+
+    @pytest.mark.parametrize(
+        "other", [2, 2.0, 1j, None, "abcd", (1.0, 2.0, 3.0, 4.0), [1.0, 2.0, 3.0, 4.0], X1]
+    )
+    def test_other_operands_raise_as_before(self, other):
+        for fn, ref in ARITHMETIC:
+            assert_same(fn, ref, M, other)
+        assert_same(Mat2.minus_scalar, ref_minus_scalar, M, other)
+
+    def test_operators_refuse_what_is_not_a_matrix(self):
+        for product in (lambda: M * 2, lambda: M * (1, 2, 3, 4), lambda: M + 2, lambda: M - [0]):
+            with pytest.raises(AttributeError, match="object has no attribute 'a'"):
+                product()
+        with pytest.raises(TypeError, match="unsupported operand"):
+            2 * M
+
+    @given(matrices, matrices, values)
+    @settings(max_examples=300, derandomize=True)
+    def test_hypothesis(self, m, other, lam):
+        for fn, ref in ARITHMETIC:
+            assert_same_record(fn, ref, m, other)
+        assert_same_record(Mat2.minus_scalar, ref_minus_scalar, m, lam)
+
+
+def residual_cases(entries, fillers):
+    """One, two and three factors, and a generator triple, with each entry
+    in each slot."""
+    for n in (1, 2, 3):
+        for row in every_slot(4 * n, entries, f"residual-{n}", fillers):
+            yield n, [Mat2(*row[4 * k:4 * k + 4]) for k in range(n)]
+
+
+class TestResidualMaxima:
+    def test_maxmod_of_real_matrices(self):
+        # NaN first sticks, NaN later is skipped, ties keep the first
+        for m in REAL_MATRICES:
+            assert_same(Mat2.maxmod, ref_maxmod, m)
+
+    def test_maxmod_in_every_slot(self):
+        for row in every_slot(4, COMPLEX_GRID, "maxmod", 8):
+            assert_same(Mat2.maxmod, ref_maxmod, Mat2(*row))
+
+    @pytest.mark.parametrize("entries, fillers", [(GRID, 6), (COMPLEX_GRID, 1)])
+    def test_scaled_products_and_braids_in_every_slot(self, entries, fillers):
+        for n, factors in residual_cases(entries, fillers):
+            assert_same(_scaled_product_residual, ref_scaled_product_residual, factors)
+            if n == 3:
+                g = GeneratorTriple(*factors)
+                assert_same(braid_residual, ref_braid_residual, g)
+
+    @given(matrices, matrices, matrices)
+    @settings(max_examples=300, derandomize=True)
+    def test_hypothesis(self, m1, m2, m3):
+        assert_same(_scaled_product_residual, ref_scaled_product_residual, [m1, m2, m3])
+        assert_same(braid_residual, ref_braid_residual, GeneratorTriple(m1, m2, m3))
