@@ -57,13 +57,13 @@ MATH_FAILURE = 2
 # ---------------------------------------------------------------------------
 # parameter files
 
-def _as_number(field: str, value) -> float:
+def _as_number(field: str, part: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidParams(f"{field}: expected a number, got {type(value).__name__}")
+        raise InvalidParams(f"{field}.{part}: expected a number, got {type(value).__name__}")
     try:
         return float(value)
     except OverflowError as exc:
-        raise InvalidParams(f"{field}: {exc}") from exc
+        raise InvalidParams(f"{field}.{part}: {exc}") from exc
 
 
 def parse_complex_value(field: str, obj) -> complex:
@@ -73,30 +73,34 @@ def parse_complex_value(field: str, obj) -> complex:
         )
     keys = set(obj)
     if keys == {"re", "im"}:
-        return complex(
-            _as_number(f"{field}.re", obj["re"]), _as_number(f"{field}.im", obj["im"])
-        )
+        return complex(_as_number(field, "re", obj["re"]), _as_number(field, "im", obj["im"]))
     if keys == {"modulus", "argument"}:
-        modulus = _as_number(f"{field}.modulus", obj["modulus"])
-        argument = _as_number(f"{field}.argument", obj["argument"])
+        modulus = _as_number(field, "modulus", obj["modulus"])
+        argument = _as_number(field, "argument", obj["argument"])
         if modulus < 0:
             raise InvalidParams(f"{field}.modulus: must be >= 0")
         if not -math.pi < argument <= math.pi:
             raise InvalidParams(f"{field}.argument: must lie in (-pi, pi]")
         return from_polar(modulus, argument)
+    if None in obj:
+        raise InvalidParams(f"{field}: duplicate key {obj[None]!r}")
     raise InvalidParams(
         f"{field}: keys must be exactly {{re, im}} or {{modulus, argument}}, "
         f"got {sorted(keys)}"
     )
 
 
+# JSON keys are str, so the key None can mark an object that repeats a key;
+# its value is the first repeated key, and the object's reader refuses it.
 def _unique_keys(pairs: list) -> dict:
     doc = dict(pairs)
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
-        key = next(key for key in keys if keys.count(key) > 1)
-        raise InvalidParams(f"duplicate key {key!r}")
+        doc[None] = next(key for key in keys if keys.count(key) > 1)
     return doc
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # json.loads builds one per call
 
 
 def load_params(path: str) -> Params:
@@ -106,9 +110,13 @@ def load_params(path: str) -> Params:
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParams(f"cannot read parameter file {path}: {exc}") from exc
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # json.loads refuses this before decoding
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
         if not isinstance(doc, dict):
             raise InvalidParams("top level must be a JSON object")
+        if None in doc:
+            raise InvalidParams(f"duplicate key {doc[None]!r}")
         unknown = sorted(set(doc) - set(Params._fields))
         if unknown:
             raise InvalidParams(f"unknown field(s) {', '.join(unknown)}")

@@ -12,7 +12,7 @@ from .numerics import VERDICT_TOL, principal_sqrt
 Vec2 = tuple[complex, complex]
 
 # _record(cls, fields) is the record cls(*fields), made without running
-# cls's Python-level __new__; the per-point decide path builds its records so.
+# cls's Python-level __new__; Mat2's operators and the decide path use it.
 _record = tuple.__new__
 
 SCALAR = "scalar"
@@ -26,31 +26,36 @@ class Mat2(namedtuple("Mat2", "a b c d")):
     __slots__ = ()
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        return _record(Mat2, (
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-        )
+        ))
 
     def __rmul__(self, other):
         # the inherited tuple.__rmul__ would make 2 * m an 8-tuple
         return NotImplemented
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+        a, b, c, d = self
+        return _record(Mat2, (a + other.a, b + other.b, c + other.c, d + other.d))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        a, b, c, d = self
+        return _record(Mat2, (a - other.a, b - other.b, c - other.c, d - other.d))
 
     def minus_scalar(self, lam: complex) -> "Mat2":
-        return Mat2(self.a - lam, self.b, self.c, self.d - lam)
+        return _record(Mat2, (self.a - lam, self.b, self.c, self.d - lam))
 
     def apply(self, v: Vec2) -> Vec2:
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
 
     def maxmod(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        top, mod_b, mod_c, mod_d = abs(self.a), abs(self.b), abs(self.c), abs(self.d)
+        top = mod_b if mod_b > top else top
+        top = mod_c if mod_c > top else top
+        return mod_d if mod_d > top else top
 
 
 # kind is SCALAR, JORDAN or SEMISIMPLE; directions is a tuple of Vec2,

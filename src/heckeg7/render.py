@@ -110,7 +110,7 @@ def _encode(o, newline: str, emit) -> None:
 
 def complex_as_dict(z: complex) -> dict:
     z = complex(z)
-    return {"re": float(z.real), "im": float(z.imag)}
+    return {"re": z.real, "im": z.imag}
 
 
 def vec_as_dict(v: Vec2 | None) -> list | None:

@@ -145,7 +145,7 @@ def _scaled_product_residual(factors: list[Mat2]) -> float:
     scale = 1.0
     for f in factors:
         scale *= f.maxmod()
-    return num / max(1.0, scale)
+    return num / (scale if scale > 1.0 else 1.0)
 
 
 def braid_residual(g: GeneratorTriple) -> float:
@@ -153,8 +153,8 @@ def braid_residual(g: GeneratorTriple) -> float:
     p1 = g.s1 * g.s2 * g.s3
     p2 = g.s2 * g.s3 * g.s1
     p3 = g.s3 * g.s1 * g.s2
-    scale = max(1.0, p1.maxmod())
-    return max((p1 - p2).maxmod(), (p1 - p3).maxmod()) / scale
+    scale, d2, d3 = p1.maxmod(), (p1 - p2).maxmod(), (p1 - p3).maxmod()
+    return (d3 if d3 > d2 else d2) / (scale if scale > 1.0 else 1.0)
 
 
 def hecke_residuals(g: GeneratorTriple, p: Params) -> dict[str, float]:

@@ -288,26 +288,38 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", ["check", "relations"])
     @pytest.mark.parametrize(
-        "text, key",
+        "text, message",
         [
             # json.loads alone would decide x1 = 3, an equal-x point
             pytest.param(
                 json.dumps(dict(ALL_ONES, x1={"re": 3, "im": 0}, x2={"re": 3, "im": 0})).replace(
                     '"x1"', '"x1": {"re": 2, "im": 0}, "x1"', 1
                 ),
-                "x1", id="top-level",
+                "duplicate key 'x1'", id="top-level",
             ),
+            # a repeated key inside a value names the value's field
             pytest.param(
                 json.dumps(ALL_ONES).replace('"re": 1', '"re": 2, "re": 1', 1),
-                "re", id="nested",
+                "x1: duplicate key 're'", id="nested",
+            ),
+            pytest.param(
+                json.dumps(dict(ALL_ONES, y1={"modulus": 1, "argument": 0})).replace(
+                    '"argument": 0', '"argument": 1, "argument": 0', 1
+                ),
+                "y1: duplicate key 'argument'", id="nested-polar",
+            ),
+            # a value is refused where it is read: x1.re is not a number
+            pytest.param(
+                json.dumps(ALL_ONES).replace('"re": 1', '"re": {"a": 1, "a": 2}', 1),
+                "x1.re: expected a number, got dict", id="inside-a-part",
             ),
         ],
     )
-    def test_duplicate_key_is_one_error_line(self, tmp_path, capsys, command, text, key):
+    def test_duplicate_key_is_one_error_line(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "params.json"
         path.write_text(text)
         code, out, err = run_cli(capsys, command, str(path))
-        assert_one_error_line(code, out, err, f"{path}: duplicate key {key!r}")
+        assert_one_error_line(code, out, err, f"{path}: {message}")
 
     @pytest.mark.parametrize("command", ["check", "relations"])
     def test_byte_order_mark_is_one_error_line(self, tmp_path, capsys, command):
