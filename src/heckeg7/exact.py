@@ -24,8 +24,8 @@ the packed zero vector, once per left term), an inverse key a subtraction
 from twice that, and the parity of a key is its lowest bit.  A result
 outside that range sets a guard bit of the lowest field it leaves, so
 every product, inverse and substitution image is checked, and raises
-ExponentOutOfRange rather than aliasing another key.  The constructor
-takes the six-int tuples above and packs them; _unpack gives them back.
+ExponentOutOfRange rather than aliasing another key.  _pack and _unpack
+convert between a six-int tuple and its packed key.
 
 str splits the terms by parity into p + q*r, each of p and q with ordinary
 exponents, and prints an element with a negative exponent as one fraction,
@@ -33,9 +33,11 @@ exponents, and prints an element with a negative exponent as one fraction,
 exponent and num the element times den, so y1*y2^-1*z2 prints as
 (y1*z2) / (y2).
 
-Operands are ExtElem and int; an operator given anything else (a float,
-say) returns NotImplemented, so Python raises TypeError, and the
-constructor raises TypeError.  A copy, or an ExtElem operand passed
+Elements are built from ints, the variables (ExtElem.var) and r
+(ExtElem.r) by the ring operations.  Operands are ExtElem and int: given
+anything else (a float, a mapping), an operator returns NotImplemented, so
+Python raises TypeError, and the constructor raises TypeError.  An element
+equal to an int hashes as that int.  A copy, or an ExtElem operand passed
 through, shares its terms dict, so nothing may mutate .terms after
 construction.
 
@@ -47,17 +49,11 @@ changes moves the key by its exponent times a fixed step.  A term whose
 variables' moves could change some doubled exponent by 2^31 or more in all
 is refused with ExponentOutOfRange, even when the moves would cancel, since
 only such a bound makes the guard bits a complete check.
-
-Numeric evaluation takes one complex value per variable plus a value for r,
-required to square to DELTA's value within tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
-
-from .numerics import approx_eq
 
 VARS = ("x1", "x2", "y1", "y2", "z1", "z2")
 NVARS = len(VARS)
@@ -91,10 +87,6 @@ class NotAUnit(ArithmeticError):
 
 
 class InconsistentRootImage(ValueError):
-    pass
-
-
-class DenominatorVanishes(ZeroDivisionError):
     pass
 
 
@@ -178,18 +170,6 @@ def _unpack(key: int) -> Key:
     return tuple(((key >> shift) & _FIELD) - _BIAS for shift in _SHIFTS)
 
 
-def _checked_key(key) -> int:
-    """A doubled exponent vector given to the constructor, packed."""
-    key = tuple(key)
-    if len(key) != NVARS or not all(type(e) is int for e in key):
-        raise TypeError(f"key {key!r} is not {NVARS} ints")
-    if len({e & 1 for e in key}) != 1:
-        raise ValueError(f"key {key!r} mixes even and odd doubled exponents")
-    if not all(-_BIAS <= e < _BIAS for e in key):
-        raise ExponentOutOfRange(f"key {key!r} has an entry outside [-2^31, 2^31 - 1]")
-    return _pack(key)
-
-
 def _in_range(key: int) -> int:
     """key, once no guard bit is set.  A key is a sum of in-range packed
     keys and steps, each entry's sum in [-2^32, 2^33): an entry outside
@@ -206,25 +186,15 @@ _VAR_KEYS = tuple(_pack(tuple(2 * (j == i) for j in range(NVARS))) for i in rang
 
 class ExtElem:
     """An element of the ring: terms maps packed doubled exponent vectors
-    to nonzero int coefficients.  ExtElem(value) takes an int, an ExtElem
-    or a mapping from doubled exponent vectors (six-int tuples) to ints."""
+    to nonzero int coefficients.  ExtElem(value) takes an int or an ExtElem."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, value: ExtElem | int | Mapping[Key, int] = 0):
-        if isinstance(value, ExtElem):
-            self.terms = value.terms
-            return
-        if isinstance(value, int):
-            value = {ONE_KEY: value}
-        elif not isinstance(value, Mapping):
+    def __init__(self, value: ExtElem | int = 0):
+        elem = _as_ext(value)
+        if elem is None:
             raise TypeError(f"cannot make a ring element of {type(value).__name__}")
-        self.terms: dict[int, int] = {}
-        for key, coeff in value.items():
-            if not isinstance(coeff, int):
-                raise TypeError(f"coefficient {coeff!r} is not an int")
-            if coeff:
-                self.terms[_checked_key(key)] = int(coeff)
+        self.terms: dict[int, int] = elem.terms
 
     @staticmethod
     def _trusted(terms: dict[int, int]) -> "ExtElem":
@@ -255,7 +225,11 @@ class ExtElem:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # an element equal to an int (zero, or one constant term) hashes as it
+        terms = self.terms
+        if not terms or len(terms) == 1 and _ONE in terms:
+            return hash(terms.get(_ONE, 0))
+        return hash(frozenset(terms.items()))
 
     def __neg__(self) -> "ExtElem":
         return ExtElem._trusted({k: -c for k, c in self.terms.items()})
@@ -273,7 +247,9 @@ class ExtElem:
                 del out[key]
         return ExtElem._trusted(out)
 
-    __radd__ = __add__
+    def __radd__(self, other) -> "ExtElem":
+        # through the class at call time, so a wrapper on __add__ sees it
+        return ExtElem.__add__(self, other)
 
     def __sub__(self, other) -> "ExtElem":
         other = _as_ext(other)
@@ -310,7 +286,9 @@ class ExtElem:
                 raise ExponentOutOfRange("a product's doubled exponent leaves [-2^31, 2^31 - 1]")
         return ExtElem._trusted(out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other) -> "ExtElem":
+        # through the class at call time, so a wrapper on __mul__ sees it
+        return ExtElem.__mul__(self, other)
 
     def inv(self) -> "ExtElem":
         """The inverse of a unit +-m or +-m*r: its key negated, since
@@ -380,7 +358,7 @@ RatElem = ExtElem
 
 
 # ---------------------------------------------------------------------------
-# substitution (exact) and evaluation (numeric)
+# substitution
 
 class Substitution:
     """The images of the six variables, each a unit +-m or +-m*r of the ring
@@ -479,40 +457,3 @@ def substitute(
     if not isinstance(assignment, Substitution):
         assignment = Substitution(assignment)
     return assignment(value, r_image)
-
-
-def eval_numeric(
-    value: ExtLike,
-    values: Mapping[str, complex],
-    r_value: complex,
-    root_tol: float = 1e-9,
-) -> complex:
-    """Evaluate at complex parameter values with an explicit value for r.
-
-    r_value must square to DELTA's value within root_tol (relative); a
-    variable with a negative exponent that evaluates to 0 raises
-    DenominatorVanishes.
-    """
-    missing = [name for name in VARS if name not in values]
-    if missing:
-        raise KeyError(f"missing values for {missing}")
-    delta_val = complex(math.prod(values[name] for name in VARS))
-    if not approx_eq(r_value * r_value, delta_val, root_tol):
-        raise InconsistentRootImage(
-            f"r_value^2 = {r_value * r_value!r} but x1*x2*y1*y2*z1*z2 = {delta_val!r}"
-        )
-    val = _as_ext(value)
-    if val is None:
-        raise TypeError("value must be an ExtElem or int")
-    out = 0j
-    for key, coeff in val.terms.items():
-        term = complex(coeff) * r_value if key & 1 else complex(coeff)
-        for name, d in zip(VARS, _unpack(key)):
-            e = d >> 1
-            if e:
-                v = values[name]
-                if e < 0 and v == 0:
-                    raise DenominatorVanishes(f"{name} = 0 under a negative exponent")
-                term *= v ** e
-        out += term
-    return out

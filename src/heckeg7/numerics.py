@@ -17,7 +17,9 @@ Tolerance rule: d is small at scales a, b when d <= tol * max(1, a, b),
 written d <= tol or d <= tol * a or d <= tol * b, with a and b taken first
 as max took them (abs raises past the float range).  For tol > 0, tol * x
 rounds monotonically in x, so the bits agree; a NaN scale, which max skips,
-fails its term.  Other maxima are max's fold, x if x > top else top.
+fails its term.  The separation test d >= tol * max(1, a, b) is written
+d >= tol and not (d < tol * a or d < tol * b), which skips a NaN scale.
+Other maxima are max's fold, x if x > top else top.
 """
 
 from __future__ import annotations

@@ -168,7 +168,8 @@ def _draw_values(rng: random.Random, cfg: SweepConfig) -> list[complex]:
 
 
 def _separated(a: complex, b: complex) -> bool:
-    return abs(a - b) >= _SEPARATION * max(1.0, abs(a), abs(b))
+    d, mod_a, mod_b = abs(a - b), abs(a), abs(b)
+    return d >= _SEPARATION and not (d < _SEPARATION * mod_a or d < _SEPARATION * mod_b)
 
 
 def _solved_sane(z: complex) -> bool:

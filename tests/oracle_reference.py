@@ -26,6 +26,7 @@ from heckeg7.irreducibility import (
 )
 from heckeg7.matrix2 import JORDAN, SCALAR, SEMISIMPLE, EigenReport, Mat2, Vec2
 from heckeg7.numerics import VERDICT_TOL, principal_sqrt
+from heckeg7.sweep import _SEPARATION
 
 
 def ref_normalize_direction(v: Vec2) -> Vec2:
@@ -276,3 +277,12 @@ def ref_braid_residual(g) -> float:
     p3 = ref_mat2_mul(ref_mat2_mul(g.s3, g.s1), g.s2)
     scale = max(1.0, ref_maxmod(p1))
     return max(ref_maxmod(ref_mat2_sub(p1, p2)), ref_maxmod(ref_mat2_sub(p1, p3))) / scale
+
+
+# ---------------------------------------------------------------------------
+# The sweep's separation test for injected draws as it read while it called
+# the builtin max.  sweep._separated now writes it as a comparison chain (see
+# heckeg7.numerics), which must give this result, and these exceptions.
+
+def ref_separated(a: complex, b: complex) -> bool:
+    return abs(a - b) >= _SEPARATION * max(1.0, abs(a), abs(b))

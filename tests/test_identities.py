@@ -6,12 +6,12 @@ import time
 
 import pytest
 
+from exact_reference import eval_numeric
 from heckeg7.exact import (
     DELTA,
     VARS,
     ExtElem,
     Substitution,
-    eval_numeric,
     substitute,
 )
 from heckeg7 import identities
@@ -529,13 +529,16 @@ class TestRepeatedWork:
 
     def test_cold_run_all_stays_within_its_product_budget(self, monkeypatch):
         # ExtElem products of one run_all() with nothing cached, counted as
-        # perfbench/tracing.py counts them (on __mul__ alone): 459 with the
-        # r sign -1 sides of two reports carried over from +1 by r -> -r,
-        # 646 before the sign transport, with one class for the ring.  With
-        # separate Laurent-polynomial and extension classes the suite made
-        # 901 and 564 (a product of the extension formed up to four of the
-        # former); the fraction field made 1,721 and 718, plus 996 fraction
-        # products.  A new identity report may raise this bound on purpose.
+        # perfbench/tracing.py counts them (on __mul__ alone): 466, 7 of
+        # them int * e, which __rmul__ passes to the class's __mul__.  The
+        # earlier counts below missed such products, since __rmul__ was the
+        # unwrapped __mul__: 459 with the r sign -1 sides of two reports
+        # carried over from +1 by r -> -r, 646 before the sign transport,
+        # with one class for the ring.  With separate Laurent-polynomial and
+        # extension classes the suite made 901 and 564 (a product of the
+        # extension formed up to four of the former); the fraction field
+        # made 1,721 and 718, plus 996 fraction products.  A new identity
+        # report may raise this bound on purpose.
         for fn in ONCE_PER_PROCESS:
             fn.cache_clear()
         calls = [0]

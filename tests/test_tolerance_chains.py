@@ -13,9 +13,11 @@ bound, and on Hypothesis draws over the grid.
 The relation residuals fold their maxima the same way, and Mat2's
 operators build their results as records; those are held to their
 constructor-and-max forms on the grid too, in every slot, over complex
-floats and over the exact ring.
+floats and over the exact ring.  So is the sweep's separation test for
+injected draws, a chain of the negated form.
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -36,6 +38,7 @@ from heckeg7.matrix2 import (
 )
 from heckeg7.numerics import VERDICT_TOL, approx_eq
 from heckeg7.representation import GeneratorTriple, _scaled_product_residual, braid_residual
+from heckeg7.sweep import _separated
 from oracle_reference import (
     bits,
     ref_approx_eq,
@@ -50,6 +53,7 @@ from oracle_reference import (
     ref_minus_scalar,
     ref_parallel,
     ref_scaled_product_residual,
+    ref_separated,
     ref_theorem_verdict,
     ref_vec_maxmod,
 )
@@ -405,3 +409,41 @@ class TestResidualMaxima:
     def test_hypothesis(self, m1, m2, m3):
         assert_same(_scaled_product_residual, ref_scaled_product_residual, [m1, m2, m3])
         assert_same(braid_residual, ref_braid_residual, GeneratorTriple(m1, m2, m3))
+
+
+class TestSeparated:
+    def test_on_the_grid(self):
+        for a, b in itertools.product(COMPLEX_GRID, repeat=2):
+            assert_same(_separated, ref_separated, a, b)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (1.7e308, -1.7e308),
+            (1.7e308j, -1.7e308j),
+            (complex(1e308, -1e308), complex(-1e308, 1e308)),
+            # a NaN modulus, which max skips, beside an infinite difference
+            (complex(nan, 0.0), complex(0.0, inf)),
+        ],
+        ids=["real", "imaginary", "both-parts", "nan-modulus"],
+    )
+    def test_a_difference_that_overflows_is_separated(self, a, b):
+        assert abs(a - b) == inf
+        assert outcome(_separated, a, b) == outcome(ref_separated, a, b) == ("returned", True)
+
+    def test_at_the_bound(self):
+        # b = a * (1 + 1e-3 * u) for |u| = 1 puts |a - b| = 1e-3 * |a| a
+        # relative 1e-3 or less from 1e-3 * |b|, on either side, for |a| >= 1
+        rng = random.Random("separated-bound")
+        outcomes = set()
+        for _ in range(3000):
+            a = complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) * 10.0 ** rng.randint(-3, 3)
+            b = a * (1 + 1e-3 * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+            assert_same(_separated, ref_separated, a, b)
+            outcomes.add(ref_separated(a, b))
+        assert outcomes == {True, False}
+
+    @given(values, values)
+    @settings(max_examples=300, derandomize=True)
+    def test_hypothesis(self, a, b):
+        assert_same(_separated, ref_separated, a, b)
