@@ -357,11 +357,13 @@ class _Parser:
     "--flag value" and "--flag=value"; any unique prefix of a long flag;
     the last value of a repeated flag; a value that looks like a negative
     number; "--" to end the options; int/float conversion with choices
-    checked after it.  Everything before the subcommand belongs to the top
-    level, which knows only -h/--help; everything after it belongs to the
-    subcommand.  Errors in a flag or its value are raised where they are
-    met, so a -h/--help met first wins; unknown tokens and a missing
-    positional are refused at the end.
+    checked after it.  One walk reads the top level, which knows only
+    -h/--help, up to the token that names the subcommand (the token after
+    a top-level "--", whatever it looks like), then reads the rest with
+    the subcommand's flags and positionals.  Errors in a flag or its
+    value are raised where they are met, so a -h/--help met first wins;
+    a missing subcommand, then a missing positional, then unknown tokens
+    are refused at the end.
     """
 
     def __init__(self, prog: str, description: str, commands) -> None:
@@ -418,14 +420,6 @@ class _Parser:
             )
         return value
 
-    def _help(self, prog: str, explicit, command=None):
-        if explicit is not None:
-            raise InvalidParams(
-                f"{prog}: argument -h/--help: ignored explicit argument {explicit!r}"
-            )
-        print(self.format_help(command))
-        raise SystemExit(0)
-
     def format_help(self, command=None) -> str:
         """The help text of the top level, or of one subcommand."""
         if command is None:
@@ -456,43 +450,19 @@ class _Parser:
         refusal raises InvalidParams naming the subcommand and the flag.
         """
         tokens = list(sys.argv[1:] if argv is None else argv)
-        unknown: list[str] = []
-        for i, token in enumerate(tokens):
-            if token == "--":  # the subcommand follows, whatever it looks like
-                i += 1
-                break
-            found = self._classify(self.prog, _TOP_FLAGS, token)
-            if found is None:
-                break
-            if found[0] is _HELP:
-                self._help(self.prog, found[1])
-            unknown.append(token)
-        else:
-            i = len(tokens)
-        if i == len(tokens):
-            raise InvalidParams(f"{self.prog}: the following arguments are required: command")
-        command = self.commands.get(tokens[i])
-        if command is None:
-            raise InvalidParams(
-                f"{self.prog}: argument command: invalid choice: {tokens[i]!r} "
-                f"(choose from {', '.join(self.commands)})"
-            )
-        values = self._parse_command(command, tokens[i + 1:], unknown)
-        if unknown:
-            raise InvalidParams(f"{self.prog}: unrecognized arguments: {' '.join(unknown)}")
-        return SimpleNamespace(command=command.name, handler=command.handler, **values)
-
-    def _parse_command(self, command, tokens: list[str], unknown: list[str]) -> dict:
-        prog = f"{self.prog} {command.name}"
-        flags = self._flags[command.name]
-        values = {o.dest: o.default for o in command.options}
-        waiting = [dest for dest, _ in command.positionals]
+        prog, flags, command = self.prog, _TOP_FLAGS, None
+        values, waiting, unknown = {}, [], []
         filled_by = None  # index of the token that filled the last positional
         i = 0
         while i < len(tokens):
             token = tokens[i]
             i += 1
-            if token == "--":
+            if token == "--" and command is None:
+                if i == len(tokens):
+                    break
+                token, found = tokens[i], None  # the subcommand, whatever it looks like
+                i += 1
+            elif token == "--":
                 # argparse drops the "--" only where a positional takes it
                 # in: before an unfilled one, or just after a filled one
                 if not waiting and filled_by != i - 2:
@@ -502,20 +472,34 @@ class _Parser:
                 unknown += rest[len(waiting):]
                 waiting = waiting[len(rest):]
                 break
-            found = self._classify(prog, flags, token)
-            if found is None:
-                if waiting:
-                    values[waiting.pop(0)] = token
-                    filled_by = i - 1
-                else:
-                    unknown.append(token)
+            else:
+                found = self._classify(prog, flags, token)
+            if found is None and command is None:
+                command = self.commands.get(token)
+                if command is None:
+                    raise InvalidParams(
+                        f"{prog}: argument command: invalid choice: {token!r} "
+                        f"(choose from {', '.join(self.commands)})"
+                    )
+                prog, flags = f"{self.prog} {command.name}", self._flags[command.name]
+                values = {o.dest: o.default for o in command.options}
+                waiting = [dest for dest, _ in command.positionals]
                 continue
-            option, text = found
+            if found is None and waiting:
+                values[waiting.pop(0)] = token
+                filled_by = i - 1
+                continue
+            option, text = found or (None, None)  # a value no positional takes is unknown
             if option is None:
                 unknown.append(token)
                 continue
             if option is _HELP:
-                self._help(prog, text, command)
+                if text is not None:
+                    raise InvalidParams(
+                        f"{prog}: argument -h/--help: ignored explicit argument {text!r}"
+                    )
+                print(self.format_help(command))
+                raise SystemExit(0)
             if text is None:
                 if i == len(tokens) or tokens[i] == "--" or (
                     self._classify(prog, flags, tokens[i]) is not None
@@ -526,11 +510,15 @@ class _Parser:
                 text = tokens[i]
                 i += 1
             values[option.dest] = self._convert(prog, option, text)
+        if command is None:
+            raise InvalidParams(f"{prog}: the following arguments are required: command")
         if waiting:
             raise InvalidParams(
                 f"{prog}: the following arguments are required: {', '.join(waiting)}"
             )
-        return values
+        if unknown:
+            raise InvalidParams(f"{self.prog}: unrecognized arguments: {' '.join(unknown)}")
+        return SimpleNamespace(command=command.name, handler=command.handler, **values)
 
 
 def build_parser() -> _Parser:

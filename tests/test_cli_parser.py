@@ -5,16 +5,20 @@ fixed or drawn by Hypothesis, goes through both: where argparse accepts it,
 both give the same dests and handler; where argparse refuses it, so does
 the new parser; where argparse prints help, both exit 0.  Messages are not
 compared, since argparse words them differently from one Python version to
-the next.
+the next.  The new parser's own words are pinned instead:
+fixtures/cli_parser_words.json holds its exact refusal message or help
+text for each fixed line that it refuses or answers with help.
 
 argparse itself answers a few kinds of line differently across Python
 3.10-3.13.  INTENDED_DIFFERENCES lists them, each with the one answer the
 new parser gives; no other difference passes.
 """
 
+import json
 import re
 from contextlib import redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,6 +74,9 @@ def outcome(parser, argv):
 
 ARGPARSE = build_argparse_parser()
 PARSER = build_parser()
+WORDS = json.loads(
+    (Path(__file__).parent / "fixtures" / "cli_parser_words.json").read_text(encoding="utf-8")
+)
 
 
 def is_help(token):
@@ -205,18 +212,50 @@ FIXED = [
     ["sweep", "--help"],
     ["check", "--h"],
     ["-1", "sweep"],
+    ["--bogus", "check", "p.json", "extra"],
+    ["-x", "sweep", "--samples", "x"],
+    ["--bogus", "sweep", "-h"],
+    ["--", "--"],
+    ["--"],
+    ["-h", "--", "sweep"],
+    ["--", "check", "p.json", "--", "-1"],
+    ["--bogus", "--", "check"],
+    ["check", "p.json", "--", "extra"],
+    ["--he=x", "sweep"],
 ]
 
 
-@pytest.mark.parametrize("argv", FIXED, ids=lambda argv: " ".join(argv) or "(empty)")
+def line_id(argv):
+    return " ".join(argv) or "(empty)"
+
+
+@pytest.mark.parametrize("argv", FIXED, ids=line_id)
 def test_fixed_lines_match_argparse(argv):
     assert_same(argv)
+
+
+@pytest.mark.parametrize("argv", FIXED, ids=line_id)
+def test_fixed_lines_keep_their_words(argv):
+    expected = WORDS["lines"].get(line_id(argv))  # None where the line is accepted
+    if expected is not None and "help" in expected:
+        expected = {"help": WORDS["help"][expected["help"]]}
+    out, got = StringIO(), None
+    try:
+        with redirect_stdout(out):
+            PARSER.parse_args(argv)
+    except InvalidParams as exc:
+        got = {"refused": str(exc)}
+    except SystemExit as exc:
+        assert exc.code == 0
+        got = {"help": out.getvalue()}
+    assert got == expected
 
 
 def test_fixed_lines_cover_every_answer():
     answers = [outcome(PARSER, argv) for argv in FIXED]
     assert REFUSED in answers and HELP in answers
     assert {a["command"] for a in answers if isinstance(a, dict)} == set(FLAGS)
+    assert set(WORDS["lines"]) <= set(map(line_id, FIXED))
 
 
 tokens = st.one_of(
@@ -275,6 +314,7 @@ def test_help_names_every_flag_of_its_level(capsys):
             PARSER.parse_args([*argv, "--help"])
         out = capsys.readouterr().out
         assert exc.value.code == 0
+        assert out == WORDS["help"][" ".join(["heckeg7", *argv])]
         assert out.startswith(f"usage: heckeg7 {' '.join(argv)}".rstrip())
         assert all(flag in out for flag in ("-h, --help", *flags))
         if not argv:

@@ -112,7 +112,10 @@ def test_a_key_that_is_not_a_str_raises_type_error(doc):
 
 
 @pytest.mark.parametrize(
-    "doc", [1j, {"a": 1j}, [{1, 2}], {"a": [b"bytes"]}, object()], ids=repr
+    "doc",
+    [1j, {"a": 1j}, [{1, 2}], {"a": [b"bytes"]}, object()],
+    # fixed ids: repr(object()) holds a memory address
+    ids=["complex", "dict-complex", "list-set", "nested-bytes", "object"],
 )
 def test_an_unsupported_value_raises_type_error(doc):
     with pytest.raises(TypeError, match="not JSON serializable"):
