@@ -8,26 +8,34 @@ five parameters are drawn and the remaining one is solved from a rotating
 reducibility case so the condition holds exactly in floating point.  For
 every injected tuple the produced invariant vector is re-checked against
 all three generators at the branch that produced it.  That vector comes
-from run_sweep's one split of the verdict: the oracle's at the configured
-r sign when the deciders agree, the flipped branch's at the opposite sign
-when the flip resolves a disagreement, and none (a witness failure)
-otherwise.  For the first equal-x case the predicted direction
-(-1/(x2*y2), 1) is additionally verified to be invariant, and the witness
-must land on it or on the complementary invariant direction
-(-1/(x2*y1), 1) -- in that case the representation splits completely, so
-the invariant line is not unique and the oracle may return either one.
+from the sweep's one split of the verdict (_classify): the oracle's at the
+configured r sign when the deciders agree, the flipped branch's at the
+opposite sign when the flip resolves a disagreement, and none (a witness
+failure) otherwise.  For the first equal-x case the predicted direction
+must also be invariant, and the witness must lie on it or on the
+complementary invariant line (_predicted_direction_ok).
 
 A disagreement counts as resolved only when the criteria and the flipped
 branch's oracle both say reducible.  The regime filter only chooses what is
 drawn; every sample goes through the same decide.
 
 Results are JSON-ready dicts with deterministic content: one seed and one
-config always produce byte-identical serialized output.
+config always produce byte-identical serialized output.  A sweep of at
+least 256 samples, in a process with two CPUs and one thread, forks one
+helper: this process draws samples [0, k), k = 7n/12, then classifies
+them while the helper walks [k, n) on from the generator state it
+inherits and sends its records back with marshal, which keeps every float
+bit.  The draws stay sequential, so there is one helper at most.  It
+changes no byte, exit code or error line: if it fails in any way this
+process walks [k, n) itself, and a draw that fails in [0, k) sends the
+sweep down the one-process walk from the start, which meets it in order.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
 from collections import namedtuple
 
@@ -72,6 +80,9 @@ _SOLVED_MODULUS_MIN = 1e-6
 _SOLVED_MODULUS_MAX = 1e6
 _MAX_REDRAWS = 1000
 
+# the shortest sweep that forks a helper; a fork costs about 100 samples' work
+_HELPER_MIN_SAMPLES = 256
+
 
 class SweepConfig(namedtuple(
     "SweepConfig",
@@ -84,6 +95,9 @@ class SweepConfig(namedtuple(
     __slots__ = ()
 
     def validate(self) -> None:
+        for name in ("samples", "seed", "r_sign"):
+            if type(getattr(self, name)) is not int:  # bool included
+                raise InvalidParams(f"{name} must be an int")
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
         if self.domain not in DOMAINS:
@@ -255,77 +269,141 @@ def _predicted_direction_ok(
     )
 
 
+def _draws(rng: random.Random, cfg: SweepConfig):
+    """Each sample's (injected case or None, params), in sample order."""
+    rate = cfg.inject_reducible_rate
+    injected = 0
+    for i in range(cfg.samples):
+        # sample i is injected when floor((i + 1) * rate) > floor(i * rate)
+        if math.floor((i + 1) * rate) > math.floor(i * rate):
+            case_id = _injection_case(cfg, injected)
+            injected += 1
+            yield case_id, _draw_injected_sample(rng, cfg, case_id)
+        else:
+            yield None, _draw_random_sample(rng, cfg)
+
+
+def _classify(cfg: SweepConfig, i: int, case_id: str | None, p: Params) -> tuple:
+    """Sample i's record: (injected case, classification, witness failure,
+    predicted-direction mismatch, disagreement record or None)."""
+    tol = cfg.tolerance
+    triples: dict[int, GeneratorTriple] = {}
+    v = decide(p, r_sign=cfg.r_sign, tol=tol, triples=triples)
+    # the one split of a verdict: its classification, and the invariant
+    # vector it produced with the branch (r sign) that produced it
+    d = v.branch_diagnosis
+    if v.agreement:
+        classification = (
+            AGREE_REDUCIBLE if v.oracle_decision == REDUCIBLE else AGREE_IRREDUCIBLE
+        )
+        witness, sign = v.invariant_vector, v.r_sign
+    elif d is not None and d.resolved:
+        classification = DISAGREE_RESOLVED
+        witness, sign = d.flipped_invariant_vector, -v.r_sign
+    else:
+        classification = DISAGREE_UNRESOLVED
+        witness = sign = None
+    # an injected sample's witness is re-checked on the triple that produced it
+    failed = case_id is not None and (
+        witness is None or not _invariant(triples[sign], witness, tol)
+    )
+    mismatch = case_id == "equal-x-1" and not failed and not _predicted_direction_ok(
+        p, triples[sign], witness, tol
+    )
+    record = None if v.agreement else {
+        "index": i, "params": params_as_dict(p), "injected-case": case_id,
+        "classification": classification, "verdict": verdict_as_dict(v),
+    }
+    return case_id, classification, failed, mismatch, record
+
+
+def _helper_can_run(samples: int) -> bool:
+    """Long enough to pay for a fork, with a second CPU and no second thread
+    (a fork copies only the calling thread)."""
+    try:
+        return (
+            samples >= _HELPER_MIN_SAMPLES
+            and len(os.sched_getaffinity(0)) >= 2
+            and len(os.listdir("/proc/self/task")) == 1
+        )
+    except (AttributeError, OSError):  # no affinity or no /proc: no helper
+        return False
+
+
+def _fork(walk, start: int, stop: int):
+    """(pid, read end of a pipe) of a helper that writes the marshal of
+    walk(start, stop) to it and leaves through os._exit; None if none starts."""
+    fds = ()
+    try:
+        fds = rfd, wfd = os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(rfd)  # so that a write fails, not blocks, once the reader is gone
+            with open(wfd, "wb") as pipe:
+                pipe.write(marshal.dumps(walk(start, stop)))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(wfd)
+    return pid, open(rfd, "rb")
+
+
+def _reap(helper, payload: bytes | None) -> list | None:
+    """Reap the helper, killing it first unless its payload was read; its
+    records, or None if it failed in any way."""
+    pid, pipe = helper
+    pipe.close()
+    try:
+        if payload is None:
+            os.kill(pid, 9)  # SIGKILL, without importing signal
+        ok = os.waitpid(pid, 0)[1] == 0 and payload is not None
+        return marshal.loads(payload) if ok else None
+    except (OSError, EOFError, ValueError):  # reaped elsewhere, or a garbled payload
+        return None
+
+
 def run_sweep(cfg: SweepConfig) -> SweepResult:
     cfg.validate()
-    rng = random.Random(cfg.seed)
-    counts = {
-        AGREE_IRREDUCIBLE: 0,
-        AGREE_REDUCIBLE: 0,
-        DISAGREE_RESOLVED: 0,
-        DISAGREE_UNRESOLVED: 0,
-    }
-    injected_total = 0
-    injected_per_case: dict[str, int] = {}
-    witness_failures: list[int] = []
-    predicted_mismatches: list[int] = []
-    disagreements: list[dict] = []
+    draws = _draws(random.Random(cfg.seed), cfg)
 
-    rate = cfg.inject_reducible_rate
-    tol = cfg.tolerance
-    # sample i is injected when floor((i + 1) * rate) > floor(i * rate); each
-    # floor is computed once and carried over to the next sample
-    floor_below = math.floor(0 * rate)
-    for i in range(cfg.samples):
-        floor_above = math.floor((i + 1) * rate)
-        case_id: str | None = None
-        if floor_above > floor_below:
-            case_id = _injection_case(cfg, injected_total)
-            p = _draw_injected_sample(rng, cfg, case_id)
-            injected_total += 1
-            injected_per_case[case_id] = injected_per_case.get(case_id, 0) + 1
-        else:
-            p = _draw_random_sample(rng, cfg)
-        floor_below = floor_above
-        triples: dict[int, GeneratorTriple] = {}
-        v = decide(p, r_sign=cfg.r_sign, tol=tol, triples=triples)
-        # the one split of a verdict: its classification, and the invariant
-        # vector it produced with the branch (r sign) that produced it
-        d = v.branch_diagnosis
-        if v.agreement:
-            classification = (
-                AGREE_REDUCIBLE if v.oracle_decision == REDUCIBLE else AGREE_IRREDUCIBLE
-            )
-            witness, sign = v.invariant_vector, v.r_sign
-        elif d is not None and d.resolved:
-            classification = DISAGREE_RESOLVED
-            witness, sign = d.flipped_invariant_vector, -v.r_sign
-        else:
-            classification = DISAGREE_UNRESOLVED
-            witness = sign = None
+    def walk(start: int, stop: int) -> list:
+        return [_classify(cfg, i, *next(draws)) for i in range(start, stop)]
+
+    # the split of the module docstring; k = 0 is the one-process walk
+    n = cfg.samples
+    k = n * 7 // 12 if _helper_can_run(n) else 0
+    try:
+        drawn = [next(draws) for _ in range(k)]
+    except Exception:  # a failed draw: the one-process walk raises it, in sample order
+        drawn, k, draws = [], 0, _draws(random.Random(cfg.seed), cfg)
+    helper = _fork(walk, k, n) if k else None
+    payload = None
+    try:
+        samples = [_classify(cfg, i, *sample) for i, sample in enumerate(drawn)]
+        payload = helper and helper[1].read()
+    finally:
+        tail = helper and _reap(helper, payload)
+    samples += walk(k, n) if tail is None else tail
+
+    counts = dict.fromkeys(
+        (AGREE_IRREDUCIBLE, AGREE_REDUCIBLE, DISAGREE_RESOLVED, DISAGREE_UNRESOLVED), 0
+    )
+    per_case: dict[str, int] = {}
+    for case_id, classification, *_ in samples:
         counts[classification] += 1
         if case_id is not None:
-            # the witness is re-checked on the triple that produced it
-            if witness is None or not _invariant(triples[sign], witness, tol):
-                witness_failures.append(i)
-            elif case_id == "equal-x-1" and not _predicted_direction_ok(
-                p, triples[sign], witness, tol
-            ):
-                predicted_mismatches.append(i)
-        if not v.agreement:
-            disagreements.append({
-                "index": i,
-                "params": params_as_dict(p),
-                "injected-case": case_id,
-                "classification": classification,
-                "verdict": verdict_as_dict(v),
-            })
-
+            per_case[case_id] = per_case.get(case_id, 0) + 1
     return SweepResult(
         config=cfg,
         counts=counts,
-        injected_total=injected_total,
-        injected_per_case=dict(sorted(injected_per_case.items())),
-        witness_failures=tuple(witness_failures),
-        predicted_mismatches=tuple(predicted_mismatches),
-        disagreements=tuple(disagreements),
+        injected_total=sum(per_case.values()),
+        injected_per_case=dict(sorted(per_case.items())),
+        witness_failures=tuple(i for i, s in enumerate(samples) if s[2]),
+        predicted_mismatches=tuple(i for i, s in enumerate(samples) if s[3]),
+        disagreements=tuple(s[4] for s in samples if s[4] is not None),
     )

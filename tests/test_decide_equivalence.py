@@ -18,7 +18,7 @@ import random
 
 import pytest
 
-from heckeg7 import sweep
+from heckeg7 import render, sweep
 
 from heckeg7.irreducibility import (
     ALL_CASES,
@@ -169,6 +169,9 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
         return v
 
     monkeypatch.setattr(sweep, "decide", recording_decide)
+    # the one-process walk: a helper's decide calls are not recorded here;
+    # test_split_sweep_matches_the_one_process_walk carries these checks over
+    monkeypatch.setattr(sweep, "_helper_can_run", lambda samples: False)
     cfg = cfg._replace(samples=2000, seed=20)
     result = sweep.run_sweep(cfg)
     injected = {
@@ -215,3 +218,22 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
     if cfg.domain != POSITIVE_REAL:
         # witnesses produced on the flipped branch are among those checked
         assert flipped
+
+
+@pytest.mark.parametrize(
+    "cfg", CONFIGS, ids=lambda c: f"{c.domain}-pm{c.log10_modulus_max:g}"
+)
+def test_split_sweep_matches_the_one_process_walk(cfg, monkeypatch):
+    # the sweep above, split with a helper process, renders the same bytes
+    cfg = cfg._replace(samples=2000, seed=20)
+    tails, real_reap = [], sweep._reap
+    monkeypatch.setattr(
+        sweep, "_reap", lambda *args: tails.append(real_reap(*args)) or tails[-1]
+    )
+    documents = []
+    for helper in (True, False):
+        monkeypatch.setattr(sweep, "_helper_can_run", lambda samples: helper)
+        documents.append(render.dumps(sweep.run_sweep(cfg).as_dict()))
+    # the helper came back, and its records are in the first document
+    assert len(tails) == 1 and tails[0] is not None
+    assert documents[0] == documents[1]

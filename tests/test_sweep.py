@@ -5,11 +5,19 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+import types
+import warnings
 
 import pytest
 
-from heckeg7 import sweep
+from heckeg7 import render, sweep
 from heckeg7.cli import main
 from heckeg7.irreducibility import ALL_CASES, DISTINCT_X, EQUAL_X, decide, solve_case
 from heckeg7.representation import InvalidParams, Params
@@ -66,6 +74,17 @@ class TestConfigValidation:
             {"tolerance": 0.0},
             {"regime_filter": "nope"},
             {"tolerance": float("inf")},
+            # samples, seed and r_sign are ints, not bools, floats or strings
+            {"samples": 10.5},
+            {"samples": "10"},
+            {"samples": True},
+            {"seed": None},
+            {"seed": 1.0},
+            {"seed": "42"},
+            {"seed": False},
+            {"r_sign": 1.0},
+            {"r_sign": True},
+            {"r_sign": -1.0},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -77,6 +96,12 @@ class TestConfigValidation:
             SweepConfig(samples=0).validate()
         with pytest.raises(InvalidParams, match="^tolerance must be positive and finite$"):
             SweepConfig(tolerance=float("inf")).validate()
+        with pytest.raises(InvalidParams, match="^samples must be an int$"):
+            run_sweep(SweepConfig(samples=10.5))
+        with pytest.raises(InvalidParams, match="^seed must be an int$"):
+            run_sweep(SweepConfig(seed=None))
+        with pytest.raises(InvalidParams, match="^r_sign must be an int$"):
+            run_sweep(SweepConfig(r_sign=True))
 
 
 class TestDeterminism:
@@ -405,3 +430,304 @@ class TestGoldenSweeps:
         ] == unresolved
         assert doc["counts"][DISAGREE_UNRESOLVED] == 1
         assert doc["injected"]["witness-failures"] == witness_failures
+
+
+# ---------------------------------------------------------------------------
+# The helper process.  A sweep split between this process and one forked
+# helper renders the same bytes, and raises the same error, as the walk in
+# one process.  Most tests force the split on or off through
+# sweep._helper_can_run, so that they test it on a machine with one CPU
+# too; the tests of the real predicate say so.
+
+HELPER_SAMPLES = 1500
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def outcome(cfg, helper, patch=None):
+    """The rendered document of run_sweep(cfg), or the InvalidParams it
+    raises, with the helper forced on or off (None: the real predicate) and
+    patch(monkeypatch) applied; no child may outlive the run."""
+    with pytest.MonkeyPatch.context() as mp:
+        if helper is not None:
+            mp.setattr(sweep, "_helper_can_run", lambda samples: helper)
+        if patch is not None:
+            patch(mp)
+        try:
+            return render.dumps(run_sweep(cfg).as_dict())
+        except InvalidParams as exc:
+            return f"InvalidParams: {exc}"
+        finally:
+            no_child_left()
+
+
+def split_outcome(cfg, patch=None):
+    """(outcome with the helper forced on, the records of each helper as
+    run_sweep received them; None for a helper that failed)."""
+    tails = []
+    real_reap = sweep._reap
+
+    def recording_reap(helper, payload):
+        tails.append(real_reap(helper, payload))
+        return tails[-1]
+
+    def patches(mp):
+        mp.setattr(sweep, "_reap", recording_reap)
+        if patch is not None:
+            patch(mp)
+
+    return outcome(cfg, True, patches), tails
+
+
+def assert_split_matches(cfg):
+    split, tails = split_outcome(cfg)
+    # one helper ran, and its records were used for the tail of the walk
+    assert len(tails) == 1 and tails[0] is not None
+    assert 0 < len(tails[0]) < cfg.samples
+    assert split == outcome(cfg, False)
+
+
+def counting_forks(forks):
+    def patch(mp):
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+
+        mp.setattr(os, "fork", counting_fork)
+
+    return patch
+
+
+def helper_config(**overrides):
+    return small_config(**{"samples": HELPER_SAMPLES, **overrides})
+
+
+class TestHelperSplit:
+    @pytest.mark.parametrize("r_sign", [1, -1])
+    @pytest.mark.parametrize("regime_filter", [None, EQUAL_X, DISTINCT_X])
+    @pytest.mark.parametrize("band", [1, 3])
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_same_bytes_as_one_process(self, domain, band, regime_filter, r_sign):
+        assert_split_matches(helper_config(
+            domain=domain, log10_modulus_min=-band, log10_modulus_max=band,
+            regime_filter=regime_filter, r_sign=r_sign,
+        ))
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_same_bytes_at_inject_rates_zero_and_one(self, rate):
+        assert_split_matches(
+            helper_config(domain=GENERAL_COMPLEX, inject_reducible_rate=rate)
+        )
+
+    @pytest.mark.parametrize(
+        "samples",
+        [sweep._HELPER_MIN_SAMPLES - 1, sweep._HELPER_MIN_SAMPLES, 1001],
+    )
+    def test_sample_counts_at_the_threshold(self, samples):
+        # the real predicate: the helper forks from the threshold on, on a
+        # machine with a second CPU
+        cfg = small_config(samples=samples, domain=GENERAL_COMPLEX)
+        forks = []
+        document = outcome(cfg, None, counting_forks(forks))
+        can_fork = sweep._helper_can_run(sweep._HELPER_MIN_SAMPLES)
+        assert len(forks) == (can_fork and samples >= sweep._HELPER_MIN_SAMPLES)
+        assert document == outcome(cfg, False)
+        if samples >= sweep._HELPER_MIN_SAMPLES:
+            assert_split_matches(cfg)
+
+    @pytest.mark.parametrize(
+        "samples, band, domain",
+        [
+            (300, 100, GENERAL_COMPLEX),
+            (10000, 150, GENERAL_COMPLEX),
+            (10000, (-10, -5), POSITIVE_REAL),
+        ],
+        ids=["pm100-general-complex", "pm150-general-complex", "minus10-minus5"],
+    )
+    def test_readme_error_bands_raise_the_same_error(self, samples, band, domain):
+        lo, hi = band if isinstance(band, tuple) else (-band, band)
+        cfg = small_config(
+            samples=samples, domain=domain, log10_modulus_min=lo, log10_modulus_max=hi,
+        )
+        split, _ = split_outcome(cfg)
+        assert split.startswith("InvalidParams: ")
+        assert split == outcome(cfg, False) == outcome(cfg, None)
+
+    @pytest.mark.parametrize(
+        "draw_failures, classify_failures, first",
+        [
+            ({100}, set(), "draw 100"),
+            ({100}, {50}, "classify 50"),
+            ({100}, {100}, "draw 100"),
+            ({1000}, set(), "draw 1000"),
+            (set(), {1000}, "classify 1000"),
+            ({1200}, {1000}, "classify 1000"),
+            ({1000}, {10}, "classify 10"),
+            (set(), {10, 1000}, "classify 10"),
+            ({874, 875}, set(), "draw 874"),
+            ({875}, set(), "draw 875"),
+        ],
+    )
+    def test_the_first_error_by_index_is_raised(
+        self, draw_failures, classify_failures, first
+    ):
+        # samples [0, 875) are this process's, [875, 1500) the helper's
+        real_draws, real_classify = sweep._draws, sweep._classify
+
+        def failing_draws(rng, cfg):
+            for i, sample in enumerate(real_draws(rng, cfg)):
+                if i in draw_failures:
+                    raise InvalidParams(f"draw {i}")
+                yield sample
+
+        def failing_classify(cfg, i, case_id, p):
+            if i in classify_failures:
+                raise InvalidParams(f"classify {i}")
+            return real_classify(cfg, i, case_id, p)
+
+        def patch(mp):
+            mp.setattr(sweep, "_draws", failing_draws)
+            mp.setattr(sweep, "_classify", failing_classify)
+
+        cfg = helper_config()
+        assert HELPER_SAMPLES * 7 // 12 == 875
+        split, _ = split_outcome(cfg, patch)
+        assert split == outcome(cfg, False, patch) == f"InvalidParams: {first}"
+
+    @pytest.mark.parametrize("failure", [
+        "dumps-raises", "killed", "garbled-payload", "truncated-payload",
+        "fork-fails", "pipe-fails",
+    ])
+    def test_a_failing_helper_yields_the_one_process_document(self, failure):
+        def raising(*args):
+            raise OSError("no resources")
+
+        dumps = sweep.marshal.dumps
+        helper_dumps = {
+            "dumps-raises": raising,
+            "killed": lambda records: os.kill(os.getpid(), 9),
+            "garbled-payload": lambda records: b"\x00garbled",
+            "truncated-payload": lambda records: dumps(records)[:-5],
+        }
+
+        def patch(mp):
+            if failure in helper_dumps:
+                mp.setattr(sweep, "marshal", types.SimpleNamespace(
+                    dumps=helper_dumps[failure], loads=sweep.marshal.loads,
+                ))
+            else:
+                mp.setattr(os, "fork" if failure == "fork-fails" else "pipe", raising)
+
+        cfg = helper_config(domain=GENERAL_COMPLEX)
+        fds = len(os.listdir("/proc/self/fd"))
+        split, tails = split_outcome(cfg, patch)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        # a helper that started came back as a failure; none started otherwise
+        assert tails == ([] if failure.endswith("-fails") else [None])
+        assert split == outcome(cfg, False)
+
+    def test_no_fork_beside_a_second_thread(self):
+        # the real predicate; on 3.12+ a fork beside a thread warns
+        cfg = helper_config(domain=GENERAL_COMPLEX)
+        forks = []
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                document = outcome(cfg, None, counting_forks(forks))
+                assert not sweep._helper_can_run(HELPER_SAMPLES)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert document == outcome(cfg, False)
+
+    def test_a_helper_is_killed_when_this_process_fails(self):
+        # an interrupt in this process's samples reaches the caller at once,
+        # with the helper killed and reaped
+        real_classify, real_waitpid = sweep._classify, os.waitpid
+        pids, statuses = [], []
+
+        def interrupted_classify(cfg, i, case_id, p):
+            if i == 10 and os.getpid() == parent:
+                raise KeyboardInterrupt
+            return real_classify(cfg, i, case_id, p)
+
+        def recording_waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses.append(reaped[1])
+            return reaped
+
+        def patch(mp):
+            mp.setattr(sweep, "_classify", interrupted_classify)
+            mp.setattr(os, "waitpid", recording_waitpid)
+            counting_forks(pids)(mp)
+
+        parent = os.getpid()
+        with pytest.raises(KeyboardInterrupt):
+            outcome(helper_config(samples=20000), True, patch)
+        assert len(pids) == len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0]) and os.WTERMSIG(statuses[0]) == 9
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_a_helper_leaves_when_this_process_is_killed(self, tmp_path):
+        # the helper's records fill more than a pipe buffer; with its reader
+        # killed, its write fails instead of blocking, and it leaves.  The
+        # helper's pid goes to a file: a helper left behind would hold a
+        # captured stdout open.
+        pid_file = tmp_path / "helper.pid"
+        script = textwrap.dedent(f"""
+            import os
+            from heckeg7 import sweep
+            real_fork, real_classify = os.fork, sweep._classify
+            parent = os.getpid()
+
+            def fork():
+                pid = real_fork()
+                if pid:
+                    with open({str(pid_file)!r}, "w") as fh:
+                        fh.write(str(pid))
+                return pid
+
+            def classify(cfg, i, case_id, p):
+                if i == 10 and os.getpid() == parent:
+                    os.kill(parent, 9)
+                return real_classify(cfg, i, case_id, p)
+
+            os.fork, sweep._classify = fork, classify
+            sweep._helper_can_run = lambda samples: True
+            sweep.run_sweep(sweep.SweepConfig(samples=20000, domain=sweep.GENERAL_COMPLEX))
+        """)
+        src = os.path.dirname(os.path.dirname(sweep.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == -9
+        helper = int(pid_file.read_text())
+
+        def running():
+            try:
+                with open(f"/proc/{helper}/stat", encoding="ascii") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 60
+        try:
+            while running() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not running()
+        finally:
+            if running():
+                os.kill(helper, 9)
