@@ -239,19 +239,13 @@ def _residuals(p: Params, g: GeneratorTriple) -> dict:
 
 def cmd_check(args) -> int:
     p = load_params(args.param_file)
-    triples: dict[int, GeneratorTriple] = {}
-    verdict: Verdict = decide(
-        p,
-        r_sign=args.r_sign,
-        tol=args.tolerance,
-        triples=triples,
-    )
+    verdict: Verdict = decide(p, r_sign=args.r_sign, tol=args.tolerance)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "check-verdict",
         "params": params_as_dict(p),
         "verdict": verdict_as_dict(verdict),
-        "relations": _residuals(p, triples[args.r_sign]),
+        "relations": _residuals(p, verdict.triple),
     }
     _emit(doc, args.output, _check_text)
     return OK if verdict.agreement else MATH_FAILURE
@@ -283,10 +277,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_identities(args) -> int:
-    try:
-        reports = run_all(args.only)
-    except KeyError as exc:
-        raise InvalidParams(exc.args[0]) from exc
+    reports = run_all(args.only)
     failed = sum(1 for rep in reports if rep.failed())
     doc = {
         "schema_version": SCHEMA_VERSION,

@@ -10,7 +10,7 @@ sides have the same terms -- never "close", always exactly equal.
 The checks run the package's own closed forms over this ring: the
 generators of representation.generators, the conjugator of
 representation.conjugator, the solved cases of irreducibility.solved_value
-and the lines of irreducibility.equal_x_lines, with matrix2.Mat2 as the
+and the lines of irreducibility.s2_eigenlines, with matrix2.Mat2 as the
 matrix type.  So each proof is about the formula the float code runs.
 sym_generators, w_alpha_beta and conjugated_upper_right_numerator are built
 once per process, on first call, and shared, never mutated, by every report;
@@ -63,9 +63,11 @@ from collections import namedtuple
 from functools import cache
 
 from .exact import ExtElem, Substitution, substitute
-from .irreducibility import EQUAL_X_CASES, equal_x_lines, root_image, solved_value
+from .irreducibility import (
+    DISTINCT_X_CASES, EQUAL_X_CASES, root_image, s2_eigenlines, solved_value,
+)
 from .matrix2 import Mat2
-from .representation import GeneratorTriple, _check_sign, conjugator, generators
+from .representation import GeneratorTriple, InvalidParams, _check_sign, conjugator, generators
 
 VERIFIED = "verified"
 FAILED = "failed"
@@ -387,7 +389,7 @@ def verify_conjugated_upper_right_vanishing() -> IdentityReport:
     nb = conjugated_upper_right_numerator()
     note = "exact substitution of the solved parameter with the stated root image"
     checks = []
-    for case_id in ("distinct-x-1", "distinct-x-2", "distinct-x-3", "distinct-x-4"):
+    for case_id in DISTINCT_X_CASES:
         assignment, root = case_substitution(case_id)
         sub = Substitution(assignment)
         checks += [
@@ -419,19 +421,12 @@ def _eigenrelation_checks(case_id: str) -> list[CheckResult]:
     assignment, root = case_substitution(case_id)
     sub = Substitution(assignment)
     s1, s2, s3 = sym_generators(1)
-    u, v = equal_x_lines(X2, Y1, Y2)
-    # s3 acts on u and v by z2 and by the solved z1, in the case's order
-    z1 = assignment["z1"]
-    if case_id == "equal-x-1":
-        s3_eig, v_s3_eig = Z2, z1
-        s3_display = Mat2(
-            0, -Z2 / (X2 * Y2), X2 * Y1 * Z2, Z2 + Y1 * Z2 / Y2
-        )
-    else:
-        s3_eig, v_s3_eig = z1, Z2
-        s3_display = Mat2(
-            0, -Z2 / (X2 * Y1), X2 * Y2 * Z2, Z2 + Y2 * Z2 / Y1
-        )
+    u, v = s2_eigenlines(X2, Y1, Y2)
+    # s3 acts by z2 on s2's y_j eigenline and by the solved z1 on the other
+    _, j, _ = EQUAL_X_CASES[case_id]
+    yj, yo = (Y1, Y2)[j - 1], (Y1, Y2)[2 - j]
+    s3_eig, v_s3_eig = (Z2, assignment["z1"]) if j == 1 else (assignment["z1"], Z2)
+    s3_display = Mat2(0, -Z2 / (X2 * yo), X2 * yj * Z2, Z2 + yj * Z2 / yo)
     s2_display = Mat2(Y1 + Y2, 1 / X2, -(X2 * Y1 * Y2), 0)
 
     def sub_mat(m: Mat2, r_img: ExtElem) -> Mat2:
@@ -526,7 +521,7 @@ REGISTRY = {
 def run_all(only: str | None = None) -> list[IdentityReport]:
     if only is not None:
         if only not in REGISTRY:
-            raise KeyError(
+            raise InvalidParams(
                 f"unknown identity {only!r}; available: {', '.join(REGISTRY)}"
             )
         return [REGISTRY[only]()]

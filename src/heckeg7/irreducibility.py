@@ -40,16 +40,18 @@ ConditionFlag = namedtuple("ConditionFlag", "name lhs rhs equal")
 
 # The oracle on the flipped branch -r_sign, run only on disagreement;
 # resolved iff the criteria and the flipped oracle both say reducible.  The
-# witness is a Vec2 or None.
+# witness is a Vec2 or None, and flipped_triple the triple built at -r_sign.
 BranchDiagnosis = namedtuple(
-    "BranchDiagnosis", "flipped_oracle_decision resolved flipped_invariant_vector"
+    "BranchDiagnosis",
+    "flipped_oracle_decision resolved flipped_invariant_vector flipped_triple",
 )
 
 # conditions is a tuple of ConditionFlag, invariant_vector a Vec2 or None,
-# and branch_diagnosis a BranchDiagnosis or None (None when they agree).
+# branch_diagnosis a BranchDiagnosis or None (None when they agree), and
+# triple the GeneratorTriple built at r_sign, whose eigenline the witness is.
 Verdict = namedtuple("Verdict", (
     "regime", "r_sign", "tolerance", "theorem_decision", "conditions",
-    "oracle_decision", "invariant_vector", "agreement", "branch_diagnosis",
+    "oracle_decision", "invariant_vector", "agreement", "branch_diagnosis", "triple",
 ))
 
 
@@ -93,11 +95,11 @@ def solved_value(case_id: str, x2, y1, y2, z1, z2):
     return x2 * ys[j - 1] * zs[k - 1] / (ys[2 - j] * zs[2 - k])
 
 
-def equal_x_lines(x, y1, y2):
-    """The eigenlines of s2 = [[y1+y2, 1/x], [-y1*y2*x, 0]] over any field:
-    (-1/(x*y2), 1) for y1 and (-1/(x*y1), 1) for y2.  At an equal-x
+def s2_eigenlines(x1, y1, y2):
+    """The eigenlines of s2 = [[y1+y2, 1/x1], [-y1*y2*x1, 0]] over any field:
+    (-1/(x1*y2), 1) for y1 and (-1/(x1*y1), 1) for y2.  At an equal-x
     reducible point both are invariant."""
-    return (-1 / (x * y2), 1), (-1 / (x * y1), 1)
+    return (-1 / (x1 * y2), 1), (-1 / (x1 * y1), 1)
 
 
 def solve_case(case_id: str, p: Params | Sequence[complex]) -> Params:
@@ -173,31 +175,25 @@ def oracle_verdict(g: GeneratorTriple, tol: float = VERDICT_TOL) -> tuple[str, V
     return REDUCIBLE, witness
 
 
-def decide(
-    p: Params,
-    r_sign: int = 1,
-    tol: float = VERDICT_TOL,
-    triples: dict[int, GeneratorTriple] | None = None,
-) -> Verdict:
+def decide(p: Params, r_sign: int = 1, tol: float = VERDICT_TOL) -> Verdict:
     """Full pipeline: criteria, oracle at r_sign, agreement, and (only on
     disagreement) the oracle on the flipped branch.  Each branch's triple is
-    built once; a dict passed as triples receives them keyed by r sign.
-    A float overflow in the criteria or the oracle raises InvalidParams."""
+    built once and returned beside its witness: Verdict.triple at r_sign,
+    BranchDiagnosis.flipped_triple at -r_sign.  theorem_verdict refuses a
+    tol outside (0, inf) before any triple is built, and a float overflow
+    in the criteria or the oracle raises InvalidParams."""
     try:
         reg, theorem, flags = theorem_verdict(p, tol)
-        if triples is None:
-            triples = {}
-        g = triples[r_sign] = build_general(p, r_sign)
+        g = build_general(p, r_sign)
         oracle, witness = oracle_verdict(g, tol)
         agreement = oracle == theorem
         diagnosis = None
         if not agreement:
-            flipped = -r_sign
-            g = triples[flipped] = build_general(p, flipped)
-            oracle2, witness2 = oracle_verdict(g, tol)
-            diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem == REDUCIBLE, witness2)
+            g2 = build_general(p, -r_sign)
+            oracle2, witness2 = oracle_verdict(g2, tol)
+            diagnosis = BranchDiagnosis(oracle2, oracle2 == theorem == REDUCIBLE, witness2, g2)
     except OverflowError:
         raise InvalidParams("parameter magnitudes overflow the criteria or the oracle") from None
     return _record(
-        Verdict, (reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis)
+        Verdict, (reg, r_sign, tol, theorem, flags, oracle, witness, agreement, diagnosis, g)
     )

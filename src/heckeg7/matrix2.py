@@ -1,6 +1,10 @@
 """2x2 complex matrices and just enough eigenstructure for the invariant-line
 oracle: classify a matrix as scalar / defective / semisimple, extract its
 eigendirections, and search a family of matrices for a shared eigendirection.
+
+Every tol here must satisfy 0 < tol < inf, unchecked: it is checked once,
+where tol enters, by cli.main, SweepConfig.validate and theorem_verdict at
+the top of irreducibility.decide, before any triple is built.
 """
 
 from __future__ import annotations

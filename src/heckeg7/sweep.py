@@ -7,13 +7,13 @@ the sweep also injects constructed reducible tuples at a configured rate:
 five parameters are drawn and the remaining one is solved from a rotating
 reducibility case so the condition holds exactly in floating point.  For
 every injected tuple the produced invariant vector is re-checked against
-all three generators at the branch that produced it.  That vector comes
-from the sweep's one split of the verdict (_classify): the oracle's at the
-configured r sign when the deciders agree, the flipped branch's at the
-opposite sign when the flip resolves a disagreement, and none (a witness
-failure) otherwise.  For the first equal-x case the predicted direction
-must also be invariant, and the witness must lie on it or on the
-complementary invariant line (_predicted_direction_ok).
+all three generators of the triple it came with.  That pair comes from the
+sweep's one split of the verdict (_classify): Verdict.invariant_vector and
+.triple when the deciders agree, the flipped_ pair of the branch diagnosis
+when the flip resolves a disagreement, and none (a witness failure)
+otherwise.  For the first equal-x case the predicted direction must also
+be invariant, and the witness must lie on it or on the complementary
+invariant line (_predicted_direction_ok).
 
 A disagreement counts as resolved only when the criteria and the flipped
 branch's oracle both say reducible.  The regime filter only chooses what is
@@ -46,7 +46,7 @@ from .irreducibility import (
     EQUAL_X_CASES,
     REDUCIBLE,
     decide,
-    equal_x_lines,
+    s2_eigenlines,
     solve_case,
 )
 from .matrix2 import Vec2, normalize_direction, parallel
@@ -68,8 +68,13 @@ AGREE_REDUCIBLE = "agree-reducible"
 DISAGREE_RESOLVED = "disagree-resolved-by-branch"
 DISAGREE_UNRESOLVED = "disagree-unresolved"
 
-_EQUAL_CASE_IDS = tuple(EQUAL_X_CASES)
-_DISTINCT_CASE_IDS = tuple(DISTINCT_X_CASES)
+# Each regime filter's injected cases, taken in turn by injection count; with
+# no filter the regimes alternate: e1 d1 e2 d2 e1 d3 e2 d4.
+_CASE_CYCLES = {
+    EQUAL_X: tuple(EQUAL_X_CASES),
+    DISTINCT_X: tuple(DISTINCT_X_CASES),
+    None: tuple(c for pair in zip([*EQUAL_X_CASES] * 2, DISTINCT_X_CASES) for c in pair),
+}
 
 # Injected tuples are redrawn until they are robustly inside their intended
 # case: the solved parameter must have sane modulus, distinct-x tuples must
@@ -204,7 +209,7 @@ def _draw_random_sample(rng: random.Random, cfg: SweepConfig) -> Params:
 def _draw_injected_sample(
     rng: random.Random, cfg: SweepConfig, case_id: str
 ) -> Params:
-    equal_case = case_id in _EQUAL_CASE_IDS
+    equal_case = case_id in EQUAL_X_CASES
     for _ in range(_MAX_REDRAWS):
         # only the solved point is built, and so validated
         values = _draw_values(rng, cfg)
@@ -224,17 +229,6 @@ def _draw_injected_sample(
     raise InvalidParams(f"could not construct a sane tuple for case {case_id}")
 
 
-def _injection_case(cfg: SweepConfig, injection_index: int) -> str:
-    if cfg.regime_filter == EQUAL_X:
-        return _EQUAL_CASE_IDS[injection_index % len(_EQUAL_CASE_IDS)]
-    if cfg.regime_filter == DISTINCT_X:
-        return _DISTINCT_CASE_IDS[injection_index % len(_DISTINCT_CASE_IDS)]
-    within = injection_index // 2
-    if injection_index % 2 == 0:
-        return _EQUAL_CASE_IDS[within % len(_EQUAL_CASE_IDS)]
-    return _DISTINCT_CASE_IDS[within % len(_DISTINCT_CASE_IDS)]
-
-
 def _invariant(g: GeneratorTriple, v: Vec2, tol: float) -> bool:
     return all(parallel(m.apply(v), v, tol) for m in g)
 
@@ -251,17 +245,17 @@ def _direction_eq(u: Vec2, v: Vec2, tol: float) -> bool:
 def _predicted_direction_ok(
     p: Params, g: GeneratorTriple, witness: Vec2, tol: float
 ) -> bool:
-    """The equal-x Case 1 prediction check on the producing branch's triple g.
+    """The equal-x Case 1 prediction check on the witness's triple g.
 
-    The predicted invariant direction is (-1/(x2*y2), 1).  The invariant
-    line is not unique in this case -- the representation splits completely
-    and (-1/(x2*y1), 1) is invariant too (verified exactly by the identity
-    suite) -- so the oracle may legitimately return either line.  The check
-    requires (a) the predicted direction really is invariant under all three
-    generators and (b) the produced witness is parallel to one of the two
-    invariant lines.
+    The predicted invariant direction is (-1/(x1*y2), 1), the first of
+    s2_eigenlines.  The invariant line is not unique in this case -- the
+    representation splits completely and (-1/(x1*y1), 1) is invariant too
+    (verified exactly by the identity suite) -- so the oracle may
+    legitimately return either line.  The check requires (a) the predicted
+    direction really is invariant under all three generators and (b) the
+    produced witness is parallel to one of the two invariant lines.
     """
-    predicted, complementary = map(normalize_direction, equal_x_lines(p.x2, p.y1, p.y2))
+    predicted, complementary = map(normalize_direction, s2_eigenlines(p.x1, p.y1, p.y2))
     if not _invariant(g, predicted, tol):
         return False
     return _direction_eq(witness, predicted, tol) or _direction_eq(
@@ -272,11 +266,12 @@ def _predicted_direction_ok(
 def _draws(rng: random.Random, cfg: SweepConfig):
     """Each sample's (injected case or None, params), in sample order."""
     rate = cfg.inject_reducible_rate
+    cycle = _CASE_CYCLES[cfg.regime_filter]
     injected = 0
     for i in range(cfg.samples):
         # sample i is injected when floor((i + 1) * rate) > floor(i * rate)
         if math.floor((i + 1) * rate) > math.floor(i * rate):
-            case_id = _injection_case(cfg, injected)
+            case_id = cycle[injected % len(cycle)]
             injected += 1
             yield case_id, _draw_injected_sample(rng, cfg, case_id)
         else:
@@ -285,30 +280,28 @@ def _draws(rng: random.Random, cfg: SweepConfig):
 
 def _classify(cfg: SweepConfig, i: int, case_id: str | None, p: Params) -> tuple:
     """Sample i's record: (injected case, classification, witness failure,
-    predicted-direction mismatch, disagreement record or None)."""
+    predicted-direction mismatch, disagreement record or None).  A witness
+    is checked on the triple the verdict hands back with it."""
     tol = cfg.tolerance
-    triples: dict[int, GeneratorTriple] = {}
-    v = decide(p, r_sign=cfg.r_sign, tol=tol, triples=triples)
+    v = decide(p, r_sign=cfg.r_sign, tol=tol)
     # the one split of a verdict: its classification, and the invariant
-    # vector it produced with the branch (r sign) that produced it
+    # vector it produced with the triple g it is an eigenline of
     d = v.branch_diagnosis
     if v.agreement:
         classification = (
             AGREE_REDUCIBLE if v.oracle_decision == REDUCIBLE else AGREE_IRREDUCIBLE
         )
-        witness, sign = v.invariant_vector, v.r_sign
+        witness, g = v.invariant_vector, v.triple
     elif d is not None and d.resolved:
         classification = DISAGREE_RESOLVED
-        witness, sign = d.flipped_invariant_vector, -v.r_sign
+        witness, g = d.flipped_invariant_vector, d.flipped_triple
     else:
         classification = DISAGREE_UNRESOLVED
-        witness = sign = None
+        witness = g = None
     # an injected sample's witness is re-checked on the triple that produced it
-    failed = case_id is not None and (
-        witness is None or not _invariant(triples[sign], witness, tol)
-    )
+    failed = case_id is not None and (witness is None or not _invariant(g, witness, tol))
     mismatch = case_id == "equal-x-1" and not failed and not _predicted_direction_ok(
-        p, triples[sign], witness, tol
+        p, g, witness, tol
     )
     record = None if v.agreement else {
         "index": i, "params": params_as_dict(p), "injected-case": case_id,

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeg7 import irreducibility, matrix2, sweep
 from heckeg7.cli import INPUT_ERROR, MATH_FAILURE, OK, main
+from heckeg7.representation import InvalidParams, Params
 
 ALL_ONES = {
     name: {"re": 1, "im": 0} for name in ("x1", "x2", "y1", "y2", "z1", "z2")
@@ -431,6 +433,25 @@ class TestInputErrors:
         assert_one_error_line(
             code, out, err, "--tolerance must be positive and finite"
         )
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_is_refused_where_it_enters(self, tmp_path, capsys, monkeypatch, tol):
+        # matrix2 checks no tol: decide, run_sweep and main each refuse a bad
+        # one before any eigenstructure or parallelism test runs
+        def never(*args):
+            raise AssertionError("reached with a refused tolerance")
+
+        monkeypatch.setattr(irreducibility, "common_eigenvector", never)
+        monkeypatch.setattr(matrix2, "eigen_directions", never)
+        monkeypatch.setattr(sweep, "parallel", never)
+        with pytest.raises(ValueError, match="^tolerance must be (positive|finite)$"):
+            irreducibility.decide(Params(2, 3, 5, 7, 11, 13), tol=tol)
+        with pytest.raises(InvalidParams, match="^tolerance must be positive and finite$"):
+            sweep.run_sweep(sweep.SweepConfig(samples=10, tolerance=tol))
+        path = write_params(tmp_path, IRREDUCIBLE_POINT)
+        for argv in (["check", path], ["sweep"], ["relations", path]):
+            code, out, err = run_cli(capsys, *argv, "--tolerance", repr(tol))
+            assert_one_error_line(code, out, err, "--tolerance must be positive and finite")
 
     @pytest.mark.parametrize("flag", [["--r-sign", "-1"], ["--tolerance", "1e-9"]])
     def test_identities_takes_no_sign_or_tolerance(self, capsys, flag):

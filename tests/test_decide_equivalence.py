@@ -1,8 +1,8 @@
 """decide against a reference written out from the formulas.
 
-decide evaluates the criteria, builds each branch's triple once and hands
-the triples to the sweep for its witness checks; its layers are written
-for speed.  The reference below shares none of that code: the condition
+decide evaluates the criteria, builds each branch's triple once and returns
+it beside the witness found on it, for the sweep's witness checks; its
+layers are written for speed.  The reference below shares none of that code: the condition
 products as written in the condition names, compared by ref_approx_eq; the
 triple as Mat2 entries from the formulas of representation's docstring;
 the oracle as the eigen-classification kept verbatim in oracle_reference
@@ -101,16 +101,19 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
         lhs, rhs = lhs_fn(p), rhs_fn(p)
         flags.append(ConditionFlag(name, lhs, rhs, ref_approx_eq(lhs, rhs, tol)))
     theorem = REDUCIBLE if any(flag.equal for flag in flags) else IRREDUCIBLE
-    oracle, witness = reference_oracle(reference_triple(p, r_sign), tol)
+    triple = reference_triple(p, r_sign)
+    oracle, witness = reference_oracle(triple, tol)
     diagnosis = None
     if oracle != theorem:
-        oracle2, witness2 = reference_oracle(reference_triple(p, -r_sign), tol)
+        flipped_triple = reference_triple(p, -r_sign)
+        oracle2, witness2 = reference_oracle(flipped_triple, tol)
         # only a criteria-reducible disagreement can be a branch effect
         resolved = oracle2 == theorem == REDUCIBLE
         diagnosis = BranchDiagnosis(
             flipped_oracle_decision=oracle2,
             resolved=resolved,
             flipped_invariant_vector=witness2,
+            flipped_triple=flipped_triple,
         )
     return Verdict(
         regime=EQUAL_X if ref_approx_eq(p.x1, p.x2, tol) else DISTINCT_X,
@@ -122,6 +125,7 @@ def reference_verdict(p, r_sign, tol=VERDICT_TOL):
         invariant_vector=witness,
         agreement=oracle == theorem,
         branch_diagnosis=diagnosis,
+        triple=triple,
     )
 
 
@@ -142,12 +146,15 @@ def seeded_points(cfg):
 def test_decide_matches_reference_on_both_branches(cfg):
     for case_id, p in seeded_points(cfg):
         for r_sign in (1, -1):
-            triples = {}
-            v = decide(p, r_sign, triples=triples)
+            v = decide(p, r_sign)
             assert bits(v) == bits(reference_verdict(p, r_sign)), (case_id, p, r_sign)
-            expected_signs = {r_sign} if v.agreement else {r_sign, -r_sign}
-            expected = {s: reference_triple(p, s) for s in expected_signs}
-            assert bits(triples) == bits(expected), (case_id, p, r_sign)
+            # each triple is the one built at its own branch, built afresh
+            assert bits(v.triple) == bits(reference_triple(p, r_sign)), (case_id, p, r_sign)
+            d = v.branch_diagnosis
+            if d is not None:
+                assert bits(d.flipped_triple) == bits(reference_triple(p, -r_sign)), (
+                    case_id, p, r_sign
+                )
 
 
 def invariant_on_fresh_triple(p, direction, sign, tol):
@@ -174,8 +181,9 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
     monkeypatch.setattr(sweep, "_helper_can_run", lambda samples: False)
     cfg = cfg._replace(samples=2000, seed=20)
     result = sweep.run_sweep(cfg)
+    cycle = sweep._CASE_CYCLES[cfg.regime_filter]
     injected = {
-        i: sweep._injection_case(cfg, k)
+        i: cycle[k % len(cycle)]
         for k, i in enumerate(
             i for i in range(cfg.samples)
             if math.floor((i + 1) * cfg.inject_reducible_rate)

@@ -35,7 +35,7 @@ from heckeg7.identities import (
 )
 from heckeg7.matrix2 import Mat2
 from heckeg7.numerics import approx_eq
-from heckeg7.representation import GeneratorTriple, conjugator
+from heckeg7.representation import GeneratorTriple, InvalidParams, conjugator
 
 X1, X2, Y1, Y2, Z1, Z2 = (ExtElem.var(name) for name in VARS)
 
@@ -79,7 +79,7 @@ class TestSuiteReports:
         assert reports[0].name == "w-factorization"
 
     def test_unknown_name_lists_available(self):
-        with pytest.raises(KeyError, match="w-factorization"):
+        with pytest.raises(InvalidParams, match="w-factorization"):
             run_all("bogus")
 
     def test_report_as_dict_is_json_shaped(self):

@@ -16,10 +16,10 @@ from heckeg7.irreducibility import (
     IRREDUCIBLE,
     REDUCIBLE,
     decide,
-    equal_x_lines,
     oracle_verdict,
     regime,
     root_image,
+    s2_eigenlines,
     solve_case,
     solved_value,
     theorem_verdict,
@@ -67,7 +67,7 @@ def predicted_line(p: Params, case_id: str) -> tuple[int, Vec2]:
     image = root_image(case_id, p.x2, p.y1, p.y2, p.z1, p.z2)
     sign = 1 if approx_eq(image, root_of(p)) else -1
     assert approx_eq(image, sign * root_of(p)), "the case's root image is not +-r"
-    return sign, normalize_direction(equal_x_lines(p.x1, p.y1, p.y2)[j - 1])
+    return sign, normalize_direction(s2_eigenlines(p.x1, p.y1, p.y2)[j - 1])
 
 
 def generator_invariance(g, direction, tol=1e-9) -> bool:

@@ -26,7 +26,7 @@ def one_of_each():
         p,
         build_general(p),
         ConditionFlag("z1*y2 = y1*z2", 1, 2, False),
-        BranchDiagnosis("reducible", True, (1, 0)),
+        BranchDiagnosis("reducible", True, (1, 0), build_general(p, -1)),
         decide(p),
         CheckResult("c", True),
         IdentityReport("r", VERIFIED, ()),
@@ -63,10 +63,12 @@ FIELDS_AND_DEFAULTS = {
     Params: ("x1 x2 y1 y2 z1 z2 y3 z3", {"y3": None, "z3": None}),
     GeneratorTriple: ("s1 s2 s3", {}),
     ConditionFlag: ("name lhs rhs equal", {}),
-    BranchDiagnosis: ("flipped_oracle_decision resolved flipped_invariant_vector", {}),
+    BranchDiagnosis: (
+        "flipped_oracle_decision resolved flipped_invariant_vector flipped_triple", {}
+    ),
     Verdict: (
         "regime r_sign tolerance theorem_decision conditions oracle_decision "
-        "invariant_vector agreement branch_diagnosis",
+        "invariant_vector agreement branch_diagnosis triple",
         {},
     ),
     CheckResult: ("name ok note residual", {"note": "", "residual": None}),
@@ -124,7 +126,15 @@ def test_fields_and_defaults_are_pinned(cls):
             "ConditionFlag(name='x1*y1*z1 = x2*y2*z2', lhs=(-1+0j), rhs=(1+0j), equal=False)), "
             "oracle_decision='irreducible', invariant_vector=None, agreement=False, "
             "branch_diagnosis=BranchDiagnosis(flipped_oracle_decision='reducible', "
-            "resolved=True, flipped_invariant_vector=((1+0j), 1j)))",
+            "resolved=True, flipped_invariant_vector=((1+0j), 1j), "
+            "flipped_triple=GeneratorTriple("
+            "s1=Mat2(a=(1+0j), b=0j, c=0j, d=(1+0j)), "
+            "s2=Mat2(a=(1-1j), b=(1+0j), c=(-0+1j), d=0j), "
+            "s3=Mat2(a=0j, b=(-1+0j), c=(-0-1j), d=(1-1j)))), "
+            "triple=GeneratorTriple("
+            "s1=Mat2(a=(1+0j), b=(2+2j), c=0j, d=(1+0j)), "
+            "s2=Mat2(a=(1-1j), b=(1+0j), c=(-0+1j), d=0j), "
+            "s3=Mat2(a=0j, b=(1-0j), c=1j, d=(1-1j))))",
         ),
     ],
     ids=["Mat2", "Params", "Params-cubic", "ConditionFlag", "Verdict"],

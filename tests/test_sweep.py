@@ -170,7 +170,7 @@ class TestWitnessChecks:
 
     def test_a_non_invariant_predicted_line_is_a_mismatch_only(self, monkeypatch, capsys):
         # (1, 1) is no eigenvector of s1 = [[x1, b], [0, x2]] unless x1 + b = x2
-        monkeypatch.setattr(sweep, "equal_x_lines", lambda x, y1, y2: ((1.0, 1.0),) * 2)
+        monkeypatch.setattr(sweep, "s2_eigenlines", lambda x1, y1, y2: ((1.0, 1.0),) * 2)
         code = main(["sweep", "--samples", "100", "--seed", "7"])
         injected = json.loads(capsys.readouterr().out)["injected"]
         assert injected["predicted-direction-mismatches"] == [9, 49, 89]
