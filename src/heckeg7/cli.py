@@ -257,22 +257,7 @@ def cmd_sweep(args) -> int:
         regimes = {"equal": EQUAL_X, "distinct": DISTINCT_X}
         values["regime_filter"] = regimes[args.regime_filter]
     result = run_sweep(SweepConfig(**values))
-    doc = result.as_dict()
-    if args.fixtures_out:
-        fixtures = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "disagreement-fixtures",
-            "config": doc["config"],
-            "disagreements": doc["disagreements"],
-        }
-        # rendered first, so that a document render refuses leaves no file
-        text = render.dumps(fixtures) + "\n"
-        try:
-            with open(args.fixtures_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InvalidParams(f"cannot write {args.fixtures_out}: {exc}") from exc
-    _emit(doc, args.output, _sweep_text)
+    _emit(result.as_dict(), args.output, _sweep_text)
     return MATH_FAILURE if result.unresolved() > 0 else OK
 
 
@@ -545,10 +530,6 @@ def build_parser() -> _Parser:
         _option(
             "--regime-filter", str, None, "restrict samples and injections to one regime",
             choices=("equal", "distinct"),
-        ),
-        _option(
-            "--fixtures-out", str, None,
-            "also write all disagreement records to FILE as JSON", metavar="FILE",
         ),
     )
     only = _option(

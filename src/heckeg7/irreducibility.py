@@ -133,12 +133,12 @@ def theorem_verdict(
     that overflowed to inf or nan always leaves it so, and an infinite side
     would otherwise make its bound inf and its flag hold.  (Two finite sides
     whose difference overflows have a product, DELTA, that overflows too.)
-    Raises ValueError unless 0 < tol < inf: an infinite tol would make every
-    flag hold at every finite point.
+    Raises InvalidParams unless 0 < tol < inf: an infinite tol would make
+    every flag hold at every finite point.
     """
     if not 0.0 < tol < inf:
         problem = "finite" if tol == inf else "positive"
-        raise ValueError(f"tolerance must be {problem}")
+        raise InvalidParams(f"tolerance must be {problem}")
     x1, x2, y1, y2, z1, z2, _, _ = p
     dx, mod_x1, mod_x2 = abs(x1 - x2), abs(x1), abs(x2)
     reg = EQUAL_X if dx <= tol or dx <= tol * mod_x1 or dx <= tol * mod_x2 else DISTINCT_X
@@ -180,8 +180,8 @@ def decide(p: Params, r_sign: int = 1, tol: float = VERDICT_TOL) -> Verdict:
     disagreement) the oracle on the flipped branch.  Each branch's triple is
     built once and returned beside its witness: Verdict.triple at r_sign,
     BranchDiagnosis.flipped_triple at -r_sign.  theorem_verdict refuses a
-    tol outside (0, inf) before any triple is built, and a float overflow
-    in the criteria or the oracle raises InvalidParams."""
+    tol outside (0, inf) with InvalidParams before any triple is built, and
+    a float overflow in the criteria or the oracle raises InvalidParams."""
     try:
         reg, theorem, flags = theorem_verdict(p, tol)
         g = build_general(p, r_sign)

@@ -12,8 +12,8 @@ sweep's one split of the verdict (_classify): Verdict.invariant_vector and
 .triple when the deciders agree, the flipped_ pair of the branch diagnosis
 when the flip resolves a disagreement, and none (a witness failure)
 otherwise.  For the first equal-x case the predicted direction must also
-be invariant, and the witness must lie on it or on the complementary
-invariant line (_predicted_direction_ok).
+be invariant, and the witness must be parallel to it or to the
+complementary invariant line (_predicted_direction_ok, by matrix2.parallel).
 
 A disagreement counts as resolved only when the criteria and the flipped
 branch's oracle both say reducible.  The regime filter only chooses what is
@@ -50,7 +50,7 @@ from .irreducibility import (
     solve_case,
 )
 from .matrix2 import Vec2, normalize_direction, parallel
-from .numerics import VERDICT_TOL, approx_eq, from_polar
+from .numerics import VERDICT_TOL, from_polar
 from .render import params_as_dict, verdict_as_dict
 from .representation import GeneratorTriple, InvalidParams, Params
 # Not called here: perfbench/tracing.py wraps these names on this module.
@@ -103,6 +103,11 @@ class SweepConfig(namedtuple(
         for name in ("samples", "seed", "r_sign"):
             if type(getattr(self, name)) is not int:  # bool included
                 raise InvalidParams(f"{name} must be an int")
+        for name in ("tolerance", "inject_reducible_rate", "log10_modulus_min",
+                     "log10_modulus_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidParams(f"{name} must be a number")
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
         if self.domain not in DOMAINS:
@@ -233,15 +238,6 @@ def _invariant(g: GeneratorTriple, v: Vec2, tol: float) -> bool:
     return all(parallel(m.apply(v), v, tol) for m in g)
 
 
-def _direction_eq(u: Vec2, v: Vec2, tol: float) -> bool:
-    un, vn = normalize_direction(u), normalize_direction(v)
-    if approx_eq(un[0], vn[0], tol) and approx_eq(un[1], vn[1], tol):
-        return True
-    # fall back to a parallelism test in case normalization picked different
-    # pivot components of two equal-modulus entries
-    return parallel(un, vn, tol)
-
-
 def _predicted_direction_ok(
     p: Params, g: GeneratorTriple, witness: Vec2, tol: float
 ) -> bool:
@@ -252,15 +248,14 @@ def _predicted_direction_ok(
     representation splits completely and (-1/(x1*y1), 1) is invariant too
     (verified exactly by the identity suite) -- so the oracle may
     legitimately return either line.  The check requires (a) the predicted
-    direction really is invariant under all three generators and (b) the
-    produced witness is parallel to one of the two invariant lines.
+    direction really is invariant under all three generators and (b)
+    parallel(witness, line, tol) holds for one of the two lines, the test
+    _invariant makes too.
     """
     predicted, complementary = map(normalize_direction, s2_eigenlines(p.x1, p.y1, p.y2))
     if not _invariant(g, predicted, tol):
         return False
-    return _direction_eq(witness, predicted, tol) or _direction_eq(
-        witness, complementary, tol
-    )
+    return parallel(witness, predicted, tol) or parallel(witness, complementary, tol)
 
 
 def _draws(rng: random.Random, cfg: SweepConfig):

@@ -1,5 +1,6 @@
 """The argparse parser of heckeg7.cli as it read before the table-driven
-parser replaced it, kept verbatim as a reference for the tests.
+parser replaced it, kept verbatim as a reference for the tests, less the
+sweep's --fixtures-out, which the command line has since dropped.
 
 tests/test_cli_parser.py runs the same command lines through this parser
 and through heckeg7.cli.build_parser(): where this one accepts a line, both
@@ -101,12 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("equal", "distinct"),
         default=None,
         help="restrict samples and injections to one regime",
-    )
-    sweep.add_argument(
-        "--fixtures-out",
-        default=None,
-        metavar="FILE",
-        help="also write all disagreement records to FILE as JSON",
     )
     _add_common_flags(sweep)
     sweep.set_defaults(handler=cmd_sweep)

@@ -26,6 +26,7 @@ from heckeg7.irreducibility import (
 )
 from heckeg7.matrix2 import JORDAN, SCALAR, SEMISIMPLE, EigenReport, Mat2, Vec2
 from heckeg7.numerics import VERDICT_TOL, principal_sqrt
+from heckeg7.representation import InvalidParams
 from heckeg7.sweep import _SEPARATION
 
 
@@ -184,7 +185,7 @@ def ref_common_eigenvector(matrices, tol: float = VERDICT_TOL) -> Vec2 | None:
 def ref_theorem_verdict(p, tol: float = VERDICT_TOL):
     if not 0.0 < tol < math.inf:
         problem = "finite" if tol == math.inf else "positive"
-        raise ValueError(f"tolerance must be {problem}")
+        raise InvalidParams(f"tolerance must be {problem}")
     x1, x2, y1, y2, z1, z2, _, _ = p
     reg = EQUAL_X if abs(x1 - x2) <= tol * max(1.0, abs(x1), abs(x2)) else DISTINCT_X
     x1y1, x1y2, x2y1, x2y2 = x1 * y1, x1 * y2, x2 * y1, x2 * y2

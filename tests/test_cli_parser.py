@@ -33,8 +33,7 @@ FLAGS = {
     "check": COMMON,
     "sweep": (
         "--samples", "--seed", "--domain", "--inject-reducible-rate",
-        "--log10-modulus-min", "--log10-modulus-max", "--regime-filter",
-        "--fixtures-out", *COMMON,
+        "--log10-modulus-min", "--log10-modulus-max", "--regime-filter", *COMMON,
     ),
     "identities": ("--only", "--output"),
     "relations": COMMON,

@@ -31,7 +31,7 @@ from heckeg7.irreducibility import (
     Verdict,
     decide,
 )
-from heckeg7.matrix2 import SCALAR, Mat2, normalize_direction
+from heckeg7.matrix2 import SCALAR, Mat2, normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, principal_sqrt
 from heckeg7.representation import GeneratorTriple, Params, build_general
 from heckeg7.sweep import (
@@ -213,7 +213,7 @@ def test_sweep_witness_checks_match_fresh_rebuilds(cfg, monkeypatch):
         if not (
             invariant_on_fresh_triple(p, predicted, sign, cfg.tolerance)
             and any(
-                sweep._direction_eq(witness, line, cfg.tolerance)
+                parallel(witness, line, cfg.tolerance)
                 for line in (predicted, complementary)
             )
         ):

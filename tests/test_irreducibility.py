@@ -185,13 +185,13 @@ class TestTheoremVerdict:
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_nonpositive_tolerance_rejected(self, tol):
         # the regime test is the first use of tol
-        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        with pytest.raises(InvalidParams, match="^tolerance must be positive$"):
             theorem_verdict(Params(2, 3, 5, 7, 11, 13), tol=tol)
 
     def test_infinite_tolerance_rejected(self):
         # with tol = inf every flag would hold: an irreducible point reads
         # reducible at both the criteria and the regime test
-        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+        with pytest.raises(InvalidParams, match="^tolerance must be finite$"):
             theorem_verdict(Params(2, 3, 5, 7, 11, 13), tol=math.inf)
         with pytest.raises(ValueError, match="^tolerance must be finite$"):
             regime(Params(2, 3, 5, 7, 11, 13), tol=math.inf)
@@ -471,13 +471,13 @@ class TestDecide:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_nonpositive_tolerance_rejected(self, tol):
-        with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        with pytest.raises(InvalidParams, match="^tolerance must be positive$"):
             decide(Params(2, 3, 5, 7, 11, 13), tol=tol)
 
     def test_infinite_tolerance_rejected(self):
         # both deciders used to call this irreducible point reducible, in
         # agreement
-        with pytest.raises(ValueError, match="^tolerance must be finite$"):
+        with pytest.raises(InvalidParams, match="^tolerance must be finite$"):
             decide(Params(2, 3, 5, 7, 11, 13), tol=math.inf)
 
     def test_verdict_records_inputs(self):

@@ -176,27 +176,20 @@ def test_identities_stdout_is_the_stdlib_encoding(capsys):
     ],
     ids=["general-complex-wide-band", "unit-modulus-equal-x"],
 )
-def test_fixtures_out_file_is_the_stdlib_encoding(tmp_path, capsys, config):
-    target = tmp_path / "fixtures.json"
-    code = main(
-        ["sweep", "--samples", "1000", "--seed", "5", *config, "--fixtures-out", str(target)]
-    )
+def test_sweep_disagreements_are_the_stdlib_encoding(capsys, config):
+    code = main(["sweep", "--samples", "1000", "--seed", "5", *config])
     out = capsys.readouterr().out
     assert code == OK
-    text = target.read_text(encoding="utf-8")
-    records = json.loads(text)["disagreements"]
+    records = json.loads(out)["disagreements"]
     assert records  # the checks cover real records
-    for doc in (out, text):
-        assert_stdlib_bytes(doc)
+    assert_stdlib_bytes(out)
     for record in records:
         verdict = record["verdict"]
         assert len(verdict["conditions"]) == 4
         assert "conditions" not in (verdict["branch-diagnosis"] or {})
 
 
-def test_a_non_finite_fixtures_document_leaves_no_file_and_no_stdout(
-    tmp_path, capsys, monkeypatch
-):
+def test_a_non_finite_sweep_document_leaves_no_stdout(capsys, monkeypatch):
     real_run_sweep = cli.run_sweep
 
     def run_sweep_with_a_nan(cfg):
@@ -206,9 +199,7 @@ def test_a_non_finite_fixtures_document_leaves_no_file_and_no_stdout(
         return SimpleNamespace(as_dict=lambda: doc, unresolved=result.unresolved)
 
     monkeypatch.setattr(cli, "run_sweep", run_sweep_with_a_nan)
-    target = tmp_path / "fixtures.json"
-    code = main(["sweep", "--samples", "20", "--fixtures-out", str(target)])
+    code = main(["sweep", "--samples", "20"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (INPUT_ERROR, "")
     assert captured.err.startswith("error: a result is nan") and captured.err.count("\n") == 1
-    assert not target.exists()

@@ -85,6 +85,15 @@ class TestConfigValidation:
             {"r_sign": 1.0},
             {"r_sign": True},
             {"r_sign": -1.0},
+            # tolerance, the rate and the log10 bounds are ints or floats,
+            # not bools or strings
+            {"tolerance": True},
+            {"tolerance": "1e-9"},
+            {"inject_reducible_rate": True},
+            {"inject_reducible_rate": "0.1"},
+            {"log10_modulus_min": "-1"},
+            {"log10_modulus_max": False},
+            {"log10_modulus_max": None},
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -102,6 +111,18 @@ class TestConfigValidation:
             run_sweep(SweepConfig(seed=None))
         with pytest.raises(InvalidParams, match="^r_sign must be an int$"):
             run_sweep(SweepConfig(r_sign=True))
+        for name, value in [
+            ("tolerance", True), ("tolerance", "1e-9"),
+            ("inject_reducible_rate", True), ("inject_reducible_rate", "0.1"),
+            ("log10_modulus_min", "-1"), ("log10_modulus_max", None),
+        ]:
+            with pytest.raises(InvalidParams, match=f"^{name} must be a number$"):
+                run_sweep(SweepConfig(samples=20, **{name: value}))
+
+    def test_accepts_ints_for_number_fields(self):
+        SweepConfig(
+            tolerance=1, inject_reducible_rate=1, log10_modulus_min=-1, log10_modulus_max=1
+        ).validate()
 
 
 class TestDeterminism:
