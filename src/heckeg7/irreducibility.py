@@ -150,21 +150,16 @@ def theorem_verdict(
     d1, d2, d3, d4 = abs(l1 - r1), abs(l2 - r2), abs(l3 - r3), abs(l4 - r4)
     if not (d1 < inf and d2 < inf and d3 < inf and d4 < inf):  # inf or nan
         raise OverflowError("a side of the criteria is not finite")
-    ml1, mr1, ml2, mr2 = abs(l1), abs(r1), abs(l2), abs(r2)
-    ml3, mr3, ml4, mr4 = abs(l3), abs(r3), abs(l4), abs(r4)
-    e1 = d1 <= tol or d1 <= tol * ml1 or d1 <= tol * mr1
-    e2 = d2 <= tol or d2 <= tol * ml2 or d2 <= tol * mr2
-    e3 = d3 <= tol or d3 <= tol * ml3 or d3 <= tol * mr3
-    e4 = d4 <= tol or d4 <= tol * ml4 or d4 <= tol * mr4
-    n1, n2, n3, n4 = _CONDITIONS
-    flags = (
-        _record(ConditionFlag, (n1, l1, r1, e1)),
-        _record(ConditionFlag, (n2, l2, r2, e2)),
-        _record(ConditionFlag, (n3, l3, r3, e3)),
-        _record(ConditionFlag, (n4, l4, r4, e4)),
-    )
-    decision = REDUCIBLE if e1 or e2 or e3 or e4 else IRREDUCIBLE
-    return reg, decision, flags
+    decision, flags, (n1, n2, n3, n4) = IRREDUCIBLE, [], _CONDITIONS
+    for name, lhs, rhs, d in (
+        (n1, l1, r1, d1), (n2, l2, r2, d2), (n3, l3, r3, d3), (n4, l4, r4, d4)
+    ):
+        mod_lhs, mod_rhs = abs(lhs), abs(rhs)  # only once every difference is finite
+        equal = d <= tol or d <= tol * mod_lhs or d <= tol * mod_rhs
+        flags.append(_record(ConditionFlag, (name, lhs, rhs, equal)))
+        if equal:
+            decision = REDUCIBLE
+    return reg, decision, tuple(flags)
 
 
 def oracle_verdict(g: GeneratorTriple, tol: float = VERDICT_TOL) -> tuple[str, Vec2 | None]:

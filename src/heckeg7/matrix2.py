@@ -161,13 +161,11 @@ def common_eigenvector(
     order of the tests cannot change the result; the others do the
     rejecting, and the matrix the candidates came from is tested last.
     """
-    candidates: tuple[Vec2, ...] | None = None
     for i, m in enumerate(matrices):
-        kind, _, directions = eigen_directions(m, tol)
+        kind, _, candidates = eigen_directions(m, tol)
         if kind != SCALAR:
-            candidates = directions
             break
-    if candidates is None:
+    else:
         return (1.0 + 0.0j, 0.0 + 0.0j)
     source_last = [*matrices[i + 1:], *matrices[:i + 1]]
     for v0, v1 in candidates:

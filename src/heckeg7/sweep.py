@@ -108,6 +108,10 @@ class SweepConfig(namedtuple(
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InvalidParams(f"{name} must be a number")
+            try:
+                float(value)  # an int beyond every float raises OverflowError
+            except OverflowError:
+                raise InvalidParams(f"{name} does not fit in a float") from None
         if self.samples < 1:
             raise InvalidParams("samples must be >= 1")
         if self.domain not in DOMAINS:

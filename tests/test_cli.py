@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeg7 import irreducibility, matrix2, sweep
-from heckeg7.cli import INPUT_ERROR, MATH_FAILURE, OK, main
+from heckeg7.cli import INPUT_ERROR, MATH_FAILURE, OK, build_parser, main
 from heckeg7.representation import InvalidParams, Params
 
 ALL_ONES = {
@@ -706,6 +706,16 @@ class TestRelations:
 
 
 class TestSweep:
+    def test_defaults_are_the_sweep_configs(self):
+        # stated twice, in build_parser's rows and in SweepConfig
+        args = build_parser().parse_args(["sweep"])
+        got = {name: getattr(args, name) for name in sweep.SweepConfig._fields}
+        expected = sweep.SweepConfig._field_defaults
+        assert len(expected) == 9
+        assert {k: (type(v), v) for k, v in got.items()} == {
+            k: (type(v), v) for k, v in expected.items()
+        }
+
     def test_small_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--samples", "50")
         assert code == OK

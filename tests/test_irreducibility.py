@@ -12,6 +12,7 @@ from heckeg7.identities import X2, Y1, Y2, Z1, Z2
 from heckeg7.irreducibility import (
     ALL_CASES,
     DISTINCT_X,
+    DISTINCT_X_CASES,
     EQUAL_X,
     IRREDUCIBLE,
     REDUCIBLE,
@@ -28,6 +29,8 @@ from heckeg7.matrix2 import Vec2, normalize_direction, parallel
 from heckeg7.numerics import VERDICT_TOL, approx_eq, principal_sqrt
 from heckeg7.render import diagnosis_as_dict
 from heckeg7.representation import InvalidParams, Params, build_general
+from heckeg7.sweep import DOMAINS, SweepConfig, _draw_values
+from oracle_reference import bits
 
 WRONG_BRANCH_POINT = Params(
     1, 1, cmath.exp(0.9j * math.pi), 1, cmath.exp(0.9j * math.pi), 1
@@ -176,6 +179,27 @@ class TestTheoremVerdict:
                 image = flags_q[moved[i]]
                 sides = (flag.rhs, flag.lhs) if sides_swap else (flag.lhs, flag.rhs)
                 assert (image.lhs, image.rhs, image.equal) == (*sides, flag.equal)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_each_flag_is_its_case(self, domain):
+        # flag i is the i-th distinct-x case: its condition, its root image
+        # x2*y_j*z_k as rhs and x1*y_j'*z_k' as lhs, bit for bit
+        rng, cfg = random.Random(f"flag-cases-{domain}"), SweepConfig(domain=domain)
+        for n in range(400):
+            values = _draw_values(rng, cfg)
+            if n % 2:
+                p = solve_case(rng.choice(sorted(ALL_CASES)), values)
+            else:
+                p = Params(*values)
+            x1, x2, y1, y2, z1, z2 = p[:6]
+            ys, zs = (y1, y2), (z1, z2)
+            _, decision, flags = theorem_verdict(p)
+            assert decision == REDUCIBLE or n % 2 == 0
+            assert len(flags) == len(DISTINCT_X_CASES)
+            for flag, (case_id, (condition, j, k)) in zip(flags, DISTINCT_X_CASES.items()):
+                assert flag.name == condition
+                assert bits(flag.rhs) == bits(root_image(case_id, x2, y1, y2, z1, z2))
+                assert bits(flag.lhs) == bits(x1 * ys[2 - j] * zs[2 - k])
 
     def test_flags_carry_the_compared_values(self):
         _, _, flags = theorem_verdict(Params(1, 1, 1, 2, 3, 6))

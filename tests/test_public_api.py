@@ -8,6 +8,11 @@ The guard reads the source with ast: it collects every such name defined
 at the top level of a module under src/heckeg7, every name loaded and
 every attribute name used anywhere in those modules, and requires each
 defined name to be among the used ones.
+
+The guard sees only module-level names, not methods.  Params.as_dict has
+no caller in the package and stays all the same: perfbench/workloads.py
+writes the check corpus through it, so removing it as test-only API would
+break the check-corpus workload.
 """
 
 import ast

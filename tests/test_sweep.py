@@ -119,6 +119,21 @@ class TestConfigValidation:
             with pytest.raises(InvalidParams, match=f"^{name} must be a number$"):
                 run_sweep(SweepConfig(samples=20, **{name: value}))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tolerance", 10**400),
+            ("inject_reducible_rate", 10**400),
+            ("log10_modulus_min", -10**400),
+            ("log10_modulus_max", 10**400),
+        ],
+    )
+    def test_refuses_an_int_that_no_float_holds(self, name, value):
+        # refused before the range checks, whose messages would format the
+        # int as a float; the digits are not echoed
+        with pytest.raises(InvalidParams, match=f"^{name} does not fit in a float$"):
+            run_sweep(SweepConfig(samples=5, **{name: value}))
+
     def test_accepts_ints_for_number_fields(self):
         SweepConfig(
             tolerance=1, inject_reducible_rate=1, log10_modulus_min=-1, log10_modulus_max=1

@@ -311,6 +311,32 @@ class TestTheoremVerdict:
     def test_hypothesis(self, values, tol):
         assert_same(theorem_verdict, ref_theorem_verdict, point(values), tol)
 
+    def test_overflow_order_near_the_float_limit(self):
+        # Sides near sqrt of the largest float: a difference, or the modulus
+        # of a finite side, overflows.  The four differences are tested
+        # finite before any side's modulus is taken, so which OverflowError
+        # is raised, and its message, pins that order.
+        rng = random.Random("theorem-verdict-overflow-order")
+        exponents = ((-1, 1), (100, 155), (-155, -100), (152, 154.3))
+        raised = set()
+        for _ in range(30000):
+            values = [
+                cmath.rect(
+                    10 ** rng.uniform(*rng.choice(exponents)),
+                    rng.choice((0.0, math.pi / 4, -3 * math.pi / 4, rng.uniform(-3, 3))),
+                )
+                for _ in range(6)
+            ]
+            for i in (0, 2, 4):
+                if rng.random() < 0.3:
+                    values[i + 1] = values[i]
+            tol = rng.choice((1e-9, 1e-300, 1.0, 1e300, 5e-324))
+            assert_same(theorem_verdict, ref_theorem_verdict, point(values), tol)
+            kind, message = outcome(ref_theorem_verdict, point(values), tol)
+            if kind is OverflowError:
+                raised.add(message)
+        assert raised == {"a side of the criteria is not finite", "absolute value too large"}
+
 
 def every_slot(n, entries, seed, fillers):
     """n-lists with each of entries in each slot, and the other slots drawn
